@@ -5,17 +5,20 @@ gradient step, then the network averages with W. In stacked form
 
     Theta_{t+1} = W (Theta_t - gamma (grad F(Theta_t) + E_{t+1}(Theta_t))),
 
-with E = 0 for the deterministic variant. Replicates are vectorized on a
-leading axis, and W acts blockwise through batched matmul; no Kronecker
-products are materialized. All randomness flows through keyed NoiseStream
-objects, so a run is a pure function of its configuration and seed: the
-trajectory of replicate r does not depend on how many other replicates are
-batched alongside it or on any thread scheduling.
+with E = 0 for the deterministic variant. One step kernel performs this
+update for every engine, on a (C, R, m, d) stack: C chains, each with its
+own step size, times R replicates, and W acts blockwise through batched
+matmul; no Kronecker products are materialized. A plain run is C = 1, the
+extrapolated run is C = 2 (gamma and gamma/2), a coupled pair is C = 2 (two
+starts), and the single steps and the fixed-point iteration are C = R = 1.
+All randomness flows through keyed NoiseStream objects, so a run is a pure
+function of its configuration and seed: the trajectory of replicate r does
+not depend on how many other replicates or chains are batched alongside it
+or on any thread scheduling.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,10 +36,10 @@ from .noise import (
     Minibatch,
     NoiseStream,
     _check_model,
-    sample_noise,
+    _subset_mean,
     smoothness_constant,
 )
-from .objectives import LogisticObjectives, ObjectiveSet, _sigmoid
+from .objectives import ObjectiveSet, _sigmoid
 from .stacked import StackedPoint
 from .topology import CommMatrix
 
@@ -164,36 +167,6 @@ class RunRecord:
             raise InvalidParamError("no stationary samples accumulated (T <= burn_in)")
         return self.stat_outer / self.stat_count
 
-    def to_csv(self, dest) -> None:
-        """Write the per-step records: t,replicate,dist_opt,dist_det,consensus_err,disagreement_norm."""
-        if isinstance(dest, (str, bytes)):
-            fh = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        else:
-            fh, close = dest, False
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["t", "replicate", "dist_opt", "dist_det", "consensus_err", "disagreement_norm"]
-            )
-            R = self.replicates
-            for i, t in enumerate(self.times):
-                for r in range(R):
-                    dd = self.dist_det[i, r] if self.dist_det is not None else float("nan")
-                    writer.writerow(
-                        [
-                            int(t),
-                            r,
-                            format(self.dist_opt[i, r], ".17g"),
-                            format(dd, ".17g"),
-                            format(self.consensus_err[i, r], ".17g"),
-                            format(self.disagreement_norm[i, r], ".17g"),
-                        ]
-                    )
-        finally:
-            if close:
-                fh.close()
-
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -204,7 +177,9 @@ class FixedPointResult:
     iterations: int
 
 
-def _warn_large_step(gamma: float, L: float) -> None:
+def _check_step(gamma: float, L: float) -> None:
+    if not (gamma > 0.0):
+        raise InvalidStepError(f"gamma must be positive, got {gamma}")
     if gamma > 1.0 / L:
         warnings.warn(
             f"step size gamma={gamma:.3g} exceeds 1/L={1.0 / L:.3g}; "
@@ -214,27 +189,112 @@ def _warn_large_step(gamma: float, L: float) -> None:
         )
 
 
+def _check_shapes(W: CommMatrix, obj: ObjectiveSet, *points: StackedPoint) -> None:
+    for P in points:
+        if P.m != obj.m or P.d != obj.d:
+            raise ShapeMismatchError(
+                f"stacked point is ({P.m},{P.d}), objective needs ({obj.m},{obj.d})"
+            )
+    if W.m != obj.m:
+        raise ShapeMismatchError(f"W has m={W.m}, objective has m={obj.m}")
+
+
+def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray,
+          Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
+    """One Adapt-then-Combine step of a (C, R, m, d) stack of chains.
+
+    gammas holds the chains' step sizes, shaped (C, 1, 1, 1) so that they
+    broadcast over the stack. draw is None for noiseless
+    chains; otherwise it holds the step's draws for each replicate, shaped
+    (1, R, width) when all C chains share them and (C, R, width) when each
+    chain has its own. Shared draws become noise (or subset indices) once
+    and are broadcast over the chains.
+    """
+    _, R, m, d = Th.shape
+    if isinstance(noise, Minibatch):
+        # the subsample mean is the gradient plus the noise, so the full
+        # data gradient is never needed
+        X = obj.data
+        persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
+        keys = draw.reshape(-1, R, m, obj.n)
+        drift = _subset_mean(persample, keys, noise.batch_size) + obj.lambda_reg * Th
+    else:
+        drift = obj._grad_batch(Th)
+        if noise is not None:
+            z = draw.reshape(-1, R, m, d)
+            drift = drift + np.einsum("kij,...kj->...ki", noise.factors, z)
+    return np.matmul(W, Th - gammas * drift)
+
+
+def _lane(noise, obj: ObjectiveSet):
+    """The NoiseStream block reader a noise model draws from, and its width."""
+    if isinstance(noise, AdditiveGaussian):
+        return "normals_block", obj.m * obj.d
+    return "raw_block", obj.m * obj.n
+
+
+class _Draws:
+    """Per-step draws of a (C, R) grid of streams, read a block at a time.
+
+    ids[c][r] is the stream replicate id behind chain c and replicate r; C
+    is 1 when every chain shares the replicates' streams. Gaussian noise
+    reads standard normals, minibatch noise subset-selection words.
+    """
+
+    def __init__(self, noise, obj: ObjectiveSet, seed: int, ids):
+        self.streams = [NoiseStream(seed, r) for row in ids for r in row]
+        self.shape = (len(ids), len(ids[0]))
+        self.lane, self.width = _lane(noise, obj)
+        self.block_size = self.streams[0].block_size
+        self.block = -1
+        self.buf = None
+
+    def at(self, t: int) -> np.ndarray:
+        """(C, R, width) draws of step t."""
+        b, row = divmod(t, self.block_size)
+        if b != self.block:
+            blocks = [getattr(s, self.lane)(b, self.width) for s in self.streams]
+            self.buf = np.stack(blocks).reshape(self.shape + blocks[0].shape)
+            self.block = b
+        return self.buf[:, :, row]
+
+
+def _iterate(W: CommMatrix, obj: ObjectiveSet, noise, gammas, Th: np.ndarray,
+             draws: _Draws | None, T: int):
+    """Yield the (C, R, m, d) stack at t = 0, 1, ..., T."""
+    W = W.entries
+    gammas = np.reshape(np.asarray(gammas, dtype=float), (-1, 1, 1, 1))
+    yield Th
+    for t in range(T):
+        Th = _step(W, obj, noise, gammas, Th, None if draws is None else draws.at(t))
+        yield Th
+
+
 def dgd_step(W: CommMatrix, obj: ObjectiveSet, gamma: float,
              Theta: StackedPoint) -> StackedPoint:
     """One deterministic Adapt-then-Combine update."""
-    if not (gamma > 0.0):
-        raise InvalidStepError(f"gamma must be positive, got {gamma}")
-    _warn_large_step(gamma, obj.L)
-    G = obj.grad_stacked(Theta)
-    return StackedPoint(Theta.m, Theta.d, W.entries @ (Theta.data - gamma * G.data))
+    _check_step(gamma, obj.L)
+    _check_shapes(W, obj, Theta)
+    Th = _step(W.entries, obj, None, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
+               None)
+    return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 
 def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
               Theta: StackedPoint, stream: NoiseStream) -> StackedPoint:
-    """One stochastic update: local noisy gradient step, then mixing."""
-    if not (gamma > 0.0):
-        raise InvalidStepError(f"gamma must be positive, got {gamma}")
-    _warn_large_step(gamma, obj.L)
-    G = obj.grad_stacked(Theta)
-    eps = sample_noise(noise, obj, Theta, stream)
-    return StackedPoint(
-        Theta.m, Theta.d, W.entries @ (Theta.data - gamma * (G.data + eps.data))
-    )
+    """One stochastic update: local noisy gradient step, then mixing.
+
+    Consumes the draws of the stream's current step and advances its cursor.
+    """
+    _check_step(gamma, obj.L)
+    _check_model(noise, obj)
+    _check_shapes(W, obj, Theta)
+    lane, width = _lane(noise, obj)
+    block, row = divmod(stream.advance(), stream.block_size)
+    draw = getattr(stream, lane)(block, width)[row]
+    Th = _step(W.entries, obj, noise, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
+               draw[None, None])
+    return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 
 def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
@@ -247,115 +307,26 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     accuracy uniform in gamma. The contraction rate is (1 - gamma mu), so the
     default iteration cap scales like 1/(gamma mu).
     """
-    if not (gamma > 0.0):
-        raise InvalidStepError(f"gamma must be positive, got {gamma}")
-    _warn_large_step(gamma, obj.L)
+    _check_step(gamma, obj.L)
     rate = gamma * obj.mu
     if max_iter is None:
         max_iter = max(1000, int(math.ceil(45.0 / min(rate, 1.0))))
-    Th = obj.theta_star_stacked.data.copy()
+    W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
+    Th = obj.theta_star_stacked.data[None, None]
     thresh = tol * rate
-    W_entries = W.entries
     for it in range(1, max_iter + 1):
-        G = obj._grad_batch(Th[None])[0]
-        nxt = W_entries @ (Th - gamma * G)
+        nxt = _step(W_entries, obj, None, gammas, Th, None)
         delta = float(np.linalg.norm(nxt - Th))
         Th = nxt
         if delta <= thresh:
-            G = obj._grad_batch(Th[None])[0]
-            residual = float(np.linalg.norm((Th - W_entries @ (Th - gamma * G))))
+            residual = float(np.linalg.norm(Th - _step(W_entries, obj, None, gammas, Th, None)))
             return FixedPointResult(
-                point=StackedPoint(obj.m, obj.d, Th), residual=residual, iterations=it
+                point=StackedPoint(obj.m, obj.d, Th[0, 0]), residual=residual, iterations=it
             )
     raise NoConvergenceError(
         f"fixed-point iteration did not reach tol={tol:.1e} within {max_iter} steps "
         f"(last displacement {delta:.3e})"
     )
-
-
-class _GaussianDraws:
-    """Block-prefetched standard-normal draws for a batch of replicates."""
-
-    def __init__(self, streams, width):
-        self.streams = streams
-        self.width = width
-        self.block = -1
-        self.buf = None
-
-    def at(self, t: int) -> np.ndarray:
-        b, row = divmod(t, self.streams[0].block_size)
-        if b != self.block:
-            self.buf = np.stack([s.normals_block(b, self.width) for s in self.streams])
-            self.block = b
-        return self.buf[:, row, :]
-
-
-class _SubsetDraws:
-    """Block-prefetched subset-selection words for a batch of replicates."""
-
-    def __init__(self, streams, width):
-        self.streams = streams
-        self.width = width
-        self.block = -1
-        self.buf = None
-
-    def at(self, t: int) -> np.ndarray:
-        b, row = divmod(t, self.streams[0].block_size)
-        if b != self.block:
-            self.buf = np.stack([s.raw_block(b, self.width) for s in self.streams])
-            self.block = b
-        return self.buf[:, row, :]
-
-
-class _Chain:
-    """One batched chain of the stacked recursion at a fixed step size."""
-
-    def __init__(self, W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
-                 Theta0: np.ndarray, R: int):
-        self.W = W.entries
-        self.obj = obj
-        self.noise = noise
-        self.gamma = gamma
-        self.Th = np.tile(Theta0[None, :, :], (R, 1, 1))
-        if isinstance(noise, Minibatch):
-            if not isinstance(obj, LogisticObjectives):
-                raise InvalidParamError("minibatch chains need a logistic objective")
-            self.X = obj.data
-        elif isinstance(noise, AdditiveGaussian):
-            self.factors = noise.factors
-
-    def step(self, draw: np.ndarray | None) -> None:
-        obj = self.obj
-        if self.noise is None:
-            G = obj._grad_batch(self.Th)
-            drift = G
-        elif isinstance(self.noise, AdditiveGaussian):
-            G = obj._grad_batch(self.Th)
-            z = draw.reshape(draw.shape[0], obj.m, obj.d)
-            eps = np.einsum("kij,rkj->rki", self.factors, z)
-            drift = G + eps
-        else:
-            # minibatch: per-sample gradients serve both the mean and the noise
-            b = self.noise.batch_size
-            z = np.einsum("rkd,knd->rkn", self.Th, self.X)
-            s = _sigmoid(z)
-            persample = s[..., None] * self.X[None, :, :, :]
-            full = persample.mean(axis=2)
-            keys = draw.reshape(draw.shape[0], obj.m, obj.n)
-            idx = np.argsort(keys, axis=2)[:, :, :b]
-            picked = np.take_along_axis(persample, idx[..., None], axis=2)
-            sub = picked.mean(axis=2)
-            # grad = full + ridge; eps = sub - full; drift = sub + ridge
-            drift = sub + obj.lambda_reg * self.Th
-        self.Th = np.matmul(self.W, self.Th - self.gamma * drift)
-
-
-def _make_draws(noise, obj, streams):
-    if noise is None:
-        return None
-    if isinstance(noise, AdditiveGaussian):
-        return _GaussianDraws(streams, obj.m * obj.d)
-    return _SubsetDraws(streams, obj.m * obj.n)
 
 
 def _record_metrics(P: np.ndarray, theta_star: np.ndarray,
@@ -375,6 +346,11 @@ def _record_metrics(P: np.ndarray, theta_star: np.ndarray,
     return dist_opt, dist_det, consensus, disagree, client_avg
 
 
+def _stack(points, R: int) -> np.ndarray:
+    """(C, R, m, d) stack: chain c starts every replicate at points[c]."""
+    return np.stack([np.tile(P.data[None], (R, 1, 1)) for P in points])
+
+
 def run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
         Theta0: StackedPoint, Theta_det: StackedPoint | None = None) -> RunRecord:
     """Execute the configured algorithm for all replicates.
@@ -392,26 +368,13 @@ def run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
         noise = None
     if noise is not None:
         _check_model(noise, obj)
-    if Theta0.m != obj.m or Theta0.d != obj.d:
-        raise ShapeMismatchError(
-            f"Theta0 is ({Theta0.m},{Theta0.d}), objective needs ({obj.m},{obj.d})"
-        )
-    if W.m != obj.m:
-        raise ShapeMismatchError(f"W has m={W.m}, objective has m={obj.m}")
-    _warn_large_step(config.gamma, obj.L)
+    _check_shapes(W, obj, Theta0)
+    _check_step(config.gamma, obj.L)
 
     R = config.replicates
-    streams = [NoiseStream(config.seed, r) for r in range(R)]
-    chain = _Chain(W, obj, noise, config.gamma, Theta0.data, R)
-    draws = _make_draws(noise, obj, streams)
-    return _drive(
-        chains=[chain],
-        draw_sources=[draws],
-        combine=lambda pts: pts[0],
-        obj=obj,
-        config=config,
-        Theta_det=Theta_det,
-    )
+    draws = None if noise is None else _Draws(noise, obj, config.seed, [range(R)])
+    chain = _iterate(W, obj, noise, [config.gamma], _stack([Theta0], R), draws, config.T)
+    return _drive(chain, lambda Th: Th[0], obj, config, Theta_det)
 
 
 def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
@@ -430,38 +393,26 @@ def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
         noise = None
     if noise is not None:
         _check_model(noise, obj)
-    if Theta0.m != obj.m or Theta0.d != obj.d:
-        raise ShapeMismatchError(
-            f"Theta0 is ({Theta0.m},{Theta0.d}), objective needs ({obj.m},{obj.d})"
-        )
-    _warn_large_step(config.gamma, obj.L)
+    _check_shapes(W, obj, Theta0)
+    _check_step(config.gamma, obj.L)
 
     R = config.replicates
-    chain_full = _Chain(W, obj, noise, config.gamma, Theta0.data, R)
-    chain_half = _Chain(W, obj, noise, config.gamma / 2.0, Theta0.data, R)
-    if noise is None:
-        sources = [None, None]
-    elif config.coupling == "shared":
-        streams = [NoiseStream(config.seed, r) for r in range(R)]
-        shared = _make_draws(noise, obj, streams)
-        sources = [shared, shared]
+    if config.coupling == "shared":
+        ids = [range(R)]
     else:
-        streams_a = [NoiseStream(config.seed, 2 * r) for r in range(R)]
-        streams_b = [NoiseStream(config.seed, 2 * r + 1) for r in range(R)]
-        sources = [_make_draws(noise, obj, streams_a), _make_draws(noise, obj, streams_b)]
-    return _drive(
-        chains=[chain_full, chain_half],
-        draw_sources=sources,
-        combine=lambda pts: 2.0 * pts[1] - pts[0],
-        obj=obj,
-        config=config,
-        Theta_det=Theta_det,
-    )
+        ids = [range(0, 2 * R, 2), range(1, 2 * R, 2)]
+    draws = None if noise is None else _Draws(noise, obj, config.seed, ids)
+    gammas = [config.gamma, config.gamma / 2.0]
+    chain = _iterate(W, obj, noise, gammas, _stack([Theta0, Theta0], R), draws, config.T)
+    return _drive(chain, lambda Th: 2.0 * Th[1] - Th[0], obj, config, Theta_det)
 
 
-def _drive(chains, draw_sources, combine, obj: ObjectiveSet, config: RunConfig,
+def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
            Theta_det: StackedPoint | None) -> RunRecord:
-    """Shared driver: advances the chains, records metrics, accumulates moments."""
+    """Consume the chain's stacks: record metrics, accumulate moments.
+
+    combine maps a (C, R, m, d) stack to the (R, m, d) recorded iterate.
+    """
     theta_star = obj.theta_star
     det_data = Theta_det.data if Theta_det is not None else None
     burn = config.resolved_burn_in(obj.mu)
@@ -484,13 +435,8 @@ def _drive(chains, draw_sources, combine, obj: ObjectiveSet, config: RunConfig,
         rec["dis"].append(dis)
         rec["client"].append(client)
 
-    current = combine([c.Th for c in chains])
-    record(0, current)
-    for t in range(T):
-        for c, src in zip(chains, draw_sources):
-            c.step(src.at(t) if src is not None else None)
-        current = combine([c.Th for c in chains])
-        step_idx = t + 1
+    for step_idx, Th in enumerate(chain):
+        current = combine(Th)
         if step_idx > burn:
             stat_sum += current
             flat = current.reshape(R, m * d)
@@ -539,18 +485,11 @@ def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
         raise InvalidStepError(
             f"coupling requires gamma < 2/L = {2.0 / L:.6g}, got gamma = {gamma:.6g}"
         )
-    if Theta0_a.m != obj.m or Theta0_b.m != obj.m:
-        raise ShapeMismatchError("initial points must match the objective's client count")
+    _check_shapes(W, obj, Theta0_a, Theta0_b)
     R = replicates
-    streams = [NoiseStream(seed, r) for r in range(R)]
-    chain_a = _Chain(W, obj, noise, gamma, Theta0_a.data, R)
-    chain_b = _Chain(W, obj, noise, gamma, Theta0_b.data, R)
-    draws = _make_draws(noise, obj, streams)
-    out = np.empty(T + 1)
-    out[0] = float(np.mean(np.sum((chain_a.Th - chain_b.Th) ** 2, axis=(1, 2))))
-    for t in range(T):
-        draw = draws.at(t)
-        chain_a.step(draw)
-        chain_b.step(draw)
-        out[t + 1] = float(np.mean(np.sum((chain_a.Th - chain_b.Th) ** 2, axis=(1, 2))))
-    return out
+    Th = _stack([Theta0_a, Theta0_b], R)
+    draws = _Draws(noise, obj, seed, [range(R)])
+    return np.array([
+        float(np.mean(np.sum((P[0] - P[1]) ** 2, axis=(1, 2))))
+        for P in _iterate(W, obj, noise, [gamma, gamma], Th, draws, T)
+    ])

@@ -4,8 +4,6 @@ Contents
 --------
 sym_eig
     Full eigendecomposition of a symmetric matrix, eigenvalues descending.
-spectral_norm
-    Largest absolute eigenvalue of a symmetric matrix.
 pinv_sym
     Moore-Penrose pseudo-inverse through the eigendecomposition.
 sylvester_solve
@@ -40,7 +38,6 @@ __all__ = [
     "SymSpectrum",
     "PinvExpansion",
     "sym_eig",
-    "spectral_norm",
     "pinv_sym",
     "sylvester_solve",
     "projected_pinv_expansion",
@@ -114,14 +111,6 @@ def sym_eig(M) -> SymSpectrum:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(w)[::-1]
     return SymSpectrum(eigenvalues=w[order], eigenvectors=V[:, order])
-
-
-def spectral_norm(M) -> float:
-    """Spectral norm (largest |eigenvalue|) of a symmetric matrix."""
-    spec = sym_eig(M)
-    if spec.eigenvalues.size == 0:
-        return 0.0
-    return float(np.max(np.abs(spec.eigenvalues)))
 
 
 def pinv_sym(M, tol: float = PINV_RTOL) -> np.ndarray:

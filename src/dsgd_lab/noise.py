@@ -13,7 +13,9 @@ backed by the Philox counter-based generator keyed from those coordinates,
 with normals produced by Box-Muller on the raw 64-bit words. This makes
 replicated runs reproducible under any scheduling, allows random access by
 step, and gives shared-noise couplings for free (two chains reading the same
-stream see identical draws).
+stream see identical draws). Each stream keeps only the block it generated
+last: runs read blocks in step order, so each block is generated once per
+run, and random access regenerates a block it has moved away from.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ class NoiseStream:
 
     Draws are organized in blocks of ``block_size`` consecutive steps; the
     block for (purpose, width, block_index) is generated by one Philox call
-    keyed on (seed, replicate, purpose, width, block_index) and cached, so
-    sequential access costs one generator call per block while random access
-    by step stays exact.
+    keyed on (seed, replicate, purpose, width, block_index). The stream
+    keeps the last block it generated, so sequential access by step costs
+    one generator call per block, while random access stays exact and pays
+    one call per block switch.
     """
 
     PURPOSE_GAUSS = 1
@@ -77,7 +80,8 @@ class NoiseStream:
         self.replicate = int(replicate)
         self.block_size = int(block_size)
         self.step = 0
-        self._cache: dict = {}
+        self._last_key = None
+        self._last_block = None
 
     def _key(self, purpose: int, width: int, block: int) -> np.ndarray:
         # chain the coordinates through the finalizer instead of xor-folding
@@ -89,24 +93,21 @@ class NoiseStream:
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        cache_key = (self.PURPOSE_SUBSET, width, block)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        ph = Philox(key=self._key(self.PURPOSE_SUBSET, width, block))
+        key = (self.PURPOSE_SUBSET, width, block)
+        if key == self._last_key:
+            return self._last_block
+        ph = Philox(key=self._key(*key))
         out = ph.random_raw(self.block_size * width).reshape(self.block_size, width)
-        self._trim_cache()
-        self._cache[cache_key] = out
+        self._last_key, self._last_block = key, out
         return out
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
-        cache_key = (self.PURPOSE_GAUSS, width, block)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
+        key = (self.PURPOSE_GAUSS, width, block)
+        if key == self._last_key:
+            return self._last_block
         pairs = (width + 1) // 2
-        ph = Philox(key=self._key(self.PURPOSE_GAUSS, width, block))
+        ph = Philox(key=self._key(*key))
         raw = ph.random_raw(self.block_size * pairs * 2).reshape(
             self.block_size, pairs, 2
         )
@@ -118,13 +119,8 @@ class NoiseStream:
         z[:, 0::2] = r * np.cos(_TWO_PI * u2)
         z[:, 1::2] = r * np.sin(_TWO_PI * u2)
         out = z[:, :width]
-        self._trim_cache()
-        self._cache[cache_key] = out
+        self._last_key, self._last_block = key, out
         return out
-
-    def _trim_cache(self) -> None:
-        if len(self._cache) >= 8:
-            self._cache.pop(next(iter(self._cache)))
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
         block, row = divmod(t, self.block_size)
@@ -229,16 +225,17 @@ def _persample_grads(obj: LogisticObjectives, k: int, theta: np.ndarray) -> np.n
     return _sigmoid(X @ theta)[:, None] * X
 
 
-def _minibatch_eps(obj: LogisticObjectives, b: int, Theta: np.ndarray,
-                   keys: np.ndarray) -> np.ndarray:
-    """Stacked minibatch noise at one step from the subset-selection words."""
-    m, d = Theta.shape
-    eps = np.empty((m, d))
-    for k in range(m):
-        G = _persample_grads(obj, k, Theta[k])
-        idx = np.argsort(keys[k * obj.n : (k + 1) * obj.n])[:b]
-        eps[k] = G[idx].mean(axis=0) - G.mean(axis=0)
-    return eps
+def _subset_mean(persample: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
+    """Mean of the b per-sample gradients that the selection words pick.
+
+    persample is (..., n, d) and keys (..., n), with as many leading axes;
+    a leading axis of length 1 in keys broadcasts, so one set of words
+    selects the same samples for every chain stacked along it. Each
+    row of n words picks the samples holding its b smallest words: a
+    uniform draw of b out of n without replacement.
+    """
+    idx = np.argsort(keys, axis=-1)[..., :b]
+    return np.take_along_axis(persample, idx[..., None], axis=-2).mean(axis=-2)
 
 
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
@@ -259,8 +256,11 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
         z = stream.normals_at(t, obj.m * obj.d).reshape(obj.m, obj.d)
         eps = np.einsum("kij,kj->ki", model.factors, z)
     else:
-        keys = stream.raw_at(t, obj.m * obj.n)
-        eps = _minibatch_eps(obj, model.batch_size, Theta.data, keys)
+        keys = stream.raw_at(t, obj.m * obj.n).reshape(obj.m, obj.n)
+        persample = np.stack(
+            [_persample_grads(obj, k, Theta.block(k)) for k in range(obj.m)]
+        )
+        eps = _subset_mean(persample, keys, model.batch_size) - persample.mean(axis=1)
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -335,13 +335,7 @@ def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
             stop = min(start + stream.block_size, n_draws)
             blk = stream.raw_block(start // stream.block_size, width)
             keys = blk[: stop - start].reshape(-1, m, n)
-            idx = np.argsort(keys, axis=2)[:, :, :b]
-            picked = np.take_along_axis(
-                persample[None, :, :, :],
-                idx[:, :, :, None],
-                axis=2,
-            )
-            eps = picked.mean(axis=2) - full
+            eps = _subset_mean(persample[None], keys, b) - full
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     moment = sq_norms if p == 2 else sq_norms**2
     mean = float(np.mean(moment))

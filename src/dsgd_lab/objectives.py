@@ -28,6 +28,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
+from ._textio import open_text
 from .stacked import StackedPoint
 
 __all__ = [
@@ -64,7 +65,8 @@ class ObjectiveSet:
     kind: str
 
     # subclasses provide: grad_local, hess_local, third_contract_local,
-    # _grad_batch, mu, L, K3, and _solve_optimum.
+    # _grad_batch (stacked gradients of a (..., m, d) array), mu, L, K3,
+    # and _solve_optimum.
 
     def _check_client(self, k: int) -> None:
         if not (0 <= k < self.m):
@@ -174,7 +176,7 @@ class QuadraticObjectives(ObjectiveSet):
         return 0.5 * float(diff @ self.A[k] @ diff)
 
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,rkj->rki", self.A, Th - self.theta_loc_star)
+        return np.einsum("kij,...kj->...ki", self.A, Th - self.theta_loc_star)
 
     def _solve_optimum(self, tol: float) -> np.ndarray:
         rhs = np.einsum("kij,kj->i", self.A, self.theta_loc_star) / self.m
@@ -245,10 +247,10 @@ class LogisticObjectives(ObjectiveSet):
         )
 
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
-        z = np.einsum("rkd,knd->rkn", Th, self.data)
+        z = np.einsum("...kd,knd->...kn", Th, self.data)
         s = _sigmoid(z)
         return (
-            np.einsum("rkn,knd->rkd", s, self.data) / self.n
+            np.einsum("...kn,knd->...kd", s, self.data) / self.n
             + self.lambda_reg * Th
         )
 
@@ -276,11 +278,15 @@ class LogisticObjectives(ObjectiveSet):
             H = self.mean_hessian(theta)
             step = np.linalg.solve(H, g)
             slope = float(g @ step)
+            # f is known only to a few ulps; near the optimum the Armijo
+            # decrease is far below that, and a rounding-level rise must not
+            # send the line search crawling
+            floor = 4.0 * np.finfo(float).eps * abs(fval)
             t = 1.0
             while t > 2.0**-40:
                 cand = theta - t * step
                 cand_val = self._mean_value(cand)
-                if cand_val <= fval - 1e-4 * t * slope:
+                if cand_val <= fval - 1e-4 * t * slope + floor:
                     theta, fval = cand, cand_val
                     break
                 t *= 0.5
@@ -334,12 +340,7 @@ def generate_logistic_problem(
 
 def export_dataset(obj: LogisticObjectives, dest) -> None:
     """Write logistic data as CSV: client,index,x_0..x_{d-1} (17 sig digits)."""
-    if isinstance(dest, (str, bytes)):
-        fh = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh, close = dest, False
-    try:
+    with open_text(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["client", "index"] + [f"x_{j}" for j in range(obj.d)])
         for k in range(obj.m):
@@ -347,19 +348,11 @@ def export_dataset(obj: LogisticObjectives, dest) -> None:
                 writer.writerow(
                     [k, i] + [format(v, ".17g") for v in obj.data[k, i]]
                 )
-    finally:
-        if close:
-            fh.close()
 
 
 def load_dataset(source, lambda_reg: float) -> LogisticObjectives:
     """Read a dataset written by export_dataset back into an objective set."""
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh, close = source, False
-    try:
+    with open_text(source, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["client", "index"]:
@@ -381,6 +374,3 @@ def load_dataset(source, lambda_reg: float) -> LogisticObjectives:
                 raise InvalidParamError(f"row ({k},{i}) has {len(vec)} coordinates, expected {d}")
             data[k, i] = vec
         return LogisticObjectives(data=data, lambda_reg=lambda_reg)
-    finally:
-        if close:
-            fh.close()

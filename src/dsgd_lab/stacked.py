@@ -39,13 +39,6 @@ class StackedPoint:
         return cls(m=arr.shape[0], d=arr.shape[1], data=arr)
 
     @classmethod
-    def from_flat(cls, vec, m: int, d: int) -> "StackedPoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != m * d:
-            raise ShapeMismatchError(f"flat vector of size {vec.size} != m*d = {m * d}")
-        return cls(m=m, d=d, data=vec.reshape(m, d))
-
-    @classmethod
     def zeros(cls, m: int, d: int) -> "StackedPoint":
         return cls(m=m, d=d, data=np.zeros((m, d)))
 
@@ -74,9 +67,6 @@ class StackedPoint:
     def __sub__(self, other: "StackedPoint") -> "StackedPoint":
         self._check_compatible(other)
         return StackedPoint(self.m, self.d, self.data - other.data)
-
-    def scale(self, c: float) -> "StackedPoint":
-        return StackedPoint(self.m, self.d, c * self.data)
 
     def _check_compatible(self, other: "StackedPoint") -> None:
         if (self.m, self.d) != (other.m, other.d):

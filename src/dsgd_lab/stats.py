@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewPointsError,
 )
+from ._textio import open_text
 from .stacked import StackedPoint
 
 MIN_EFFECTIVE_SAMPLES = 100
@@ -62,12 +63,7 @@ class StationaryMoments:
 
     def to_csv(self, dest) -> None:
         """Write covariance blocks as rows k,l,i,j,value,stderr."""
-        if isinstance(dest, (str, bytes)):
-            fh = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        else:
-            fh, close = dest, False
-        try:
+        with open_text(dest, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "l", "i", "j", "value", "stderr"])
             for k in range(self.m):
@@ -79,9 +75,6 @@ class StationaryMoments:
                                 f"{self.block_cov[k, l, i, j]:.17g}",
                                 f"{self.cov_std_errors[k, l, i, j]:.17g}",
                             ])
-        finally:
-            if close:
-                fh.close()
 
 
 def _weighted_se(values: np.ndarray, weights: np.ndarray,

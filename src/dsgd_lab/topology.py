@@ -25,6 +25,7 @@ from .errors import (
     NotLaplacianError,
     NotSymmetricError,
 )
+from ._textio import open_text
 from .stacked import StackedPoint
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "build_clusters",
     "from_laplacian",
     "load_edge_list",
-    "spectral_profile",
     "gossip_operator",
     "apply_comm",
     "project_consensus",
@@ -244,16 +244,10 @@ def load_edge_list(source) -> np.ndarray:
     may be omitted and defaults to 1). Lines starting with ``#`` and blank
     lines are skipped. Returns the (n, n) Laplacian with n = max node id + 1.
     """
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    elif isinstance(source, io.IOBase) or hasattr(source, "readlines"):
-        fh = source
-        close = False
-    else:
+    if not (isinstance(source, (str, bytes, io.IOBase)) or hasattr(source, "readlines")):
         raise InvalidParamError(f"cannot read edge list from {type(source).__name__}")
     edges = []
-    try:
+    with open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -275,9 +269,6 @@ def load_edge_list(source) -> np.ndarray:
             if w < 0.0:
                 raise InvalidParamError(f"edge list line {lineno}: negative weight {w}")
             edges.append((i, j, w))
-    finally:
-        if close:
-            fh.close()
     if not edges:
         raise InvalidParamError("edge list contains no edges")
     n = max(max(i, j) for i, j, _ in edges) + 1
@@ -288,11 +279,6 @@ def load_edge_list(source) -> np.ndarray:
         L[i, i] += w
         L[j, j] += w
     return L
-
-
-def spectral_profile(W: CommMatrix) -> SpectralProfile:
-    """Spectral quantities of a validated gossip matrix."""
-    return W.spectral
 
 
 def gossip_operator(W: CommMatrix) -> np.ndarray:

@@ -307,6 +307,11 @@ class TestPredict:
             assert table[f"bias_first_order[{k}][0]"] == 0.0
             assert table[f"bias_first_order[{k}][1]"] == 0.0
 
+    def test_fig2_data_seed_8_solves(self, tmp_path):
+        rc = main(["predict", "--preset", "fig2-heterogeneous",
+                   "--set", "objective.seed=8", "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_step_gate_exits_2(self, tmp_path, capsys):
         cfg = two_client_config(tmp_path)
         rc = main(["predict", "--config", cfg, "--gamma", "0.55",

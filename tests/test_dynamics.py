@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -49,7 +47,29 @@ def random_quadratic(rng, m, d):
     return QuadraticObjectives(A=A, theta_loc_star=loc)
 
 
+def _noisy_problem(noise_kind):
+    """A 4-client logistic ring with Gaussian or minibatch noise."""
+    obj = generate_logistic_problem(m=4, n=20, d=3, seed=5)
+    W = build_ring(4, 0.3)
+    if noise_kind == "gaussian":
+        return obj, W, AdditiveGaussian.isotropic(4, 3, 0.4)
+    return obj, W, Minibatch(batch_size=3)
+
+
 class TestSteps:
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "minibatch"])
+    def test_iterated_dsgd_step_is_run(self, noise_kind):
+        # T crosses a draw-block boundary (512 steps)
+        obj, W, model = _noisy_problem(noise_kind)
+        T, seed = 600, 7
+        Theta0 = StackedPoint(obj.m, obj.d, np.full((obj.m, obj.d), -0.2))
+        point, stream = Theta0, NoiseStream(seed, 0)
+        for _ in range(T):
+            point = dsgd_step(W, obj, model, 0.05, point, stream)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.05, T=T, seed=seed, record_every=T)
+        rec = run(W, obj, model, cfg, Theta0)
+        assert np.array_equal(point.data, rec.final[0])
+
     def test_single_client_plain_gradient(self):
         obj = QuadraticObjectives(A=np.array([[[2.0]]]), theta_loc_star=np.array([[0.0]]))
         W = build_fully_connected(1)
@@ -240,17 +260,6 @@ class TestRun:
             RunConfig(algorithm="dgd", gamma=0.1, T=0, burn_in=3)
         assert default_burn_in(0.1, 1.0, 10**9) == 132
 
-    def test_csv_export_schema(self):
-        obj, W = two_client_example()
-        cfg = RunConfig(algorithm="dgd", gamma=0.1, T=3, record_every=1)
-        det = fixed_point(W, obj, 0.1)
-        rec = run(W, obj, None, cfg, StackedPoint.zeros(2, 1), Theta_det=det.point)
-        buf = io.StringIO()
-        rec.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,replicate,dist_opt,dist_det,consensus_err,disagreement_norm"
-        assert len(lines) == 1 + 4  # t = 0..3, one replicate
-
     def test_stationary_sums_accumulate(self):
         obj, W = two_client_example()
         model = AdditiveGaussian.isotropic(2, 1, 0.1)
@@ -268,6 +277,18 @@ class TestRun:
 
 
 class TestCoupledRun:
+    def test_matches_two_separate_runs(self):
+        obj, W, model = _noisy_problem("minibatch")
+        rng = np.random.default_rng(3)
+        A0 = StackedPoint(obj.m, obj.d, rng.standard_normal((obj.m, obj.d)))
+        B0 = StackedPoint(obj.m, obj.d, rng.standard_normal((obj.m, obj.d)))
+        d2 = coupled_run(W, obj, model, 0.05, 600, A0, B0, seed=6, replicates=3)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.05, T=600, seed=6, replicates=3,
+                        record_every=600)
+        a = run(W, obj, model, cfg, A0).final
+        b = run(W, obj, model, cfg, B0).final
+        assert d2[-1] == float(np.mean(np.sum((a - b) ** 2, axis=(1, 2))))
+
     def test_identical_starts_collapse(self):
         obj, W = two_client_example()
         model = AdditiveGaussian.isotropic(2, 1, 0.5)
@@ -340,6 +361,17 @@ class TestRRRun:
         rec_shared2 = rr_run(W, obj, model, RunConfig(coupling="shared", **base),
                              StackedPoint.zeros(2, 1))
         assert np.array_equal(rec_shared.final, rec_shared2.final)
+
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "minibatch"])
+    def test_shared_rr_is_two_plain_runs_combined(self, noise_kind):
+        obj, W, model = _noisy_problem(noise_kind)
+        base = dict(gamma=0.05, T=700, seed=4, replicates=3, record_every=700)
+        Theta0 = StackedPoint(obj.m, obj.d, np.full((obj.m, obj.d), 0.3))
+        rec = rr_run(W, obj, model, RunConfig(algorithm="rr_dsgd", **base), Theta0)
+        full = run(W, obj, model, RunConfig(algorithm="dsgd", **base), Theta0)
+        half = run(W, obj, model,
+                   RunConfig(algorithm="dsgd", **dict(base, gamma=0.025)), Theta0)
+        assert np.array_equal(rec.final, 2.0 * half.final - full.final)
 
     def test_run_dispatches_rr(self):
         obj, W = two_client_example()

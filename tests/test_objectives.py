@@ -191,6 +191,15 @@ class TestLogistic:
         G = obj.grad_stacked(obj.theta_star_stacked)
         assert np.linalg.norm(G.data.mean(axis=0)) <= 1e-10
 
+    @pytest.mark.parametrize("seed", [8, 20, 39])
+    def test_newton_passes_rounding_floor(self, seed):
+        # the fig2-heterogeneous data at these seeds: near the optimum the
+        # full Newton step raises f by one ulp, and the line search must take
+        # it rather than crawl with tiny steps until the iteration cap
+        obj = generate_logistic_problem(m=12, n=50, d=2, heterogeneity_spread=2.0,
+                                        lambda_reg=0.1, seed=seed)
+        assert np.linalg.norm(obj._mean_grad(obj.theta_star)) <= 1e-12
+
     def test_grad_batch_consistent(self, logistic_small):
         obj = logistic_small
         rng = np.random.default_rng(12)

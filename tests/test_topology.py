@@ -23,7 +23,6 @@ from dsgd_lab.topology import (
     load_edge_list,
     project_consensus,
     project_disagreement,
-    spectral_profile,
 )
 
 
@@ -42,7 +41,7 @@ class TestFullyConnected:
         assert np.allclose(W.entries, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_m3_profile(self):
-        prof = spectral_profile(build_fully_connected(3))
+        prof = build_fully_connected(3).spectral
         assert abs(prof.lambda2) < 1e-12
         assert abs(prof.Lambda) < 1e-12
         assert np.allclose(gossip_operator(build_fully_connected(3)), 0.0, atol=1e-10)
