@@ -7,11 +7,11 @@ CSV files with a header row and floats at 17 significant digits, so a rerun
 with the same config and seed is byte-identical.
 
 Exit codes: 0 success (all claims pass), 1 configuration or I/O error,
-2 assumption violation, step-size gate, or failed claim.
+2 assumption violation, step-size gate, divergence (a non-finite iterate),
+or failed claim.
 """
 
 import argparse
-import csv
 import itertools
 import os
 import sys
@@ -21,11 +21,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import dynamics, stats, theory, topology
+from ._textio import write_csv
 from .config import ExperimentConfig
 from .errors import (
     BudgetExceededError,
     ConfigError,
     DisconnectedError,
+    DivergenceError,
     DsgdLabError,
     StepTooLargeError,
 )
@@ -120,10 +122,6 @@ def preset_config(name: str) -> ExperimentConfig:
         section, _, key = dotted.partition(".")
         cfg.set(section, key, value)
     return cfg
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +285,7 @@ def cmd_graph_info(cfg: ExperimentConfig, args) -> int:
         print(f"{name} = {value:.12g}")
     out_dir, prefix = _resolve_output(cfg, args, "graph_info")
     path = os.path.join(out_dir, f"{prefix}_graph.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in fields])
-        writer.writerow([str(W.m)] + [_fmt(value) for _, value in fields[1:]])
+    write_csv(path, [name for name, _ in fields], [[value for _, value in fields]])
     print(f"wrote {path}")
     return 0
 
@@ -310,39 +305,22 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     record = dynamics.run(W, obj, noise_model, rc, theta0, theta_det)
     out_dir, prefix = _resolve_output(cfg, args, "simulate")
     header = ["t", "dist_opt", "dist_det", "consensus_err", "disagreement_norm"]
+    # a run with T = 0 writes the headers only
+    times = record.times.tolist() if rc.T > 0 else []
+    nan = np.full_like(record.dist_opt, np.nan)
+    dist_det = nan if record.dist_det is None else record.dist_det
+    columns = (
+        record.dist_opt, dist_det, record.consensus_err, record.disagreement_norm
+    )
     paths = []
     for r in range(record.replicates):
         path = os.path.join(out_dir, f"{prefix}_replicate{r:03d}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            if rc.T > 0:
-                for i, t in enumerate(record.times):
-                    dd = (
-                        record.dist_det[i, r]
-                        if record.dist_det is not None
-                        else float("nan")
-                    )
-                    writer.writerow(
-                        [
-                            int(t),
-                            _fmt(record.dist_opt[i, r]),
-                            _fmt(dd),
-                            _fmt(record.consensus_err[i, r]),
-                            _fmt(record.disagreement_norm[i, r]),
-                        ]
-                    )
+        write_csv(path, header, zip(times, *(col[:, r].tolist() for col in columns)))
         paths.append(path)
     agg_path = os.path.join(out_dir, f"{prefix}_aggregate.csv")
-    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "mean_dist", "std_dist"])
-        if rc.T > 0:
-            dists = record.avg_client_dist
-            for i, t in enumerate(record.times):
-                row = dists[i]
-                std = float(np.std(row, ddof=1)) if row.size > 1 else 0.0
-                writer.writerow([int(t), _fmt(np.mean(row)), _fmt(std)])
+    agg = ([t, np.mean(row), np.std(row, ddof=1) if row.size > 1 else 0.0]
+           for t, row in zip(times, record.avg_client_dist))
+    write_csv(agg_path, ["t", "mean_dist", "std_dist"], agg)
     print(
         f"wrote {len(paths)} replicate trajectories and {agg_path} "
         f"({rc.algorithm}, gamma={rc.gamma:g}, T={rc.T})"
@@ -360,8 +338,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
         print(f"{name} = {value:.12g}")
     out_dir, prefix = _resolve_output(cfg, args, "predict")
     path = os.path.join(out_dir, f"{prefix}_predictions.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        report.to_csv(fh)
+    report.to_csv(path)
     print(f"wrote {path}")
     return 0
 
@@ -481,19 +458,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
     out_dir, prefix = _resolve_output(cfg, args, "compare")
     path = os.path.join(out_dir, f"{prefix}_verdicts.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["claim", "predicted", "observed", "tolerance", "status"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["claim"],
-                    _fmt(row["predicted"]),
-                    _fmt(row["observed"]),
-                    _fmt(row["tolerance"]),
-                    row["status"],
-                ]
-            )
+    write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(
             f"{row['claim']}: {row['status']} "
@@ -512,7 +477,7 @@ def _sweep_cell(cfg: ExperimentConfig, m: int, topo_kind: str, gamma: float):
     cell_cfg.update(cfg)
     cell_cfg.set("topology", "kind", topo_kind)
     cell_cfg.set("topology", "m", m)
-    cell_cfg.set("run", "gamma", _fmt(gamma))
+    cell_cfg.set("run", "gamma", gamma)
     W = build_topology(cell_cfg)
     obj = build_objective(cell_cfg, W.m)
     noise_model = build_noise(cell_cfg, obj)
@@ -565,14 +530,10 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
             )
     out_dir, prefix = _resolve_output(cfg, args, "sweep")
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "topology", "gamma", "metric", "value"])
-        for (m, topo_kind, gamma), values in zip(cells, results):
-            for metric in _SWEEP_METRICS:
-                writer.writerow(
-                    [m, topo_kind, _fmt(gamma), metric, _fmt(values[metric])]
-                )
+    rows = ([m, topo_kind, gamma, metric, values[metric]]
+            for (m, topo_kind, gamma), values in zip(cells, results)
+            for metric in _SWEEP_METRICS)
+    write_csv(path, ["m", "topology", "gamma", "metric", "value"], rows)
     print(f"wrote {len(cells) * len(_SWEEP_METRICS)} rows to {path}")
     return 0
 
@@ -682,6 +643,9 @@ def main(argv=None) -> int:
         return 2
     except StepTooLargeError as exc:
         print(f"step size out of range: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, BudgetExceededError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

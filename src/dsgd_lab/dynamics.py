@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     InvalidParamError,
     InvalidStepError,
     NoConvergenceError,
@@ -253,6 +254,8 @@ class _Draws:
         """(C, R, width) draws of step t."""
         b, row = divmod(t, self.block_size)
         if b != self.block:
+            # drop the old grid first, or it stays alive while the new one is built
+            self.buf = None
             blocks = [getattr(s, self.lane)(b, self.width) for s in self.streams]
             self.buf = np.stack(blocks).reshape(self.shape + blocks[0].shape)
             self.block = b
@@ -281,16 +284,16 @@ def dgd_step(W: CommMatrix, obj: ObjectiveSet, gamma: float,
 
 
 def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
-              Theta: StackedPoint, stream: NoiseStream) -> StackedPoint:
-    """One stochastic update: local noisy gradient step, then mixing.
+              Theta: StackedPoint, stream: NoiseStream, t: int) -> StackedPoint:
+    """One stochastic update at step t: local noisy gradient step, then mixing.
 
-    Consumes the draws of the stream's current step and advances its cursor.
+    Consumes the stream's draws of step t.
     """
     _check_step(gamma, obj.L)
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
     lane, width = _lane(noise, obj)
-    block, row = divmod(stream.advance(), stream.block_size)
+    block, row = divmod(t, stream.block_size)
     draw = getattr(stream, lane)(block, width)[row]
     Th = _step(W.entries, obj, noise, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
                draw[None, None])
@@ -412,6 +415,8 @@ def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
     """Consume the chain's stacks: record metrics, accumulate moments.
 
     combine maps a (C, R, m, d) stack to the (R, m, d) recorded iterate.
+    Raises DivergenceError when that iterate is not finite at a record step
+    or at T.
     """
     theta_star = obj.theta_star
     det_data = Theta_det.data if Theta_det is not None else None
@@ -443,6 +448,12 @@ def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
             stat_outer += np.einsum("ri,rj->rij", flat, flat)
             stat_count += 1
         if step_idx % stride == 0 or step_idx == T:
+            bad = ~np.isfinite(current).all(axis=(1, 2))
+            if bad.any():
+                raise DivergenceError(
+                    f"iterate is not finite at step {step_idx} in replicate "
+                    f"{int(np.argmax(bad))}"
+                )
             record(step_idx, current)
 
     dist_det = None

@@ -30,6 +30,10 @@ class NoConvergenceError(DsgdLabError, RuntimeError):
     """An iterative routine exhausted its budget before reaching tolerance."""
 
 
+class DivergenceError(DsgdLabError, RuntimeError):
+    """A simulated iterate is no longer finite (the step size is too large)."""
+
+
 class InvalidSizeError(DsgdLabError, ValueError):
     """Network size outside the supported range for the requested builder."""
 

@@ -79,7 +79,6 @@ class NoiseStream:
         self.seed = int(seed)
         self.replicate = int(replicate)
         self.block_size = int(block_size)
-        self.step = 0
         self._last_key = None
         self._last_block = None
 
@@ -129,14 +128,6 @@ class NoiseStream:
     def raw_at(self, t: int, width: int) -> np.ndarray:
         block, row = divmod(t, self.block_size)
         return self.raw_block(block, width)[row]
-
-    def seek(self, t: int) -> None:
-        self.step = int(t)
-
-    def advance(self) -> int:
-        t = self.step
-        self.step += 1
-        return t
 
 
 @dataclass(frozen=True)
@@ -239,11 +230,11 @@ def _subset_mean(persample: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
 
 
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
-                 stream: NoiseStream) -> StackedPoint:
-    """One draw of the stacked noise E(Theta) at the stream's current step.
+                 stream: NoiseStream, t: int) -> StackedPoint:
+    """One draw of the stacked noise E(Theta) at step t of the stream.
 
-    Advances the stream cursor by one step. Use ``stream.seek`` to rewind,
-    e.g. to evaluate the same noise realization at two different points.
+    The draw is a pure function of the stream and t, so passing the same t
+    evaluates the same noise realization at two different points.
     """
     _check_model(model, obj)
     if Theta.m != obj.m or Theta.d != obj.d:
@@ -251,7 +242,6 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
             f"stacked point ({Theta.m},{Theta.d}) does not match objective "
             f"({obj.m},{obj.d})"
         )
-    t = stream.advance()
     if isinstance(model, AdditiveGaussian):
         z = stream.normals_at(t, obj.m * obj.d).reshape(obj.m, obj.d)
         eps = np.einsum("kij,kj->ki", model.factors, z)

@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from ._textio import open_text
+from ._textio import open_text, write_csv
 from .stacked import StackedPoint
 
 __all__ = [
@@ -340,18 +340,16 @@ def generate_logistic_problem(
 
 def export_dataset(obj: LogisticObjectives, dest) -> None:
     """Write logistic data as CSV: client,index,x_0..x_{d-1} (17 sig digits)."""
-    with open_text(dest, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["client", "index"] + [f"x_{j}" for j in range(obj.d)])
-        for k in range(obj.m):
-            for i in range(obj.n):
-                writer.writerow(
-                    [k, i] + [format(v, ".17g") for v in obj.data[k, i]]
-                )
+    write_csv(dest, ["client", "index"] + [f"x_{j}" for j in range(obj.d)],
+              ([k, i, *obj.data[k, i].tolist()] for k, i in np.ndindex(obj.m, obj.n)))
 
 
 def load_dataset(source, lambda_reg: float) -> LogisticObjectives:
-    """Read a dataset written by export_dataset back into an objective set."""
+    """Read a dataset written by export_dataset back into an objective set.
+
+    Every (client, index) pair from (0, 0) to the largest of each must have
+    exactly one row; a missing, duplicate or negative pair is rejected.
+    """
     with open_text(source, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -363,11 +361,20 @@ def load_dataset(source, lambda_reg: float) -> LogisticObjectives:
             if not row:
                 continue
             k, i = int(row[0]), int(row[1])
+            if k < 0 or i < 0:
+                raise InvalidParamError(f"row ({k},{i}) has a negative client or index")
+            if (k, i) in rows:
+                raise InvalidParamError(f"row ({k},{i}) appears twice")
             rows[(k, i)] = [float(v) for v in row[2:]]
         if not rows:
             raise InvalidParamError("dataset CSV contains no rows")
         m = max(k for k, _ in rows) + 1
         n = max(i for _, i in rows) + 1
+        for k, i in np.ndindex(m, n):
+            if (k, i) not in rows:
+                raise InvalidParamError(
+                    f"row ({k},{i}) is missing; {m} clients x {n} samples need every pair"
+                )
         data = np.zeros((m, n, d))
         for (k, i), vec in rows.items():
             if len(vec) != d:

@@ -5,7 +5,6 @@ slope fits for bias/variance orders in the step size, linear speed-up checks
 over the client count, and contraction-rate estimates from coupled chains.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -20,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewPointsError,
 )
-from ._textio import open_text
+from ._textio import write_csv
 from .stacked import StackedPoint
 
 MIN_EFFECTIVE_SAMPLES = 100
@@ -63,18 +62,9 @@ class StationaryMoments:
 
     def to_csv(self, dest) -> None:
         """Write covariance blocks as rows k,l,i,j,value,stderr."""
-        with open_text(dest, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "l", "i", "j", "value", "stderr"])
-            for k in range(self.m):
-                for l in range(self.m):
-                    for i in range(self.d):
-                        for j in range(self.d):
-                            writer.writerow([
-                                k, l, i, j,
-                                f"{self.block_cov[k, l, i, j]:.17g}",
-                                f"{self.cov_std_errors[k, l, i, j]:.17g}",
-                            ])
+        write_csv(dest, ["k", "l", "i", "j", "value", "stderr"],
+                  ([*idx, self.block_cov[idx], self.cov_std_errors[idx]]
+                   for idx in np.ndindex(self.block_cov.shape)))
 
 
 def _weighted_se(values: np.ndarray, weights: np.ndarray,

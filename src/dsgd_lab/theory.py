@@ -14,7 +14,6 @@ reduces to a d x d core via the Woodbury identity, and the remaining resolvent
 is summed as a Neumann series (geometric within the admissible step range).
 """
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -28,6 +27,7 @@ from .errors import (
     StepTooLargeError,
     UnsupportedCombinationError,
 )
+from ._textio import write_csv
 from .matops import sylvester_solve
 from .noise import covariance_at, estimate_tau
 from .objectives import ObjectiveSet
@@ -569,11 +569,10 @@ class TheoryReport:
                 out.append((f"diag_{f.name}", float("nan")))
         return out
 
-    def to_csv(self, f) -> None:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        for name, value in self.rows():
-            writer.writerow([name, f"{float(value):.17g}"])
+    def to_csv(self, dest) -> None:
+        """Write rows() as quantity,value to a path or an open handle."""
+        write_csv(dest, ["quantity", "value"],
+                  ((name, float(value)) for name, value in self.rows()))
 
 
 def theory_report(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,

@@ -268,6 +268,17 @@ class TestSimulate:
         assert len(rows) == 1 + 3
         assert float(rows[-1][1]) < float(rows[1][1])
 
+    def test_divergence_exits_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", "--topology", "ring", "--m", "4",
+                       "--set", "objective.kind=quadratic", "--algorithm", "dgd",
+                       "--gamma", "5", "--set", "run.T=2000", "--out", str(out)])
+        assert rc == 2
+        assert "not finite at step" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_dsgd_without_noise_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SIM_CFG)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path),

@@ -13,6 +13,7 @@ from dsgd_lab.dynamics import (
     run,
 )
 from dsgd_lab.errors import (
+    DivergenceError,
     InvalidParamError,
     InvalidStepError,
     ShapeMismatchError,
@@ -64,8 +65,8 @@ class TestSteps:
         T, seed = 600, 7
         Theta0 = StackedPoint(obj.m, obj.d, np.full((obj.m, obj.d), -0.2))
         point, stream = Theta0, NoiseStream(seed, 0)
-        for _ in range(T):
-            point = dsgd_step(W, obj, model, 0.05, point, stream)
+        for t in range(T):
+            point = dsgd_step(W, obj, model, 0.05, point, stream, t)
         cfg = RunConfig(algorithm="dsgd", gamma=0.05, T=T, seed=seed, record_every=T)
         rec = run(W, obj, model, cfg, Theta0)
         assert np.array_equal(point.data, rec.final[0])
@@ -105,7 +106,7 @@ class TestSteps:
         model = AdditiveGaussian.isotropic(2, 1, 0.0)
         Theta = StackedPoint.from_blocks([[0.5], [0.1]])
         a = dgd_step(W, obj, 0.1, Theta)
-        b = dsgd_step(W, obj, model, 0.1, Theta, NoiseStream(0))
+        b = dsgd_step(W, obj, model, 0.1, Theta, NoiseStream(0), 0)
         assert np.array_equal(a.data, b.data)
 
     def test_scalar_ar1_reduction(self):
@@ -119,7 +120,7 @@ class TestSteps:
         theta = 0.9
         point = StackedPoint.from_blocks([[theta]])
         for t in range(20):
-            point = dsgd_step(W, obj, model, gamma, point, stream)
+            point = dsgd_step(W, obj, model, gamma, point, stream, t)
             eps = sigma * ref_stream.normals_at(t, 1)[0]
             theta = (1.0 - gamma * a) * theta - gamma * eps
             assert point.data[0, 0] == pytest.approx(theta, abs=1e-15)
@@ -133,8 +134,8 @@ class TestSteps:
         stream = NoiseStream(seed=31)
         n = 100_000
         acc = np.zeros((2, 1))
-        for _ in range(n):
-            acc += dsgd_step(W, obj, model, gamma, Theta, stream).data
+        for t in range(n):
+            acc += dsgd_step(W, obj, model, gamma, Theta, stream, t).data
         tau2 = np.sqrt(2 * 0.5)
         assert np.linalg.norm(acc / n - det.data) <= 4.0 * gamma * tau2 / np.sqrt(n)
 
@@ -246,6 +247,14 @@ class TestRun:
         rec = run(W, obj, model, cfg, StackedPoint.zeros(3, 2))
         assert rec.dist_opt.shape[1] == 2
         assert np.all(np.isfinite(rec.dist_opt))
+
+    def test_divergence_names_step_and_replicate(self):
+        obj, W = two_client_example()
+        cfg = RunConfig(algorithm="dgd", gamma=5.0, T=2000, replicates=2, record_every=2000)
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 2000 in replicate 0"):
+                run(W, obj, None, cfg, StackedPoint.zeros(2, 1))
 
     def test_dsgd_without_noise_rejected(self):
         obj, W = two_client_example()

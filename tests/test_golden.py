@@ -55,6 +55,11 @@ CASES = {
                          "--set", "run.coupling=independent", *_SHORT],
     "predict": ["predict", "--preset", "fig2-heterogeneous"],
     "compare": ["compare", "--config", "{demo}"],
+    "graph-info": ["graph-info", "--preset", "fig1-rr-sto"],
+    "sweep": ["sweep", "--preset", "fig2-heterogeneous",
+              "--set", "noise.variant=none", "--set", "sweep.m_list=12",
+              "--set", "sweep.topologies=ring,clusters",
+              "--set", "sweep.gammas=0.004,0.002"],
 }
 
 

@@ -76,8 +76,8 @@ class TestAdditiveGaussian:
         model = AdditiveGaussian.isotropic(2, 1, 0.0)
         stream = NoiseStream(seed=0)
         Theta = StackedPoint.zeros(2, 1)
-        for _ in range(5):
-            eps = sample_noise(model, quad_obj, Theta, stream)
+        for t in range(5):
+            eps = sample_noise(model, quad_obj, Theta, stream, t)
             assert np.all(eps.data == 0.0)
 
     def test_empirical_covariance(self, quad_obj):
@@ -88,7 +88,7 @@ class TestAdditiveGaussian:
         n = 100_000
         draws = np.empty((n, 2))
         for i in range(n):
-            draws[i] = sample_noise(model, quad_obj, Theta, stream).data[:, 0]
+            draws[i] = sample_noise(model, quad_obj, Theta, stream, i).data[:, 0]
         emp = draws.T @ draws / n
         assert abs(emp[0, 0] - sigma2) <= 0.03 * sigma2
         assert abs(emp[1, 1] - sigma2) <= 0.03 * sigma2
@@ -101,8 +101,8 @@ class TestAdditiveGaussian:
         Theta = StackedPoint.from_blocks([[0.3], [-0.2]])
         n = 100_000
         acc = np.zeros((2, 1))
-        for _ in range(n):
-            acc += sample_noise(model, quad_obj, Theta, stream).data
+        for t in range(n):
+            acc += sample_noise(model, quad_obj, Theta, stream, t).data
         tau2 = np.sqrt(2.0)
         assert np.linalg.norm(acc / n) <= 4.0 * tau2 / np.sqrt(n)
 
@@ -110,14 +110,11 @@ class TestAdditiveGaussian:
         model = AdditiveGaussian.isotropic(2, 1, 1.0)
         Theta = StackedPoint.zeros(2, 1)
         s1 = NoiseStream(seed=7, replicate=3)
-        s1.seek(5)
-        a = sample_noise(model, quad_obj, Theta, s1)
+        a = sample_noise(model, quad_obj, Theta, s1, 5)
         s2 = NoiseStream(seed=7, replicate=3)
         for t in [2, 9, 0]:  # consume in scrambled order first
-            s2.seek(t)
-            sample_noise(model, quad_obj, Theta, s2)
-        s2.seek(5)
-        b = sample_noise(model, quad_obj, Theta, s2)
+            sample_noise(model, quad_obj, Theta, s2, t)
+        b = sample_noise(model, quad_obj, Theta, s2, 5)
         assert np.array_equal(a.data, b.data)
 
     def test_rejects_bad_covariance(self):
@@ -136,15 +133,15 @@ class TestMinibatch:
         model = Minibatch(batch_size=logit_obj.n)
         stream = NoiseStream(seed=0)
         Theta = StackedPoint.zeros(logit_obj.m, logit_obj.d)
-        for _ in range(3):
-            eps = sample_noise(model, logit_obj, Theta, stream)
+        for t in range(3):
+            eps = sample_noise(model, logit_obj, Theta, stream, t)
             assert np.allclose(eps.data, 0.0, atol=1e-15)
         assert np.allclose(covariance_at(model, logit_obj, np.zeros(logit_obj.d)), 0.0)
 
     def test_rejects_quadratic(self, quad_obj):
         model = Minibatch(batch_size=1)
         with pytest.raises(UnsupportedCombinationError):
-            sample_noise(model, quad_obj, StackedPoint.zeros(2, 1), NoiseStream(0))
+            sample_noise(model, quad_obj, StackedPoint.zeros(2, 1), NoiseStream(0), 0)
         with pytest.raises(UnsupportedCombinationError):
             covariance_at(model, quad_obj, np.zeros(1))
 
@@ -162,8 +159,8 @@ class TestMinibatch:
         stream = NoiseStream(seed=13)
         n = 100_000
         acc = np.zeros((logit_obj.d, logit_obj.d))
-        for _ in range(n):
-            eps = sample_noise(model, logit_obj, Theta, stream)
+        for t in range(n):
+            eps = sample_noise(model, logit_obj, Theta, stream, t)
             acc += sum(np.outer(eps.block(k), eps.block(k)) for k in range(logit_obj.m))
         emp = acc / (n * logit_obj.m)
         rel = np.linalg.norm(emp - exact) / np.linalg.norm(exact)
@@ -178,8 +175,8 @@ class TestMinibatch:
         n = 100_000
         acc = np.zeros((logit_obj.m, logit_obj.d))
         sq = 0.0
-        for _ in range(n):
-            eps = sample_noise(model, logit_obj, Theta, stream)
+        for t in range(n):
+            eps = sample_noise(model, logit_obj, Theta, stream, t)
             acc += eps.data
             sq += float(np.sum(eps.data**2))
         tau2_hat = np.sqrt(sq / n)
@@ -195,10 +192,8 @@ class TestMinibatch:
                              rng.standard_normal((logit_obj.m, logit_obj.d)))
             B = StackedPoint(logit_obj.m, logit_obj.d,
                              rng.standard_normal((logit_obj.m, logit_obj.d)))
-            stream.seek(trial)
-            gA = logit_obj.grad_stacked(A).data + sample_noise(model, logit_obj, A, stream).data
-            stream.seek(trial)
-            gB = logit_obj.grad_stacked(B).data + sample_noise(model, logit_obj, B, stream).data
+            gA = logit_obj.grad_stacked(A).data + sample_noise(model, logit_obj, A, stream, trial).data
+            gB = logit_obj.grad_stacked(B).data + sample_noise(model, logit_obj, B, stream, trial).data
             diff_g = (gA - gB).ravel()
             diff_x = (A.data - B.data).ravel()
             assert diff_g @ diff_g <= L * (diff_g @ diff_x) + 1e-9

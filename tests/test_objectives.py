@@ -250,3 +250,18 @@ class TestDatasetCsv:
     def test_header_checked(self):
         with pytest.raises(InvalidParamError):
             load_dataset(io.StringIO("a,b,c\n"), lambda_reg=0.1)
+
+    def test_missing_row_rejected(self):
+        text = "client,index,x_0\n0,0,1.0\n0,1,2.0\n1,1,3.0\n"
+        with pytest.raises(InvalidParamError, match=r"\(1,0\) is missing"):
+            load_dataset(io.StringIO(text), lambda_reg=0.1)
+
+    def test_duplicate_row_rejected(self):
+        text = "client,index,x_0\n0,0,1.0\n0,1,2.0\n0,1,5.0\n"
+        with pytest.raises(InvalidParamError, match=r"\(0,1\) appears twice"):
+            load_dataset(io.StringIO(text), lambda_reg=0.1)
+
+    def test_negative_index_rejected(self):
+        text = "client,index,x_0\n0,0,1.0\n-1,0,2.0\n"
+        with pytest.raises(InvalidParamError, match="negative"):
+            load_dataset(io.StringIO(text), lambda_reg=0.1)
