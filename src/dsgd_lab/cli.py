@@ -6,9 +6,9 @@ convenience flags; see ExperimentConfig for the format.  All outputs are
 CSV files with a header row and floats at 17 significant digits, so a rerun
 with the same config and seed is byte-identical.
 
-Exit codes: 0 success (all claims pass), 1 configuration or I/O error,
-2 assumption violation, step-size gate, divergence (a non-finite iterate),
-or failed claim.
+Exit codes: 0 success (all claims pass), 1 configuration or I/O error
+(an unknown config key included), 2 assumption violation, step-size gate,
+divergence (a non-finite iterate), or failed claim.
 """
 
 import argparse
@@ -130,29 +130,30 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def build_topology(cfg: ExperimentConfig):
     kind = cfg.get("topology", "kind").strip().lower().replace("-", "_")
+    t = cfg.get("topology", "t")
     if kind == "edge_list":
         path = cfg.get("topology", "path")
         L = topology.load_edge_list(path)
-        W = topology.from_laplacian(L, cfg.get_float("topology", "t"))
-        if cfg.has("topology", "m") and cfg.get_int("topology", "m") != W.m:
+        if t is None:
+            raise ConfigError("missing required config entry topology.t")
+        W = topology.from_laplacian(L, t)
+        if cfg.has("topology", "m") and cfg.get("topology", "m") != W.m:
             raise ConfigError(
                 f"topology.m = {cfg.get('topology', 'm')} does not match the "
                 f"{W.m} nodes in {path}"
             )
         return W
-    m = cfg.get_int("topology", "m")
+    m = cfg.get("topology", "m")
     if kind in ("full", "fully_connected", "complete"):
         return topology.build_fully_connected(m)
     if kind == "ring":
-        return topology.build_ring(
-            m, cfg.get_float("topology", "t", topology.RING_DEFAULT_STEP)
-        )
+        return topology.build_ring(m, topology.RING_DEFAULT_STEP if t is None else t)
     if kind in ("clusters", "cluster"):
         return topology.build_clusters(
             m,
-            cfg.get_int("topology", "clusters", 4),
-            cfg.get_float("topology", "t", 0.2),
-            cfg.get_float("topology", "bridge_weight", 1.0),
+            cfg.get("topology", "clusters"),
+            0.2 if t is None else t,
+            cfg.get("topology", "bridge_weight"),
         )
     raise ConfigError(
         f"unknown topology.kind {kind!r}; expected fully_connected, ring, "
@@ -161,12 +162,12 @@ def build_topology(cfg: ExperimentConfig):
 
 
 def _quadratic_from_config(cfg: ExperimentConfig, m: int) -> QuadraticObjectives:
-    d = cfg.get_int("objective", "d", 2)
-    if cfg.has("objective", "scales"):
+    d = cfg.get("objective", "d")
+    scales = cfg.get("objective", "scales")
+    if scales is not None:
         # explicit isotropic form: f_k = a_k/2 ||theta - c_k||^2 with the
         # per-client curvatures and centers given inline
-        scales = cfg.get_float_list("objective", "scales")
-        centers = cfg.get_float_list("objective", "centers")
+        centers = cfg.get("objective", "centers")
         if len(scales) != m:
             raise ConfigError(
                 f"objective.scales needs {m} entries (one per client), got "
@@ -182,10 +183,10 @@ def _quadratic_from_config(cfg: ExperimentConfig, m: int) -> QuadraticObjectives
         return QuadraticObjectives(A, loc)
     # generated form: random SPD curvature with eigenvalues in
     # [scale_min, scale_max] and centers spread * N(0, I)
-    scale_min = cfg.get_float("objective", "scale_min", 0.5)
-    scale_max = cfg.get_float("objective", "scale_max", 2.0)
-    spread = cfg.get_float("objective", "spread", 1.0)
-    seed = cfg.get_int("objective", "seed", 0)
+    scale_min = cfg.get("objective", "scale_min")
+    scale_max = cfg.get("objective", "scale_max")
+    spread = cfg.get("objective", "spread")
+    seed = cfg.get("objective", "seed")
     if not (0.0 < scale_min <= scale_max):
         raise ConfigError(
             f"need 0 < objective.scale_min <= objective.scale_max, got "
@@ -202,19 +203,17 @@ def _quadratic_from_config(cfg: ExperimentConfig, m: int) -> QuadraticObjectives
 
 
 def build_objective(cfg: ExperimentConfig, m: int):
-    kind = cfg.get("objective", "kind", "logistic").strip().lower()
+    kind = cfg.get("objective", "kind").strip().lower()
     if kind == "quadratic":
         return _quadratic_from_config(cfg, m)
     if kind == "logistic":
         return generate_logistic_problem(
             m,
-            n=cfg.get_int("objective", "n", 50),
-            d=cfg.get_int("objective", "d", 2),
-            heterogeneity_spread=cfg.get_float(
-                "objective", "heterogeneity_spread", 2.0
-            ),
-            lambda_reg=cfg.get_float("objective", "lambda_reg", 0.1),
-            seed=cfg.get_int("objective", "seed", 0),
+            n=cfg.get("objective", "n"),
+            d=cfg.get("objective", "d"),
+            heterogeneity_spread=cfg.get("objective", "heterogeneity_spread"),
+            lambda_reg=cfg.get("objective", "lambda_reg"),
+            seed=cfg.get("objective", "seed"),
         )
     raise ConfigError(
         f"unknown objective.kind {kind!r}; expected quadratic or logistic"
@@ -222,14 +221,13 @@ def build_objective(cfg: ExperimentConfig, m: int):
 
 
 def build_noise(cfg: ExperimentConfig, obj):
-    variant = cfg.get("noise", "variant", "none").strip().lower()
+    variant = cfg.get("noise", "variant").strip().lower()
     if variant in ("none", "off"):
         return None
     if variant == "gaussian":
-        sigma2 = cfg.get_float("noise", "sigma2", 1.0)
-        return AdditiveGaussian.isotropic(obj.m, obj.d, sigma2)
+        return AdditiveGaussian.isotropic(obj.m, obj.d, cfg.get("noise", "sigma2"))
     if variant == "minibatch":
-        return Minibatch(cfg.get_int("noise", "batch_size", 10))
+        return Minibatch(cfg.get("noise", "batch_size"))
     raise ConfigError(
         f"unknown noise.variant {variant!r}; expected none, gaussian, or "
         "minibatch"
@@ -237,25 +235,10 @@ def build_noise(cfg: ExperimentConfig, obj):
 
 
 def build_run_config(cfg: ExperimentConfig) -> dynamics.RunConfig:
-    burn_raw = cfg.get("run", "burn_in", "auto").strip().lower()
-    if burn_raw == "auto":
-        burn_in = None
-    else:
-        try:
-            burn_in = int(burn_raw)
-        except ValueError:
-            raise ConfigError(
-                f"run.burn_in must be an integer or 'auto', got {burn_raw!r}"
-            ) from None
     return dynamics.RunConfig(
-        algorithm=cfg.get("run", "algorithm", "dsgd"),
-        gamma=cfg.get_float("run", "gamma"),
-        T=cfg.get_int("run", "T", 1000),
-        seed=cfg.get_int("run", "seed", 0),
-        replicates=cfg.get_int("run", "replicates", 1),
-        burn_in=burn_in,
-        record_every=cfg.get_int("run", "record_every", 1),
-        coupling=cfg.get("run", "coupling", "shared"),
+        **{key: cfg.get("run", key) for key in (
+            "algorithm", "gamma", "T", "seed", "replicates", "burn_in",
+            "record_every", "coupling")}
     )
 
 
@@ -264,8 +247,10 @@ def build_run_config(cfg: ExperimentConfig) -> dynamics.RunConfig:
 
 
 def _resolve_output(cfg: ExperimentConfig, args, command: str):
-    out_dir = args.out if args.out is not None else cfg.get("output", "directory", ".")
-    prefix = cfg.get("output", "prefix", command.replace("-", "_"))
+    out_dir = args.out if args.out is not None else cfg.get("output", "directory")
+    prefix = cfg.get("output", "prefix")
+    if prefix is None:
+        prefix = command
     os.makedirs(out_dir, exist_ok=True)
     return out_dir, prefix
 
@@ -300,8 +285,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if rc.algorithm in ("dgd", "dsgd"):
         try:
             theta_det = dynamics.fixed_point(W, obj, rc.gamma).point
-        except DsgdLabError:
-            theta_det = None
+        except DsgdLabError as exc:
+            print(f"dist_det omitted: {exc}", file=sys.stderr)
     record = dynamics.run(W, obj, noise_model, rc, theta0, theta_det)
     out_dir, prefix = _resolve_output(cfg, args, "simulate")
     header = ["t", "dist_opt", "dist_det", "consensus_err", "disagreement_norm"]
@@ -332,7 +317,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
     W = build_topology(cfg)
     obj = build_objective(cfg, W.m)
     noise_model = build_noise(cfg, obj)
-    gamma = cfg.get_float("run", "gamma")
+    gamma = cfg.get("run", "gamma")
     report = theory.theory_report(W, obj, noise_model, gamma)
     for name, value in report.rows():
         print(f"{name} = {value:.12g}")
@@ -380,7 +365,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     W = build_topology(cfg)
     obj = build_objective(cfg, W.m)
     noise_model = build_noise(cfg, obj)
-    gamma = cfg.get_float("run", "gamma")
+    gamma = cfg.get("run", "gamma")
 
     rows = []
 
@@ -400,8 +385,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     bound = theory.lemma3_bound(obj, W, gamma)
     add("LEMMA3", bound, bias_norm, 0.0, bias_norm <= bound + 1e-12)
 
-    if cfg.has("run", "gammas"):
-        grid = cfg.get_float_list("run", "gammas")
+    grid = cfg.get("run", "gammas")
+    if grid is not None:
         if len(grid) < 3:
             raise ConfigError(
                 f"run.gammas needs at least 3 values for order fits, got "
@@ -505,9 +490,9 @@ def _sweep_cell(cfg: ExperimentConfig, m: int, topo_kind: str, gamma: float):
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    m_list = cfg.get_int_list("sweep", "m_list")
-    topologies = cfg.get_list("sweep", "topologies")
-    gammas = cfg.get_float_list("sweep", "gammas")
+    m_list = cfg.get("sweep", "m_list")
+    topologies = cfg.get("sweep", "topologies")
+    gammas = cfg.get("sweep", "gammas")
     if not m_list:
         raise ConfigError("sweep.m_list is empty")
     if not topologies:
@@ -625,6 +610,7 @@ def assemble_config(args) -> ExperimentConfig:
             raise ConfigError(
                 f"DSGD_LAB_SEED must be an integer, got {env_seed!r}"
             ) from None
+    cfg.check_keys()
     return cfg
 
 

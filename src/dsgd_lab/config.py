@@ -1,17 +1,90 @@
-"""Line-oriented experiment configuration.
+"""Line-oriented experiment configuration and the schema of its keys.
 
 Format: one `section.key = value` per line, `#` starts a comment, blank
-lines ignored.  Values are kept as strings and coerced on access; booleans
-are written true/false and lists are comma-separated.  Serialization is
-canonical (sorted by section then key), so parse -> serialize -> parse is
-the identity.
+lines ignored.  Values are kept as strings and lists are comma-separated.
+Serialization is canonical (sorted by section then key), so parse ->
+serialize -> parse is the identity.  The format takes any key; SCHEMA
+declares the keys the commands read, and `get` parses a value with its
+declared type.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-_MISSING = object()
+REQUIRED = object()
+
+
+def _convert(convert, expected: str):
+    """A parser that applies convert and names the key when that fails."""
+    def parse(raw, name):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{name} must be {expected}, got {raw!r}") from None
+    return parse
+
+
+def _str(raw, name):
+    return raw
+
+
+def _str_list(raw, name):
+    return [item for item in (part.strip() for part in raw.split(",")) if item]
+
+
+def _list_of(convert, expected: str):
+    parse = _convert(convert, f"a comma-separated list of {expected}")
+    return lambda raw, name: [parse(item, name) for item in _str_list(raw, name)]
+
+
+def _int_or_auto(raw, name):
+    raw = raw.strip().lower()
+    return None if raw == "auto" else _convert(int, "an integer or 'auto'")(raw, name)
+
+
+_int, _float = _convert(int, "an integer"), _convert(float, "a number")
+_int_list, _float_list = _list_of(int, "integers"), _list_of(float, "numbers")
+
+# "section.key" -> (parser, default, meaning).  A default is written as in a
+# config file and parsed like a given value; None lets the key stay unset
+# (get returns None), REQUIRED makes get fail without it.
+SCHEMA = {
+    "topology.kind": (_str, REQUIRED, "fully_connected, ring, clusters or edge_list"),
+    "topology.m": (_int, REQUIRED, "clients; for edge_list optional, checked against the file"),
+    "topology.t": (_float, None, "gossip step; unset: 1/3 ring, 0.2 clusters, edge_list needs it"),
+    "topology.clusters": (_int, "4", "clusters"),
+    "topology.bridge_weight": (_float, "1.0", "weight of the edges between clusters"),
+    "topology.path": (_str, REQUIRED, "edge_list file, rows of `i j weight`"),
+    "objective.kind": (_str, "logistic", "logistic or quadratic"),
+    "objective.d": (_int, "2", "dimension"),
+    "objective.n": (_int, "50", "logistic: samples per client"),
+    "objective.heterogeneity_spread": (_float, "2.0", "logistic: spread of the client data"),
+    "objective.lambda_reg": (_float, "0.1", "logistic: ridge weight"),
+    "objective.seed": (_int, "0", "seed of the generated data"),
+    "objective.scales": (_float_list, None, "quadratic: curvature per client; unset: generated"),
+    "objective.centers": (_float_list, REQUIRED, "quadratic with scales: m*d center entries"),
+    "objective.scale_min": (_float, "0.5", "generated quadratic: least curvature"),
+    "objective.scale_max": (_float, "2.0", "generated quadratic: largest curvature"),
+    "objective.spread": (_float, "1.0", "generated quadratic: scale of the centers"),
+    "noise.variant": (_str, "none", "none, gaussian or minibatch"),
+    "noise.sigma2": (_float, "1.0", "gaussian: variance per coordinate"),
+    "noise.batch_size": (_int, "10", "minibatch: samples per step"),
+    "run.algorithm": (_str, "dsgd", "dgd, dsgd, rr_dgd or rr_dsgd"),
+    "run.gamma": (_float, REQUIRED, "step size"),
+    "run.gammas": (_float_list, None, "compare: step sizes of the order fits, at least 3"),
+    "run.T": (_int, "1000", "steps"),
+    "run.seed": (_int, "0", "noise seed"),
+    "run.replicates": (_int, "1", "replicates"),
+    "run.burn_in": (_int_or_auto, "auto", "steps left out of the stationary moments"),
+    "run.record_every": (_int, "1", "record stride of the trajectory files"),
+    "run.coupling": (_str, "shared", "rr runs: shared or independent draws"),
+    "sweep.m_list": (_int_list, REQUIRED, "client counts"),
+    "sweep.topologies": (_str_list, REQUIRED, "topology kinds"),
+    "sweep.gammas": (_float_list, REQUIRED, "step sizes"),
+    "output.directory": (_str, ".", "output directory; --out wins"),
+    "output.prefix": (_str, None, "file name prefix; unset: the command name"),
+}
 
 
 @dataclass
@@ -88,85 +161,21 @@ class ExperimentConfig:
     def has(self, section: str, key: str) -> bool:
         return key in self.values.get(section, {})
 
-    def get(self, section: str, key: str, default=_MISSING) -> str:
+    def check_keys(self) -> None:
+        """Raise ConfigError for the first key, in sorted order, not in SCHEMA."""
+        for section in sorted(self.values):
+            for key in sorted(self.values[section]):
+                if f"{section}.{key}" not in SCHEMA:
+                    raise ConfigError(f"unknown config key {section}.{key}")
+
+    def get(self, section: str, key: str):
+        """The entry parsed with its declared type, else the declared default."""
+        name = f"{section}.{key}"
         try:
-            return self.values[section][key]
+            parse, default, _ = SCHEMA[name]
         except KeyError:
-            if default is _MISSING:
-                raise ConfigError(
-                    f"missing required config entry {section}.{key}"
-                ) from None
-            return default
-
-    def get_int(self, section: str, key: str, default=_MISSING) -> int:
-        raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key} must be an integer, got {raw!r}"
-            ) from None
-
-    def get_float(self, section: str, key: str, default=_MISSING) -> float:
-        raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key} must be a number, got {raw!r}"
-            ) from None
-
-    def get_bool(self, section: str, key: str, default=_MISSING) -> bool:
-        raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        low = raw.strip().lower()
-        if low == "true":
-            return True
-        if low == "false":
-            return False
-        raise ConfigError(
-            f"{section}.{key} must be true or false, got {raw!r}"
-        )
-
-    def get_list(self, section: str, key: str, default=_MISSING) -> list:
-        raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        items = [part.strip() for part in raw.split(",")]
-        return [item for item in items if item]
-
-    def get_float_list(self, section: str, key: str,
-                       default=_MISSING) -> list:
-        items = self.get_list(section, key, default)
-        if items and isinstance(items[0], float):
-            return items
-        out = []
-        for item in items:
-            try:
-                out.append(float(item))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{section}.{key} must be a comma-separated list of "
-                    f"numbers, got {item!r}"
-                ) from None
-        return out
-
-    def get_int_list(self, section: str, key: str, default=_MISSING) -> list:
-        items = self.get_list(section, key, default)
-        if items and isinstance(items[0], int):
-            return items
-        out = []
-        for item in items:
-            try:
-                out.append(int(item))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{section}.{key} must be a comma-separated list of "
-                    f"integers, got {item!r}"
-                ) from None
-        return out
+            raise ConfigError(f"unknown config key {name}") from None
+        raw = self.values.get(section, {}).get(key, default)
+        if raw is REQUIRED:
+            raise ConfigError(f"missing required config entry {name}")
+        return None if raw is None else parse(raw, name)

@@ -251,13 +251,18 @@ class _Draws:
         self.buf = None
 
     def at(self, t: int) -> np.ndarray:
-        """(C, R, width) draws of step t."""
+        """(C, R, width) draws of step t.
+
+        The result is a view of a buffer that the next block overwrites, so
+        it is valid only until a step in another block is read.
+        """
         b, row = divmod(t, self.block_size)
         if b != self.block:
-            # drop the old grid first, or it stays alive while the new one is built
-            self.buf = None
-            blocks = [getattr(s, self.lane)(b, self.width) for s in self.streams]
-            self.buf = np.stack(blocks).reshape(self.shape + blocks[0].shape)
+            for i, s in enumerate(self.streams):
+                block = getattr(s, self.lane)(b, self.width)
+                if self.buf is None:
+                    self.buf = np.empty(self.shape + block.shape, block.dtype)
+                self.buf[divmod(i, self.shape[1])] = block
             self.block = b
         return self.buf[:, :, row]
 
@@ -292,9 +297,7 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
     _check_step(gamma, obj.L)
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
-    lane, width = _lane(noise, obj)
-    block, row = divmod(t, stream.block_size)
-    draw = getattr(stream, lane)(block, width)[row]
+    draw = stream._at(*_lane(noise, obj), t)
     Th = _step(W.entries, obj, noise, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
                draw[None, None])
     return StackedPoint(obj.m, obj.d, Th[0, 0])
@@ -308,7 +311,8 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     pins the fixed-point residual ||(I-W) Theta + gamma W grad F(Theta)|| (equal
     to the displacement) well below tol and makes the reported point's
     accuracy uniform in gamma. The contraction rate is (1 - gamma mu), so the
-    default iteration cap scales like 1/(gamma mu).
+    default iteration cap scales like 1/(gamma mu). A non-finite iterate
+    raises DivergenceError at once, naming the iteration.
     """
     _check_step(gamma, obj.L)
     rate = gamma * obj.mu
@@ -320,6 +324,8 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     for it in range(1, max_iter + 1):
         nxt = _step(W_entries, obj, None, gammas, Th, None)
         delta = float(np.linalg.norm(nxt - Th))
+        if not math.isfinite(delta):
+            raise DivergenceError(f"fixed-point iterate is not finite at iteration {it}")
         Th = nxt
         if delta <= thresh:
             residual = float(np.linalg.norm(Th - _step(W_entries, obj, None, gammas, Th, None)))

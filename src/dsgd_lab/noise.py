@@ -13,9 +13,10 @@ backed by the Philox counter-based generator keyed from those coordinates,
 with normals produced by Box-Muller on the raw 64-bit words. This makes
 replicated runs reproducible under any scheduling, allows random access by
 step, and gives shared-noise couplings for free (two chains reading the same
-stream see identical draws). Each stream keeps only the block it generated
-last: runs read blocks in step order, so each block is generated once per
-run, and random access regenerates a block it has moved away from.
+stream see identical draws). The block generators keep nothing: a run
+reads every stream's blocks in step order into one shared grid, and only
+the per-step readers (`raw_at`, `normals_at`) keep the last block they read,
+so random access regenerates a block it has moved away from.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ class NoiseStream:
 
     Draws are organized in blocks of ``block_size`` consecutive steps; the
     block for (purpose, width, block_index) is generated by one Philox call
-    keyed on (seed, replicate, purpose, width, block_index). The stream
-    keeps the last block it generated, so sequential access by step costs
-    one generator call per block, while random access stays exact and pays
-    one call per block switch.
+    keyed on (seed, replicate, purpose, width, block_index). raw_block and
+    normals_block generate a block on every call; the per-step readers keep
+    the last block they read, so sequential access by step costs one
+    generator call per block, while random access stays exact and pays one
+    call per block switch.
     """
 
     PURPOSE_GAUSS = 1
@@ -79,8 +81,7 @@ class NoiseStream:
         self.seed = int(seed)
         self.replicate = int(replicate)
         self.block_size = int(block_size)
-        self._last_key = None
-        self._last_block = None
+        self._read = (None, None)  # ((lane, width, block), block) of the last _at
 
     def _key(self, purpose: int, width: int, block: int) -> np.ndarray:
         # chain the coordinates through the finalizer instead of xor-folding
@@ -92,21 +93,13 @@ class NoiseStream:
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        key = (self.PURPOSE_SUBSET, width, block)
-        if key == self._last_key:
-            return self._last_block
-        ph = Philox(key=self._key(*key))
-        out = ph.random_raw(self.block_size * width).reshape(self.block_size, width)
-        self._last_key, self._last_block = key, out
-        return out
+        ph = Philox(key=self._key(self.PURPOSE_SUBSET, width, block))
+        return ph.random_raw(self.block_size * width).reshape(self.block_size, width)
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
-        key = (self.PURPOSE_GAUSS, width, block)
-        if key == self._last_key:
-            return self._last_block
         pairs = (width + 1) // 2
-        ph = Philox(key=self._key(*key))
+        ph = Philox(key=self._key(self.PURPOSE_GAUSS, width, block))
         raw = ph.random_raw(self.block_size * pairs * 2).reshape(
             self.block_size, pairs, 2
         )
@@ -117,17 +110,22 @@ class NoiseStream:
         z = np.empty((self.block_size, 2 * pairs))
         z[:, 0::2] = r * np.cos(_TWO_PI * u2)
         z[:, 1::2] = r * np.sin(_TWO_PI * u2)
-        out = z[:, :width]
-        self._last_key, self._last_block = key, out
-        return out
+        return z[:, :width]
+
+    def _at(self, lane: str, width: int, t: int) -> np.ndarray:
+        """Row t of the block that the lane's generator ("raw_block" or
+        "normals_block") makes, keeping that one block for the next step."""
+        block, row = divmod(t, self.block_size)
+        key = (lane, width, block)
+        if key != self._read[0]:
+            self._read = (key, getattr(self, lane)(block, width))
+        return self._read[1][row]
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
-        block, row = divmod(t, self.block_size)
-        return self.normals_block(block, width)[row]
+        return self._at("normals_block", width, t)
 
     def raw_at(self, t: int, width: int) -> np.ndarray:
-        block, row = divmod(t, self.block_size)
-        return self.raw_block(block, width)[row]
+        return self._at("raw_block", width, t)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 from dsgd_lab.cli import PRESETS, main, preset_config
-from dsgd_lab.config import ExperimentConfig
+from dsgd_lab.config import REQUIRED, SCHEMA, ExperimentConfig
 from dsgd_lab.errors import ConfigError
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def read_csv(path):
@@ -75,28 +79,52 @@ class TestConfig:
 
     def test_typed_getters(self):
         cfg = ExperimentConfig.parse(
-            "a.i = 7\na.f = 2.5e-3\na.b = true\na.l = 1, 2,3\na.s = ring\n"
+            "run.T = 7\nrun.gamma = 2.5e-3\nsweep.gammas = 1, 2,3\n"
+            "sweep.m_list = 1, 2,3\ntopology.kind = ring\nrun.seed = ring\n"
+            "noise.sigma2 = ring\n"
         )
-        assert cfg.get_int("a", "i") == 7
-        assert cfg.get_float("a", "f") == pytest.approx(2.5e-3)
-        assert cfg.get_bool("a", "b") is True
-        assert cfg.get_float_list("a", "l") == [1.0, 2.0, 3.0]
-        assert cfg.get_int_list("a", "l") == [1, 2, 3]
-        assert cfg.get("a", "s") == "ring"
-        assert cfg.get_int("a", "missing", 9) == 9
+        assert cfg.get("run", "T") == 7
+        assert cfg.get("run", "gamma") == pytest.approx(2.5e-3)
+        assert cfg.get("sweep", "gammas") == [1.0, 2.0, 3.0]
+        assert cfg.get("sweep", "m_list") == [1, 2, 3]
+        assert cfg.get("topology", "kind") == "ring"
+        assert cfg.get("objective", "n") == 50
         with pytest.raises(ConfigError, match="missing required"):
-            cfg.get("a", "nope")
+            cfg.get("topology", "path")
         with pytest.raises(ConfigError, match="integer"):
-            cfg.get_int("a", "s")
+            cfg.get("run", "seed")
         with pytest.raises(ConfigError, match="number"):
-            cfg.get_float("a", "s")
-        with pytest.raises(ConfigError, match="true or false"):
-            cfg.get_bool("a", "i")
+            cfg.get("noise", "sigma2")
+
+    def test_lists_burn_in_and_unset_keys(self):
+        cfg = ExperimentConfig.parse(
+            "sweep.m_list = 1, x\nrun.gammas = 1, x\nrun.burn_in = Auto\n"
+        )
+        with pytest.raises(ConfigError, match="comma-separated list of integers, got 'x'"):
+            cfg.get("sweep", "m_list")
+        with pytest.raises(ConfigError, match="comma-separated list of numbers, got 'x'"):
+            cfg.get("run", "gammas")
+        assert cfg.get("run", "burn_in") is None
+        cfg.set("run", "burn_in", "12")
+        assert cfg.get("run", "burn_in") == 12
+        cfg.set("run", "burn_in", "soon")
+        with pytest.raises(ConfigError, match="run.burn_in must be an integer or 'auto'"):
+            cfg.get("run", "burn_in")
+        assert cfg.get("topology", "t") is None
+        assert cfg.get("output", "prefix") is None
+        with pytest.raises(ConfigError, match="unknown config key run.gama"):
+            cfg.get("run", "gama")
+
+    def test_check_keys_names_the_unknown_key(self):
+        cfg = ExperimentConfig.parse("topology.m = 4\ntopology.tt = 0.4\n")
+        with pytest.raises(ConfigError, match="unknown config key topology.tt"):
+            cfg.check_keys()
+        ExperimentConfig.parse("topology.m = 4\n").check_keys()
 
     def test_apply_assignment(self):
         cfg = ExperimentConfig()
         cfg.apply_assignment("run.gamma=0.5")
-        assert cfg.get_float("run", "gamma") == 0.5
+        assert cfg.get("run", "gamma") == 0.5
         with pytest.raises(ConfigError):
             cfg.apply_assignment("gamma=0.5")
         with pytest.raises(ConfigError):
@@ -105,11 +133,24 @@ class TestConfig:
     def test_presets_are_valid_configs(self):
         for name in PRESETS:
             cfg = preset_config(name)
-            assert cfg.get_float("run", "gamma") == pytest.approx(1e-3)
-            assert cfg.get_int("objective", "d") == 2
-            assert cfg.get_int("topology", "m") == 12
+            cfg.check_keys()
+            assert cfg.get("run", "gamma") == pytest.approx(1e-3)
+            assert cfg.get("objective", "d") == 2
+            assert cfg.get("topology", "m") == 12
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("fig9")
+
+    def test_readme_table_matches_schema(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("### Config format"):text.index("### Presets")]
+        rows = [line.split("|")[1:-1] for line in section.splitlines()
+                if line.startswith("| `")]
+        cells = {key.strip(" `"): default.strip(" `") for key, _, default, _ in rows}
+        shown = {REQUIRED: "required", None: "unset"}
+        assert list(cells) == list(SCHEMA)
+        assert cells == {name: shown.get(default, default)
+                         for name, (_, default, _) in SCHEMA.items()}
 
 
 class TestGraphInfo:
@@ -278,6 +319,18 @@ class TestSimulate:
         assert rc == 2
         assert "not finite at step" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_fixed_point_failure_is_reported(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", "--topology", "ring", "--m", "4",
+                       "--set", "objective.kind=quadratic", "--algorithm", "dgd",
+                       "--gamma", "5", "--set", "run.T=50", "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "dist_det omitted: fixed-point iterate is not finite at iteration" in err
+        rows = read_csv(tmp_path / "simulate_replicate000.csv")
+        assert all(row[2] == "nan" for row in rows[1:])
 
     def test_dsgd_without_noise_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SIM_CFG)
@@ -491,6 +544,26 @@ class TestEntryPoint:
         rc = main(["graph-info", "--topology", "ring", "--m", "4",
                    "--set", "bogus", "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_unknown_key_exits_1_without_csv(self, tmp_path, capsys):
+        rc = main(["graph-info", "--preset", "fig1-rr-sto",
+                   "--set", "topology.tt=0.4", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown config key topology.tt" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_typo_in_config_file_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIM_CFG + "run.gama = 0.001\n")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown config key run.gama" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_malformed_integer_exits_1(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "fig1-rr-det", "--set", "run.T=abc",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "run.T must be an integer" in capsys.readouterr().err
 
     def test_unknown_preset_exits_1(self, tmp_path, capsys):
         rc = main(["simulate", "--preset", "fig9", "--out", str(tmp_path)])

@@ -188,6 +188,15 @@ class TestFixedPoint:
         rhs = -gamma * (G @ grads.data)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
+    def test_divergence_stops_at_the_first_non_finite_iterate(self):
+        obj, W = two_client_example()
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="not finite at iteration") as err:
+                fixed_point(W, obj, 5.0, max_iter=5000)
+        # |1 - gamma| = 4 per step: the iterate overflows long before max_iter
+        assert int(str(err.value).rsplit(" ", 1)[1]) < 600
+
     def test_unreachable_tolerance_raises(self):
         obj, W = two_client_example()
         with pytest.raises(Exception):
