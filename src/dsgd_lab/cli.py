@@ -284,7 +284,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     theta_det = None
     if rc.algorithm in ("dgd", "dsgd"):
         try:
-            theta_det = dynamics.fixed_point(W, obj, rc.gamma).point
+            theta_det = dynamics.solve_fixed_point(W, obj, rc.gamma).point
         except DsgdLabError as exc:
             print(f"dist_det omitted: {exc}", file=sys.stderr)
     record = dynamics.run(W, obj, noise_model, rc, theta0, theta_det)
@@ -380,7 +380,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             }
         )
 
-    fp = dynamics.fixed_point(W, obj, gamma)
+    fp = dynamics.solve_fixed_point(W, obj, gamma)
     bias_norm = _stacked_dist(fp.point, obj.theta_star_stacked)
     bound = theory.lemma3_bound(obj, W, gamma)
     add("LEMMA3", bound, bias_norm, 0.0, bias_norm <= bound + 1e-12)
@@ -394,7 +394,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             )
         points = {}
         for g in sorted(set(grid) | {g / 2.0 for g in grid}):
-            points[g] = dynamics.fixed_point(W, obj, g).point
+            points[g] = dynamics.solve_fixed_point(W, obj, g).point
         biases = [
             _stacked_dist(points[g], obj.theta_star_stacked) for g in grid
         ]
@@ -466,7 +466,7 @@ def _sweep_cell(cfg: ExperimentConfig, m: int, topo_kind: str, gamma: float):
     W = build_topology(cell_cfg)
     obj = build_objective(cell_cfg, W.m)
     noise_model = build_noise(cell_cfg, obj)
-    fp = dynamics.fixed_point(W, obj, gamma)
+    fp = dynamics.solve_fixed_point(W, obj, gamma)
     values = {
         "bias_norm": _stacked_dist(fp.point, obj.theta_star_stacked),
         "bias_norm_pred": float(

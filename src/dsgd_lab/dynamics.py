@@ -52,6 +52,7 @@ __all__ = [
     "dgd_step",
     "dsgd_step",
     "fixed_point",
+    "solve_fixed_point",
     "run",
     "coupled_run",
     "rr_run",
@@ -304,8 +305,14 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
 
 
 def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
-                tol: float = 1e-10, max_iter: int | None = None) -> FixedPointResult:
+                tol: float = 1e-10, max_iter: int | None = None,
+                start: StackedPoint | None = None) -> FixedPointResult:
     """Iterate the deterministic recursion to its fixed point Theta_det.
+
+    This Picard iteration is the oracle for Theta_det: solve_fixed_point
+    hands it its Newton point as start, and it verifies that point with its
+    own stop rule. start defaults to Theta*, the starting point for which
+    the rate and the iteration cap below hold.
 
     Stops once the per-step displacement is below tol * gamma * mu, which
     pins the fixed-point residual ||(I-W) Theta + gamma W grad F(Theta)|| (equal
@@ -315,11 +322,14 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     raises DivergenceError at once, naming the iteration.
     """
     _check_step(gamma, obj.L)
+    if start is None:
+        start = obj.theta_star_stacked
+    _check_shapes(W, obj, start)
     rate = gamma * obj.mu
     if max_iter is None:
         max_iter = max(1000, int(math.ceil(45.0 / min(rate, 1.0))))
     W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
-    Th = obj.theta_star_stacked.data[None, None]
+    Th = start.data[None, None]
     thresh = tol * rate
     for it in range(1, max_iter + 1):
         nxt = _step(W_entries, obj, None, gammas, Th, None)
@@ -336,6 +346,89 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
         f"fixed-point iteration did not reach tol={tol:.1e} within {max_iter} steps "
         f"(last displacement {delta:.3e})"
     )
+
+
+#: iteration cap of the Newton solve for Theta_det
+NEWTON_MAX_ITER = 50
+#: smallest damping factor the Newton line search tries
+NEWTON_MIN_STEP = 2.0**-10
+
+
+def _linearised_map(W: np.ndarray, obj: ObjectiveSet, gamma: float,
+                    Th: np.ndarray) -> np.ndarray:
+    """M = (W (x) I_d)(I - gamma blkdiag hess f_k(theta_k)) at the (m, d) point Th.
+
+    M is the Jacobian of the deterministic step, an (md, md) matrix.
+    """
+    m, d = obj.m, obj.d
+    local = np.eye(d) - gamma * np.stack([obj.hess_local(k, Th[k]) for k in range(m)])
+    return np.einsum("ik,kab->iakb", W, local).reshape(m * d, m * d)
+
+
+def _newton_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> np.ndarray | None:
+    """Certified Newton point of R(Theta) = Theta - W(Theta - gamma grad F(Theta)).
+
+    Damped Newton from Theta*: each step solves (I - M) delta = R and halves
+    delta until ||R|| decreases. The solve stops when it no longer does, or
+    after NEWTON_MAX_ITER steps, and keeps the best iterate. That iterate is
+    returned only if M there has spectral radius < 1, so that the step is a
+    local contraction around it (Yuan, Ling & Yin 2016); otherwise, and on
+    a non-finite iterate, None. A singular Jacobian or a non-finite M raises
+    LinAlgError.
+    """
+    W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
+    eye = np.eye(obj.m * obj.d)
+
+    def residual(Th):
+        return Th - _step(W_entries, obj, None, gammas, Th, None)
+
+    Th = obj.theta_star_stacked.data[None, None]
+    R = residual(Th)
+    r = float(np.linalg.norm(R))
+    for _ in range(NEWTON_MAX_ITER):
+        M = _linearised_map(W_entries, obj, gamma, Th[0, 0])
+        delta = np.linalg.solve(eye - M, R.ravel()).reshape(Th.shape)
+        t = 1.0
+        while t >= NEWTON_MIN_STEP:
+            cand = Th - t * delta
+            R_cand = residual(cand)
+            r_cand = float(np.linalg.norm(R_cand))
+            if not math.isfinite(r_cand):
+                return None
+            if r_cand < r:
+                break
+            t *= 0.5
+        else:
+            break
+        Th, R, r = cand, R_cand, r_cand
+    else:
+        M = _linearised_map(W_entries, obj, gamma, Th[0, 0])
+    if np.max(np.abs(np.linalg.eigvals(M))) >= 1.0:
+        return None
+    return Th[0, 0]
+
+
+def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
+                      tol: float = 1e-10) -> FixedPointResult:
+    """Theta_det by a certified Newton solve that fixed_point verifies.
+
+    The Newton point (see _newton_point) is handed to the Picard oracle
+    fixed_point as its start, whose stop rule accepts it after one
+    iteration, so the result carries Picard's residual and accuracy. When
+    Newton fails or its point is not certified stable, fixed_point runs
+    from Theta* as it would alone, and reports divergence the same way.
+    """
+    _check_shapes(W, obj)
+    start = None
+    if gamma > 0.0:  # fixed_point rejects any other gamma
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                point = _newton_point(W, obj, gamma)
+        except np.linalg.LinAlgError:
+            point = None
+        if point is not None:
+            start = StackedPoint(obj.m, obj.d, point)
+    return fixed_point(W, obj, gamma, tol, start=start)
 
 
 def _record_metrics(P: np.ndarray, theta_star: np.ndarray,

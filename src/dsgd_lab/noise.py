@@ -300,6 +300,12 @@ def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
     if p not in (2, 4):
         raise InvalidParamError(f"p must be 2 or 4, got {p}")
     _check_model(model, obj)
+    return _tau_estimate(model, _tau_sq_norms(model, obj, Theta_star, n_draws, seed), p)
+
+
+def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
+                  n_draws: int, seed: int) -> np.ndarray:
+    """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0)."""
     m, d = obj.m, obj.d
     stream = NoiseStream(seed=seed, replicate=0)
     sq_norms = np.empty(n_draws)
@@ -325,24 +331,31 @@ def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
             keys = blk[: stop - start].reshape(-1, m, n)
             eps = _subset_mean(persample[None], keys, b) - full
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
+    return sq_norms
+
+
+def _tau_estimate(model, sq_norms: np.ndarray, p: int) -> TauEstimate:
+    """The tau_p estimate from the draws' squared norms."""
     moment = sq_norms if p == 2 else sq_norms**2
     mean = float(np.mean(moment))
-    se_mean = float(np.std(moment, ddof=1) / np.sqrt(n_draws))
+    se_mean = float(np.std(moment, ddof=1) / np.sqrt(len(sq_norms)))
     value = mean ** (1.0 / p)
     if mean > 0.0:
         std_error = se_mean / (p * mean ** (1.0 - 1.0 / p))
     else:
         std_error = 0.0
-    exact = None
-    if isinstance(model, AdditiveGaussian):
-        traces = np.trace(model.C, axis1=1, axis2=2)
-        if p == 2:
-            exact = float(np.sqrt(np.sum(traces)))
-        else:
-            tr = float(np.sum(traces))
-            tr_sq = float(sum(np.sum(model.C[k] * model.C[k]) for k in range(m)))
-            exact = float((tr**2 + 2.0 * tr_sq) ** 0.25)
+    exact = _tau_exact(model, p) if isinstance(model, AdditiveGaussian) else None
     return TauEstimate(p=p, value=value, std_error=std_error, exact=exact)
+
+
+def _tau_exact(model: AdditiveGaussian, p: int) -> float:
+    """Closed-form tau_p of additive Gaussian noise."""
+    traces = np.trace(model.C, axis1=1, axis2=2)
+    if p == 2:
+        return float(np.sqrt(np.sum(traces)))
+    tr = float(np.sum(traces))
+    tr_sq = float(sum(np.sum(model.C[k] * model.C[k]) for k in range(model.m)))
+    return float((tr**2 + 2.0 * tr_sq) ** 0.25)
 
 
 def smoothness_constant(model, obj: ObjectiveSet) -> float:

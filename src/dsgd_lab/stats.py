@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import RunConfig, RunRecord, fixed_point, run
+from .dynamics import RunConfig, RunRecord, run, solve_fixed_point
 from .errors import (
     InsufficientSamplesError,
     InvalidParamError,
@@ -222,7 +222,7 @@ def speedup_check(make_objectives: Callable, make_noise: Callable,
         W = make_topology(m)
         obj = make_objectives(m)
         model = make_noise(m)
-        det = fixed_point(W, obj, gamma).point
+        det = solve_fixed_point(W, obj, gamma).point
         if model is None:
             entries.append((m, 0.0))
             continue

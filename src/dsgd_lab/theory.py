@@ -29,7 +29,14 @@ from .errors import (
 )
 from ._textio import write_csv
 from .matops import sylvester_solve
-from .noise import covariance_at, estimate_tau
+from .noise import (
+    AdditiveGaussian,
+    _check_model,
+    _tau_estimate,
+    _tau_exact,
+    _tau_sq_norms,
+    covariance_at,
+)
 from .objectives import ObjectiveSet
 from .stacked import StackedPoint
 from .topology import CommMatrix, gossip_operator
@@ -354,14 +361,19 @@ def rr_bias_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float,
 
 def _tau_squares(obj: ObjectiveSet, noise, n_draws: int,
                  seed: int) -> tuple:
+    """(tau_2^2, tau_4^2) at Theta*.
+
+    Gaussian noise has closed forms and draws nothing; otherwise both
+    moments come from one pass over the same n_draws draws.
+    """
     if noise is None:
         return 0.0, 0.0
-    t2 = estimate_tau(noise, obj, obj.theta_star_stacked, 2,
-                      n_draws=n_draws, seed=seed)
-    t4 = estimate_tau(noise, obj, obj.theta_star_stacked, 4,
-                      n_draws=n_draws, seed=seed)
-    tau2 = t2.exact if t2.exact is not None else t2.value
-    tau4 = t4.exact if t4.exact is not None else t4.value
+    _check_model(noise, obj)
+    if isinstance(noise, AdditiveGaussian):
+        tau2, tau4 = _tau_exact(noise, 2), _tau_exact(noise, 4)
+    else:
+        sq_norms = _tau_sq_norms(noise, obj, obj.theta_star_stacked, n_draws, seed)
+        tau2, tau4 = (_tau_estimate(noise, sq_norms, p).value for p in (2, 4))
     return float(tau2) ** 2, float(tau4) ** 2
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsgd_lab import cli
 from dsgd_lab.dynamics import (
     FixedPointResult,
     RunConfig,
@@ -11,6 +12,7 @@ from dsgd_lab.dynamics import (
     fixed_point,
     rr_run,
     run,
+    solve_fixed_point,
 )
 from dsgd_lab.errors import (
     DivergenceError,
@@ -21,6 +23,7 @@ from dsgd_lab.errors import (
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
+from dsgd_lab.theory import quad_exact_fixed_point
 from dsgd_lab.topology import (
     CommMatrix,
     build_fully_connected,
@@ -201,6 +204,63 @@ class TestFixedPoint:
         obj, W = two_client_example()
         with pytest.raises(Exception):
             fixed_point(W, obj, 0.1, tol=1e-12, max_iter=3)
+
+    def test_start_at_the_exact_point_stops_at_once(self):
+        obj, W = two_client_example()
+        exact = StackedPoint.from_blocks([[1.0 / 11.0], [-1.0 / 11.0]])
+        res = fixed_point(W, obj, 0.1, start=exact)
+        assert res.iterations == 1
+        assert np.allclose(res.point.data, exact.data, atol=1e-15)
+
+
+def _fig2_problem():
+    cfg = cli.preset_config("fig2-heterogeneous")
+    W = cli.build_topology(cfg)
+    return W, cli.build_objective(cfg, W.m)
+
+
+class TestSolveFixedPoint:
+    def test_matches_exact_quadratic_fixed_point(self):
+        rng = np.random.default_rng(21)
+        for trial in range(8):
+            m = int(rng.integers(1, 7))
+            d = int(rng.integers(1, 4))
+            obj = random_quadratic(rng, m, d)
+            W = build_ring(m, 0.3) if m >= 3 else build_fully_connected(m)
+            limit = 2.0 / ((1.0 + obj.L / obj.mu) * obj.L
+                           * max(W.spectral.Lambda, 1e-12))
+            gamma = min(0.4 * limit, 0.5 / obj.L)
+            exact = quad_exact_fixed_point(W, obj, gamma).theta_det.data
+            got = solve_fixed_point(W, obj, gamma).point.data
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_fig2_newton_point_is_verified_in_one_iteration(self):
+        W, obj = _fig2_problem()
+        gamma = 1e-3
+        res = solve_fixed_point(W, obj, gamma)
+        picard = fixed_point(W, obj, gamma)
+        assert res.iterations == 1
+        assert res.residual <= 1e-10 * gamma * obj.mu
+        gap = np.linalg.norm(res.point.data - picard.point.data)
+        assert gap <= picard.residual / (gamma * obj.mu)
+
+    def test_divergence_is_reported_as_by_picard(self):
+        obj, W = two_client_example()
+        errors = []
+        for solve in (fixed_point, solve_fixed_point):
+            with pytest.warns(UserWarning, match="exceeds 1/L") as caught, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as err:
+                    solve(W, obj, 5.0)
+            assert len([w for w in caught if "exceeds 1/L" in str(w.message)]) == 1
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert "not finite at iteration" in errors[1]
+
+    def test_rejects_nonpositive_gamma(self):
+        obj, W = two_client_example()
+        with pytest.raises(InvalidStepError):
+            solve_fixed_point(W, obj, 0.0)
 
 
 class TestRun:

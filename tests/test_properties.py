@@ -1,11 +1,13 @@
-"""Property tests: the block-wise draw reader against single streams."""
+"""Property tests: the block-wise draw reader against single streams, and the
+Newton solve for Theta_det against the Picard oracle."""
 
 import numpy as np
 import pytest
 
-from dsgd_lab.dynamics import _Draws
+from dsgd_lab.dynamics import _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
-from dsgd_lab.objectives import generate_logistic_problem
+from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
+from dsgd_lab.topology import build_fully_connected, build_ring
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -38,3 +40,34 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
                 else:
                     expected = stream.raw_at(t, OBJ.m * OBJ.n)
                 assert np.array_equal(grid[c, r], expected)
+
+
+def _problem(kind, m, d, seed):
+    if kind == "logistic":
+        return generate_logistic_problem(m=m, n=8, d=d, seed=seed)
+    rng = np.random.default_rng(seed)
+    A = np.empty((m, d, d))
+    for k in range(m):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A[k] = (Q * rng.uniform(0.5, 3.0, d)) @ Q.T
+    return QuadraticObjectives(A=A, theta_loc_star=rng.standard_normal((m, d)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "logistic"]), m=st.integers(1, 5),
+       d=st.integers(1, 3), ring=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.05, 1.0))
+def test_newton_fixed_point_agrees_with_picard(kind, m, d, ring, seed, frac):
+    obj = _problem(kind, m, d, seed)
+    W = build_ring(m, 0.3) if ring and m >= 3 else build_fully_connected(m)
+    gamma, tol = frac / obj.L, 1e-10
+    rate = gamma * obj.mu
+    newton = solve_fixed_point(W, obj, gamma, tol)
+    picard = fixed_point(W, obj, gamma, tol)
+    assert newton.iterations == 1
+    assert newton.residual <= tol * rate
+    # each point lies within residual / (gamma mu) of the true fixed point;
+    # a residual computed in floating point is exact up to a few ulps of the point
+    gap = np.linalg.norm(newton.point.data - picard.point.data)
+    ulps = 16.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(picard.point.data))
+    assert gap <= (newton.residual + picard.residual + 2.0 * ulps) / rate
