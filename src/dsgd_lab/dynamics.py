@@ -352,6 +352,28 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
 NEWTON_MAX_ITER = 50
 #: smallest damping factor the Newton line search tries
 NEWTON_MIN_STEP = 2.0**-10
+#: flops of the Newton solve's dense work per (md)^3: its LU solves and one
+#: nonsymmetric eigvals
+NEWTON_FLOPS_PER_CUBE = 10.0
+#: Picard steps to its stop rule per 1/(gamma mu) (8 to 13 measured)
+PICARD_STEPS_PER_RATE = 8.0
+#: interpreter overhead of one Picard step, counted in flops (about 30 us)
+STEP_OVERHEAD_FLOPS = 1e5
+
+
+def _newton_pays(obj: ObjectiveSet, gamma: float) -> bool:
+    """Whether the dense Newton solve is cheaper than Picard from Theta*.
+
+    Newton's Jacobian is an (md, md) matrix, so its cost grows as (md)^3;
+    Picard takes about PICARD_STEPS_PER_RATE / (gamma mu) steps of m^2 d
+    flops plus a fixed overhead. Newton therefore runs for every md <= 40
+    at gamma <= 1/L, and for larger md only at step sizes small against
+    it; at m=100, d=50 it needs 1/(gamma mu) above about 2.6e5.
+    """
+    m, d = obj.m, obj.d
+    newton = NEWTON_FLOPS_PER_CUBE * float(m * d) ** 3
+    picard = PICARD_STEPS_PER_RATE * (m * m * d + STEP_OVERHEAD_FLOPS) / (gamma * obj.mu)
+    return newton <= picard
 
 
 def _linearised_map(W: np.ndarray, obj: ObjectiveSet, gamma: float,
@@ -408,8 +430,7 @@ def _newton_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> np.ndarray 
     return Th[0, 0]
 
 
-def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
-                      tol: float = 1e-10) -> FixedPointResult:
+def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> FixedPointResult:
     """Theta_det by a certified Newton solve that fixed_point verifies.
 
     The Newton point (see _newton_point) is handed to the Picard oracle
@@ -417,10 +438,12 @@ def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     iteration, so the result carries Picard's residual and accuracy. When
     Newton fails or its point is not certified stable, fixed_point runs
     from Theta* as it would alone, and reports divergence the same way.
+    Newton is meant for small md: where its dense (md)^3 work would cost
+    more than Picard's iterations (see _newton_pays), Picard runs alone.
     """
     _check_shapes(W, obj)
     start = None
-    if gamma > 0.0:  # fixed_point rejects any other gamma
+    if gamma > 0.0 and _newton_pays(obj, gamma):  # fixed_point rejects gamma <= 0
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 point = _newton_point(W, obj, gamma)
@@ -428,7 +451,7 @@ def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
             point = None
         if point is not None:
             start = StackedPoint(obj.m, obj.d, point)
-    return fixed_point(W, obj, gamma, tol, start=start)
+    return fixed_point(W, obj, gamma, start=start)
 
 
 def _record_metrics(P: np.ndarray, theta_star: np.ndarray,

@@ -44,6 +44,7 @@ __all__ = [
     "sample_noise",
     "covariance_at",
     "estimate_tau",
+    "tau_squares",
     "smoothness_constant",
 ]
 
@@ -301,6 +302,23 @@ def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
         raise InvalidParamError(f"p must be 2 or 4, got {p}")
     _check_model(model, obj)
     return _tau_estimate(model, _tau_sq_norms(model, obj, Theta_star, n_draws, seed), p)
+
+
+def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
+                n_draws: int = 100_000, seed: int = 0) -> tuple:
+    """(tau_2^2, tau_4^2) at Theta_star, the squares of what estimate_tau gives.
+
+    Additive Gaussian noise uses the closed forms (estimate_tau's exact)
+    and draws nothing; any other model gets both moments from one pass
+    over the same n_draws draws (estimate_tau's value).
+    """
+    _check_model(model, obj)
+    if isinstance(model, AdditiveGaussian):
+        taus = (_tau_exact(model, 2), _tau_exact(model, 4))
+    else:
+        sq_norms = _tau_sq_norms(model, obj, Theta_star, n_draws, seed)
+        taus = (float(np.mean(sq_norms)) ** 0.5, float(np.mean(sq_norms**2)) ** 0.25)
+    return tuple(float(t) ** 2 for t in taus)
 
 
 def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,

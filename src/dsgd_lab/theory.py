@@ -29,14 +29,7 @@ from .errors import (
 )
 from ._textio import write_csv
 from .matops import sylvester_solve
-from .noise import (
-    AdditiveGaussian,
-    _check_model,
-    _tau_estimate,
-    _tau_exact,
-    _tau_sq_norms,
-    covariance_at,
-)
+from .noise import covariance_at, tau_squares
 from .objectives import ObjectiveSet
 from .stacked import StackedPoint
 from .topology import CommMatrix, gossip_operator
@@ -361,20 +354,10 @@ def rr_bias_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float,
 
 def _tau_squares(obj: ObjectiveSet, noise, n_draws: int,
                  seed: int) -> tuple:
-    """(tau_2^2, tau_4^2) at Theta*.
-
-    Gaussian noise has closed forms and draws nothing; otherwise both
-    moments come from one pass over the same n_draws draws.
-    """
+    """(tau_2^2, tau_4^2) at Theta*; zero without noise."""
     if noise is None:
         return 0.0, 0.0
-    _check_model(noise, obj)
-    if isinstance(noise, AdditiveGaussian):
-        tau2, tau4 = _tau_exact(noise, 2), _tau_exact(noise, 4)
-    else:
-        sq_norms = _tau_sq_norms(noise, obj, obj.theta_star_stacked, n_draws, seed)
-        tau2, tau4 = (_tau_estimate(noise, sq_norms, p).value for p in (2, 4))
-    return float(tau2) ** 2, float(tau4) ** 2
+    return tau_squares(noise, obj, obj.theta_star_stacked, n_draws, seed)
 
 
 def _scaled(coeff: float, term: float) -> float:

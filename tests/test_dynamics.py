@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsgd_lab import cli
+from dsgd_lab import cli, dynamics
 from dsgd_lab.dynamics import (
     FixedPointResult,
     RunConfig,
@@ -261,6 +261,30 @@ class TestSolveFixedPoint:
         obj, W = two_client_example()
         with pytest.raises(InvalidStepError):
             solve_fixed_point(W, obj, 0.0)
+
+    def test_large_md_at_a_large_step_runs_picard_alone(self, monkeypatch):
+        obj = random_quadratic(np.random.default_rng(4), 20, 10)
+        W = build_ring(20, 0.3)
+        gamma = 1.0 / obj.L
+        assert not dynamics._newton_pays(obj, gamma)
+
+        def no_newton(*args):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(dynamics, "_newton_point", no_newton)
+        res = solve_fixed_point(W, obj, gamma)
+        picard = fixed_point(W, obj, gamma)
+        assert res.iterations == picard.iterations > 1
+        assert np.array_equal(res.point.data, picard.point.data)
+
+    def test_large_md_at_a_small_step_runs_newton(self):
+        obj = random_quadratic(np.random.default_rng(4), 20, 10)
+        W = build_ring(20, 0.3)
+        gamma = 1e-3 / obj.L
+        assert dynamics._newton_pays(obj, gamma)
+        res = solve_fixed_point(W, obj, gamma)
+        assert res.iterations == 1
+        assert res.residual <= 1e-10 * gamma * obj.mu
 
 
 class TestRun:

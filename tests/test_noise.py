@@ -15,6 +15,7 @@ from dsgd_lab.noise import (
     estimate_tau,
     sample_noise,
     smoothness_constant,
+    tau_squares,
 )
 from dsgd_lab.objectives import (
     LogisticObjectives,
@@ -239,6 +240,21 @@ class TestTau:
         model = AdditiveGaussian.isotropic(2, 1, 1.0)
         with pytest.raises(InvalidParamError):
             estimate_tau(model, quad_obj, StackedPoint.zeros(2, 1), p=3)
+
+    def test_tau_squares_are_the_squares_of_estimate_tau(self, quad_obj, logit_obj):
+        cases = [
+            (Minibatch(batch_size=2), logit_obj,
+             StackedPoint.replicate(logit_obj.theta_star, logit_obj.m), "value"),
+            (AdditiveGaussian(C=np.stack([0.5 * np.eye(1), 2.0 * np.eye(1)])),
+             quad_obj, StackedPoint.zeros(2, 1), "exact"),
+        ]
+        for model, obj, Theta, field in cases:
+            got = tau_squares(model, obj, Theta, n_draws=3000, seed=7)
+            want = tuple(
+                getattr(estimate_tau(model, obj, Theta, p, n_draws=3000, seed=7), field) ** 2
+                for p in (2, 4)
+            )
+            assert got == want
 
 
 class TestSmoothness:
