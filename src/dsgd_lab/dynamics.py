@@ -551,6 +551,7 @@ def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
     rec = {k: [] for k in ("opt", "det", "cons", "dis", "client")}
     stat_sum = np.zeros((R, m, d))
     stat_outer = np.zeros((R, m * d, m * d))
+    outer = np.empty_like(stat_outer)
     stat_count = 0
 
     def record(t, P):
@@ -567,7 +568,7 @@ def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
         if step_idx > burn:
             stat_sum += current
             flat = current.reshape(R, m * d)
-            stat_outer += np.einsum("ri,rj->rij", flat, flat)
+            stat_outer += np.multiply(flat[:, :, None], flat[:, None, :], out=outer)
             stat_count += 1
         if step_idx % stride == 0 or step_idx == T:
             bad = ~np.isfinite(current).all(axis=(1, 2))

@@ -108,14 +108,18 @@ class NoiseStream:
         u1 = ((raw[..., 0] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
         u2 = (raw[..., 1] >> np.uint64(11)) * _TWO_NEG53
         r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty((self.block_size, 2 * pairs))
-        z[:, 0::2] = r * np.cos(_TWO_PI * u2)
-        z[:, 1::2] = r * np.sin(_TWO_PI * u2)
-        return z[:, :width]
+        angle = _TWO_PI * u2
+        z = np.empty((self.block_size, width))
+        z[:, 0::2] = r * np.cos(angle)
+        # a sine only for the width // 2 pairs whose second normal is returned
+        z[:, 1::2] = r[:, : width // 2] * np.sin(angle[:, : width // 2])
+        return z
 
     def _at(self, lane: str, width: int, t: int) -> np.ndarray:
         """Row t of the block that the lane's generator ("raw_block" or
         "normals_block") makes, keeping that one block for the next step."""
+        if t < 0:
+            raise InvalidParamError(f"step t must be >= 0, got {t}")
         block, row = divmod(t, self.block_size)
         key = (lane, width, block)
         if key != self._read[0]:

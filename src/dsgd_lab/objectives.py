@@ -45,12 +45,10 @@ SIGMOID_THIRD_BOUND = 1.0 / (6.0 * np.sqrt(3.0))
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    overflows; one exp of -|z| serves both branches without masks."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class ObjectiveSet:

@@ -74,6 +74,12 @@ class TestSteps:
         rec = run(W, obj, model, cfg, Theta0)
         assert np.array_equal(point.data, rec.final[0])
 
+    @pytest.mark.parametrize("noise_kind", ["gaussian", "minibatch"])
+    def test_dsgd_step_rejects_negative_step(self, noise_kind):
+        obj, W, model = _noisy_problem(noise_kind)
+        with pytest.raises(InvalidParamError, match="t must be >= 0, got -1"):
+            dsgd_step(W, obj, model, 0.05, obj.theta_star_stacked, NoiseStream(7, 0), -1)
+
     def test_single_client_plain_gradient(self):
         obj = QuadraticObjectives(A=np.array([[[2.0]]]), theta_loc_star=np.array([[0.0]]))
         W = build_fully_connected(1)

@@ -71,6 +71,12 @@ class TestStream:
         _ = s.normals_at(0, 4)
         assert np.array_equal(s.raw_at(0, 4), r1)
 
+    @pytest.mark.parametrize("reader", ["normals_at", "raw_at"])
+    def test_rejects_negative_step(self, reader):
+        # t = -1 would read the last row of block -1
+        with pytest.raises(InvalidParamError, match="t must be >= 0, got -1"):
+            getattr(NoiseStream(0, 0), reader)(-1, 2)
+
 
 class TestAdditiveGaussian:
     def test_zero_covariance_draws_zero(self, quad_obj):
@@ -117,6 +123,11 @@ class TestAdditiveGaussian:
             sample_noise(model, quad_obj, Theta, s2, t)
         b = sample_noise(model, quad_obj, Theta, s2, 5)
         assert np.array_equal(a.data, b.data)
+
+    def test_sample_noise_rejects_negative_step(self, quad_obj):
+        model = AdditiveGaussian.isotropic(2, 1, 1.0)
+        with pytest.raises(InvalidParamError, match="got -3"):
+            sample_noise(model, quad_obj, StackedPoint.zeros(2, 1), NoiseStream(0), -3)
 
     def test_rejects_bad_covariance(self):
         with pytest.raises(NotPositiveSemidefiniteError):

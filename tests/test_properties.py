@@ -1,5 +1,6 @@
-"""Property tests: the block-wise draw reader against single streams, and the
-Newton solve for Theta_det against the Picard oracle."""
+"""Property tests: the block-wise draw reader against single streams, the
+Newton solve for Theta_det against the Picard oracle, and the sigmoid against
+its mask-based reference."""
 
 import inspect
 
@@ -8,7 +9,7 @@ import pytest
 
 from dsgd_lab.dynamics import _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
-from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
+from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.topology import build_fully_connected, build_ring
 
 pytest.importorskip("hypothesis")
@@ -83,3 +84,32 @@ def test_newton_fixed_point_agrees_with_picard(kind, m, d, ring, seed, frac):
     gap = np.linalg.norm(newton.point.data - picard.point.data)
     slack = _rounding_floor(obj, gamma, newton.point) + _rounding_floor(obj, gamma, picard.point)
     assert gap <= (newton.residual + picard.residual + slack) / rate
+
+
+def _sigmoid_masked(z):
+    """The reference: each branch evaluated on its own boolean mask."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# hypothesis floats include NaN, +-inf, +-0 and subnormals; the edges are
+# added explicitly, with |z| > 745 where exp(-|z|) underflows to 0
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+         745.2, -745.2, 800.0, -800.0, 1e308, -1e308, 36.7, -36.7]
+SIGMOID_INPUTS = st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)),
+                          min_size=1, max_size=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=SIGMOID_INPUTS)
+def test_sigmoid_is_bitwise_the_masked_formula(values):
+    z = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        got, ref = _sigmoid(z), _sigmoid_masked(z)
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
