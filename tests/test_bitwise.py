@@ -74,7 +74,7 @@ DRAW_DIGESTS = {
 
 @pytest.mark.parametrize("lane", ["normals_block", "raw_block"])
 @pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("triple", TRIPLES)
+@pytest.mark.parametrize("triple", TRIPLES, ids=lambda triple: "-".join(map(str, triple)))
 def test_draw_block_is_pinned(lane, width, triple):
     seed, replicate, block = triple
     got = getattr(NoiseStream(seed, replicate), lane)(block, width)
@@ -132,7 +132,7 @@ def _moments(noise, m, d):
     return rec.stat_sum, rec.stat_outer, rec.final
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(map(str, case)))
 def test_run_moments_are_pinned(case):
     stat_sum, stat_outer, final = _moments(*case)
     got = {"stat_sum": _digest(stat_sum), "stat_outer": _digest(stat_outer),
