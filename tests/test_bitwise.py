@@ -1,4 +1,4 @@
-"""Bit-for-bit pins of the step kernel's draws and moments.
+"""Bit-for-bit pins of the step kernel's draws and moments, and of theta*.
 
 The goldens compare within 1e-12 relative and the stream tests compare the
 generators with themselves, so neither notices a change that moves the last
@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dsgd_lab.cli import build_objective, preset_config
 from dsgd_lab.dynamics import RunConfig, run
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
 from dsgd_lab.objectives import generate_logistic_problem
@@ -138,3 +139,34 @@ def test_run_moments_are_pinned(case):
     got = {"stat_sum": _digest(stat_sum), "stat_outer": _digest(stat_outer),
            "final": _digest(final)}
     assert got == MOMENT_DIGESTS[case]
+
+
+# theta* of the presets' problems and of the fig2-heterogeneous data seeds
+# whose Newton solve once stalled in its line search
+OPTIMUM_CASES = [("preset", name) for name in
+                 ("fig1-rr-det", "fig1-rr-sto", "fig2-heterogeneous", "fig2-homogeneous")]
+OPTIMUM_CASES += [("fig2-heterogeneous-seed", seed) for seed in (8, 20, 39)]
+
+OPTIMUM_DIGESTS = {
+    ("preset", "fig1-rr-det"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
+    ("preset", "fig1-rr-sto"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
+    ("preset", "fig2-heterogeneous"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
+    ("preset", "fig2-homogeneous"): "7b75ae5d002610fbac354920c6ea43822c4f3e417f13753343afb4baf6624c52",
+    ("fig2-heterogeneous-seed", 8): "4b438308e26a36e1c27b30494d4e66f456dfc2ad02f6f4b8086c7c37f07ad204",
+    ("fig2-heterogeneous-seed", 20): "369b37725fc0e52efa89a23e01103817df51b36e2ce5d5b8e64f19b7d92ae90e",
+    ("fig2-heterogeneous-seed", 39): "d52fc6e6aa90206b20a2a2ab7dcdd2584e18f37e42ce62d29588ad8e75a03775",
+}
+
+
+def _optimum_problem(kind, value):
+    if kind == "preset":
+        cfg = preset_config(value)
+    else:
+        cfg = preset_config("fig2-heterogeneous")
+        cfg.set("objective", "seed", value)
+    return build_objective(cfg, cfg.get("topology", "m"))
+
+
+@pytest.mark.parametrize("case", OPTIMUM_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_theta_star_is_pinned(case):
+    assert _digest(_optimum_problem(*case).theta_star) == OPTIMUM_DIGESTS[case]
