@@ -15,7 +15,6 @@ import argparse
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -504,15 +503,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raise BudgetExceededError(
             f"sweep has {len(cells)} cells; the limit is {MAX_SWEEP_CELLS}"
         )
-    workers = args.threads if args.threads else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        results = [_sweep_cell(cfg, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda cell: _sweep_cell(cfg, *cell), cells)
-            )
+    results = [_sweep_cell(cfg, *cell) for cell in cells]
     out_dir, prefix = _resolve_output(cfg, args, "sweep")
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
     rows = ([m, topo_kind, gamma, metric, values[metric]]
@@ -550,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=0,
-        help="worker pool size for sweeps (default: available parallelism)",
+        help="accepted for compatibility; sweep cells always run in order, "
+        "so it changes neither the schedule nor the output",
     )
     common.add_argument(
         "--topology",

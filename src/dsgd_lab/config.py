@@ -8,6 +8,7 @@ declares the keys the commands read, and `get` parses a value with its
 declared type.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -16,12 +17,16 @@ REQUIRED = object()
 
 
 def _convert(convert, expected: str):
-    """A parser that applies convert and names the key when that fails."""
+    """A parser that applies convert and names the key when that fails or
+    gives nan or +-inf."""
     def parse(raw, name):
         try:
-            return convert(raw)
+            value = convert(raw)
         except ValueError:
             raise ConfigError(f"{name} must be {expected}, got {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {raw!r}")
+        return value
     return parse
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NoConvergenceError,
     ShapeMismatchError,
 )
+from .matops import damped_newton
 from .noise import (
     AdditiveGaussian,
     Minibatch,
@@ -348,10 +349,6 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     )
 
 
-#: iteration cap of the Newton solve for Theta_det
-NEWTON_MAX_ITER = 50
-#: smallest damping factor the Newton line search tries
-NEWTON_MIN_STEP = 2.0**-10
 #: flops of the Newton solve's dense work per (md)^3: its LU solves and one
 #: nonsymmetric eigvals
 NEWTON_FLOPS_PER_CUBE = 10.0
@@ -390,44 +387,28 @@ def _linearised_map(W: np.ndarray, obj: ObjectiveSet, gamma: float,
 def _newton_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> np.ndarray | None:
     """Certified Newton point of R(Theta) = Theta - W(Theta - gamma grad F(Theta)).
 
-    Damped Newton from Theta*: each step solves (I - M) delta = R and halves
-    delta until ||R|| decreases. The solve stops when it no longer does, or
-    after NEWTON_MAX_ITER steps, and keeps the best iterate. That iterate is
-    returned only if M there has spectral radius < 1, so that the step is a
-    local contraction around it (Yuan, Ling & Yin 2016); otherwise, and on
-    a non-finite iterate, None. A singular Jacobian or a non-finite M raises
-    LinAlgError.
+    matops.damped_newton from Theta* with Jacobian I - M, at tol 0, so it
+    runs until ||R|| no longer falls. Its point is returned only if M there
+    has spectral radius < 1, so that the step is a local contraction around
+    it (Yuan, Ling & Yin 2016); otherwise, and on a non-finite iterate,
+    None. A singular Jacobian or a non-finite M raises LinAlgError.
     """
     W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
     eye = np.eye(obj.m * obj.d)
 
     def residual(Th):
-        return Th - _step(W_entries, obj, None, gammas, Th, None)
+        return Th - _step(W_entries, obj, None, gammas, Th[None, None], None)[0, 0]
 
-    Th = obj.theta_star_stacked.data[None, None]
-    R = residual(Th)
-    r = float(np.linalg.norm(R))
-    for _ in range(NEWTON_MAX_ITER):
-        M = _linearised_map(W_entries, obj, gamma, Th[0, 0])
-        delta = np.linalg.solve(eye - M, R.ravel()).reshape(Th.shape)
-        t = 1.0
-        while t >= NEWTON_MIN_STEP:
-            cand = Th - t * delta
-            R_cand = residual(cand)
-            r_cand = float(np.linalg.norm(R_cand))
-            if not math.isfinite(r_cand):
-                return None
-            if r_cand < r:
-                break
-            t *= 0.5
-        else:
-            break
-        Th, R, r = cand, R_cand, r_cand
-    else:
-        M = _linearised_map(W_entries, obj, gamma, Th[0, 0])
-    if np.max(np.abs(np.linalg.eigvals(M))) >= 1.0:
+    def jacobian(Th):
+        return eye - _linearised_map(W_entries, obj, gamma, Th)
+
+    found = damped_newton(residual, jacobian, obj.theta_star_stacked.data, tol=0.0)
+    if found is None:
         return None
-    return Th[0, 0]
+    Th = found[0]
+    if np.max(np.abs(np.linalg.eigvals(_linearised_map(W_entries, obj, gamma, Th)))) >= 1.0:
+        return None
+    return Th
 
 
 def solve_fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> FixedPointResult:

@@ -13,6 +13,8 @@ projected_pinv_expansion
     error constant, P the projector onto ker(A).
 inverse_perturbation_bound
     Norm bound on (A+B)^-1 - A^-1 for a PSD perturbation B.
+damped_newton
+    Damped Newton for R(x) = 0, the one loop behind theta* and Theta_det.
 
 All matrices are dense row-major float arrays; every operation is a pure
 function of its inputs and safe to call concurrently.
@@ -42,6 +44,7 @@ __all__ = [
     "sylvester_solve",
     "projected_pinv_expansion",
     "inverse_perturbation_bound",
+    "damped_newton",
 ]
 
 #: Relative entrywise asymmetry beyond which a matrix is rejected.
@@ -49,6 +52,9 @@ SYMMETRY_RTOL = 1e-9
 
 #: Default relative eigenvalue cutoff for pseudo-inverses / rank decisions.
 PINV_RTOL = 1e-10
+
+#: Iteration cap and smallest damping factor of damped_newton.
+NEWTON_MAX_ITER, NEWTON_MIN_STEP = 50, 2.0**-10
 
 
 def _as_square(M, name: str = "M") -> np.ndarray:
@@ -263,3 +269,38 @@ def inverse_perturbation_bound(A, B) -> float:
     norm_Ainv = 1.0 / float(np.min(wA))
     norm_B = float(np.max(np.abs(wB))) if wB.size else 0.0
     return norm_Ainv**2 * norm_B
+
+
+def damped_newton(residual, jacobian, x0, tol: float):
+    """Damped Newton for R(x) = 0 with R = residual, J = jacobian (x.size square).
+
+    Each step solves J(x) delta = R(x) and halves delta, down to
+    NEWTON_MIN_STEP, until ||R|| strictly falls, which a Newton direction
+    does for nonsingular J. Stops at ||R|| <= tol (tol 0: the rounding
+    floor), when no halving lowers ||R||, or after NEWTON_MAX_ITER steps.
+    Returns the best iterate and its ||R||, or None at a non-finite
+    residual; a singular J raises LinAlgError.
+    """
+    x = np.asarray(x0, dtype=float)
+    R = residual(x)
+    r = float(np.linalg.norm(R))
+    if not math.isfinite(r):
+        return None
+    for _ in range(NEWTON_MAX_ITER):
+        if r <= tol:
+            break
+        delta = np.linalg.solve(jacobian(x), R.ravel()).reshape(x.shape)
+        t = 1.0
+        while t >= NEWTON_MIN_STEP:
+            cand = x - t * delta
+            R_cand = residual(cand)
+            r_cand = float(np.linalg.norm(R_cand))
+            if not math.isfinite(r_cand):
+                return None
+            if r_cand < r:
+                break
+            t *= 0.5
+        else:
+            break
+        x, R, r = cand, R_cand, r_cand
+    return x, r

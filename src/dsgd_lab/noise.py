@@ -143,6 +143,8 @@ class AdditiveGaussian:
         C = np.array(self.C, dtype=float)
         if C.ndim != 3 or C.shape[1] != C.shape[2]:
             raise ShapeMismatchError(f"C must be (m, d, d), got {C.shape}")
+        if not np.all(np.isfinite(C)):
+            raise InvalidParamError("noise covariance C has non-finite entries")
         for k in range(C.shape[0]):
             Ck = C[k]
             if np.max(np.abs(Ck - Ck.T)) > 1e-9 * max(np.max(np.abs(Ck)), 1.0):

@@ -18,6 +18,7 @@ upper bounds, and conservative values keep every inequality valid.
 from __future__ import annotations
 
 import csv
+import math
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from ._textio import open_text, write_csv
+from .matops import damped_newton
 from .stacked import StackedPoint
 
 __all__ = [
@@ -64,7 +66,9 @@ class ObjectiveSet:
 
     # subclasses provide: grad_local, hess_local, third_contract_local,
     # _grad_batch (stacked gradients of a (..., m, d) array), mu, L, K3,
-    # and _solve_optimum.
+    # and _solve_optimum: a closed form for quadratics; for logistic losses
+    # matops.damped_newton on the mean gradient, the loop that also finds
+    # Theta_det.
 
     def _check_client(self, k: int) -> None:
         if not (0 <= k < self.m):
@@ -186,9 +190,6 @@ class LogisticObjectives(ObjectiveSet):
 
     kind = "logistic"
 
-    #: iteration cap for the damped Newton solver
-    NEWTON_MAX_ITER = 200
-
     def __init__(self, data, lambda_reg: float):
         data = np.array(data, dtype=float)
         if data.ndim != 3:
@@ -252,12 +253,6 @@ class LogisticObjectives(ObjectiveSet):
             + self.lambda_reg * Th
         )
 
-    def _mean_value(self, theta: np.ndarray) -> float:
-        z = np.einsum("d,knd->kn", theta, self.data)
-        return float(np.mean(np.logaddexp(0.0, z))) + 0.5 * self.lambda_reg * float(
-            theta @ theta
-        )
-
     def _mean_grad(self, theta: np.ndarray) -> np.ndarray:
         z = np.einsum("d,knd->kn", theta, self.data)
         s = _sigmoid(z)
@@ -267,36 +262,13 @@ class LogisticObjectives(ObjectiveSet):
         )
 
     def _solve_optimum(self, tol: float) -> np.ndarray:
-        theta = np.zeros(self.d)
-        fval = self._mean_value(theta)
-        for _ in range(self.NEWTON_MAX_ITER):
-            g = self._mean_grad(theta)
-            if np.linalg.norm(g) <= tol:
-                return theta
-            H = self.mean_hessian(theta)
-            step = np.linalg.solve(H, g)
-            slope = float(g @ step)
-            # f is known only to a few ulps; near the optimum the Armijo
-            # decrease is far below that, and a rounding-level rise must not
-            # send the line search crawling
-            floor = 4.0 * np.finfo(float).eps * abs(fval)
-            t = 1.0
-            while t > 2.0**-40:
-                cand = theta - t * step
-                cand_val = self._mean_value(cand)
-                if cand_val <= fval - 1e-4 * t * slope + floor:
-                    theta, fval = cand, cand_val
-                    break
-                t *= 0.5
-            else:
-                raise NoConvergenceError("Newton line search stalled")
-        g = self._mean_grad(theta)
-        if np.linalg.norm(g) <= tol:
-            return theta
-        raise NoConvergenceError(
-            f"Newton did not reach tol={tol:.1e} in {self.NEWTON_MAX_ITER} iterations "
-            f"(grad norm {np.linalg.norm(g):.3e})"
-        )
+        found = damped_newton(self._mean_grad, self.mean_hessian, np.zeros(self.d), tol)
+        theta, grad_norm = found if found is not None else (None, math.inf)
+        if grad_norm > tol:
+            raise NoConvergenceError(
+                f"Newton for theta* stopped at grad norm {grad_norm:.3e}, above tol={tol:.1e}"
+            )
+        return theta
 
 
 def generate_logistic_problem(

@@ -89,6 +89,8 @@ class CommMatrix:
         W = np.array(self.entries, dtype=float)
         if W.ndim != 2 or W.shape != (self.m, self.m):
             raise InvalidParamError(f"expected ({self.m},{self.m}) matrix, got {W.shape}")
+        if not np.all(np.isfinite(W)):
+            raise InvalidParamError("gossip matrix has non-finite entries")
         scale = max(np.max(np.abs(W)), 1.0)
         if np.max(np.abs(W - W.T)) > 1e-9 * scale:
             raise NotSymmetricError("gossip matrix must be symmetric")

@@ -115,6 +115,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key run.gama"):
             cfg.get("run", "gama")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_numbers_are_rejected(self, raw):
+        cfg = ExperimentConfig.parse(f"noise.sigma2 = {raw}\nrun.gammas = 0.1, {raw}\n")
+        with pytest.raises(ConfigError, match=f"noise.sigma2 must be finite, got '{raw}'"):
+            cfg.get("noise", "sigma2")
+        with pytest.raises(ConfigError, match=f"run.gammas must be finite, got '{raw}'"):
+            cfg.get("run", "gammas")
+
     def test_check_keys_names_the_unknown_key(self):
         cfg = ExperimentConfig.parse("topology.m = 4\ntopology.tt = 0.4\n")
         with pytest.raises(ConfigError, match="unknown config key topology.tt"):
@@ -569,3 +577,34 @@ class TestEntryPoint:
         rc = main(["simulate", "--preset", "fig9", "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown preset" in capsys.readouterr().err
+
+
+
+class TestNonFinite:
+    """A nan or inf given on the command line exits 1 with one line, no CSV."""
+
+    @pytest.mark.parametrize("sigma2", ["nan", "inf"])
+    def test_predict_rejects_non_finite_sigma2(self, tmp_path, capsys, sigma2):
+        rc = main(["predict", "--topology", "ring", "--m", "4", "--set", "run.gamma=0.01",
+                   "--set", "objective.kind=quadratic", "--set", "noise.variant=gaussian",
+                   "--set", f"noise.sigma2={sigma2}", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: noise.sigma2 must be finite, got '{sigma2}'\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_graph_info_rejects_nan_t_on_clusters(self, tmp_path, capsys):
+        rc = main(["graph-info", "--topology", "clusters", "--m", "4",
+                   "--set", "topology.clusters=2", "--t", "nan", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: topology.t must be finite, got 'nan'\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_graph_info_rejects_nan_t_on_edge_list(self, tmp_path, capsys):
+        edges = tmp_path / "pair.edges"
+        edges.write_text(PAIR_EDGES)
+        rc = main(["graph-info", "--topology", "edge_list", "--t", "nan",
+                   "--set", f"topology.path={edges}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: topology.t must be finite, got 'nan'\n"
+        assert not list(tmp_path.rglob("*.csv"))

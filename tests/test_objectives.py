@@ -194,8 +194,9 @@ class TestLogistic:
     @pytest.mark.parametrize("seed", [8, 20, 39])
     def test_newton_passes_rounding_floor(self, seed):
         # the fig2-heterogeneous data at these seeds: near the optimum the
-        # full Newton step raises f by one ulp, and the line search must take
-        # it rather than crawl with tiny steps until the iteration cap
+        # full Newton step raises f by one ulp, which once stalled a line
+        # search on f; backtracking on ||grad f|| takes the step and stops at
+        # ||grad f|| <= 1e-12
         obj = generate_logistic_problem(m=12, n=50, d=2, heterogeneity_spread=2.0,
                                         lambda_reg=0.1, seed=seed)
         assert np.linalg.norm(obj._mean_grad(obj.theta_star)) <= 1e-12

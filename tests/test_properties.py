@@ -1,6 +1,6 @@
 """Property tests: the block-wise draw reader against single streams, the
-Newton solve for Theta_det against the Picard oracle, and the sigmoid against
-its mask-based reference."""
+Newton solve for Theta_det against the Picard oracle, the shared Newton loop
+on theta*, and the sigmoid against its mask-based reference."""
 
 import inspect
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dsgd_lab.dynamics import _Draws, fixed_point, solve_fixed_point
+from dsgd_lab.matops import damped_newton
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.topology import build_fully_connected, build_ring
@@ -84,6 +85,23 @@ def test_newton_fixed_point_agrees_with_picard(kind, m, d, ring, seed, frac):
     gap = np.linalg.norm(newton.point.data - picard.point.data)
     slack = _rounding_floor(obj, gamma, newton.point) + _rounding_floor(obj, gamma, picard.point)
     assert gap <= (newton.residual + picard.residual + slack) / rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 50), d=st.integers(1, 4),
+       lam=st.floats(0.01, 1.0), spread=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_newton_finds_theta_star(m, n, d, lam, spread, seed):
+    obj = generate_logistic_problem(m=m, n=n, d=d, heterogeneity_spread=spread,
+                                    lambda_reg=lam, seed=seed)
+    assert np.linalg.norm(obj._mean_grad(obj.theta_star)) <= 1e-12
+    # a quadratic through the same loop at tol 0 lands on the direct solve
+    quad = _problem("quadratic", m, d, seed)
+    rhs = np.einsum("kij,kj->i", quad.A, quad.theta_loc_star) / m
+    x, r = damped_newton(lambda x: quad.Abar @ x - rhs, lambda x: quad.Abar, np.zeros(d), 0.0)
+    assert r <= np.linalg.norm(quad.Abar @ quad.theta_star - rhs)
+    cond = np.linalg.cond(quad.Abar)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(x - quad.theta_star) <= 8 * d * eps * cond * np.linalg.norm(quad.theta_star)
 
 
 def _sigmoid_masked(z):

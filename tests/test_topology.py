@@ -116,6 +116,16 @@ class TestClusters:
 
 
 class TestFromLaplacian:
+    def test_nan_step_is_rejected(self):
+        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(InvalidParamError, match="non-finite"):
+            from_laplacian(L, np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_comm_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidParamError, match="non-finite"):
+            CommMatrix.from_entries([[0.5, 0.5], [0.5, bad]])
+
     def test_two_node_path(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         W = from_laplacian(L, 0.5)
