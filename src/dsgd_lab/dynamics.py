@@ -38,7 +38,7 @@ from .noise import (
     Minibatch,
     NoiseStream,
     _check_model,
-    _subset_mean,
+    _picked,
     smoothness_constant,
 )
 from .objectives import ObjectiveSet, _sigmoid
@@ -210,23 +210,28 @@ def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray,
     broadcast over the stack. draw is None for noiseless
     chains; otherwise it holds the step's draws for each replicate, shaped
     (1, R, width) when all C chains share them and (C, R, width) when each
-    chain has its own. Shared draws become noise (or subset indices) once
-    and are broadcast over the chains.
+    chain has its own. Shared draws are turned once, into noise or into
+    subset indices and the picked samples' rows, and broadcast over the
+    chains.
     """
+    return np.matmul(W, Th - gammas * _drift(obj, noise, Th, draw))
+
+
+def _drift(obj: ObjectiveSet, noise, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
+    """The stack's (C, R, m, d) stochastic gradients at _step's draws."""
     _, R, m, d = Th.shape
     if isinstance(noise, Minibatch):
         # the subsample mean is the gradient plus the noise, so the full
-        # data gradient is never needed
-        X = obj.data
-        persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
-        keys = draw.reshape(-1, R, m, obj.n)
-        drift = _subset_mean(persample, keys, noise.batch_size) + obj.lambda_reg * Th
-    else:
-        drift = obj._grad_batch(Th)
-        if noise is not None:
-            z = draw.reshape(-1, R, m, d)
-            drift = drift + np.einsum("kij,...kj->...ki", noise.factors, z)
-    return np.matmul(W, Th - gammas * drift)
+        # data gradient is never needed, and only the b picked samples'
+        # sigmoids are: Xb is (1 or C, R, m, b, d)
+        Xb = _picked(obj.data, draw.reshape(-1, R, m, obj.n), noise.batch_size)
+        s = _sigmoid(np.einsum("...kd,...kbd->...kb", Th, Xb))
+        return (s[..., None] * Xb).mean(axis=-2) + obj.lambda_reg * Th
+    drift = obj._grad_batch(Th)
+    if noise is not None:
+        z = draw.reshape(-1, R, m, d)
+        drift = drift + np.einsum("kij,...kj->...ki", noise.factors, z)
+    return drift
 
 
 def _lane(noise, obj: ObjectiveSet):

@@ -159,6 +159,9 @@ class AdditiveGaussian:
 
     @classmethod
     def isotropic(cls, m: int, d: int, sigma2: float) -> "AdditiveGaussian":
+        # checked before sigma2 * I is formed, where inf * 0 would warn
+        if not np.isfinite(sigma2):
+            raise InvalidParamError(f"sigma2 is non-finite: {sigma2}")
         if sigma2 < 0.0:
             raise InvalidParamError(f"sigma2 must be >= 0, got {sigma2}")
         return cls(C=np.tile(sigma2 * np.eye(d), (m, 1, 1)))
@@ -221,17 +224,18 @@ def _persample_grads(obj: LogisticObjectives, k: int, theta: np.ndarray) -> np.n
     return _sigmoid(X @ theta)[:, None] * X
 
 
-def _subset_mean(persample: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
-    """Mean of the b per-sample gradients that the selection words pick.
+def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
+    """The rows of the b samples per client that the selection words pick.
 
-    persample is (..., n, d) and keys (..., n), with as many leading axes;
-    a leading axis of length 1 in keys broadcasts, so one set of words
-    selects the same samples for every chain stacked along it. Each
-    row of n words picks the samples holding its b smallest words: a
-    uniform draw of b out of n without replacement.
+    rows is (m, n, ...) and keys (..., m, n). Each row of n words picks the
+    samples holding its b smallest words, in increasing order of the words:
+    a uniform draw of b out of n without replacement. Returns (..., m, b,
+    ...), so a leading axis of length 1 in keys gives one selection that
+    broadcasts over every chain stacked along it.
     """
-    idx = np.argsort(keys, axis=-1)[..., :b]
-    return np.take_along_axis(persample, idx[..., None], axis=-2).mean(axis=-2)
+    m, n = rows.shape[:2]
+    idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
+    return np.take(rows.reshape((m * n,) + rows.shape[2:]), idx, axis=0)
 
 
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
@@ -255,7 +259,7 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
         persample = np.stack(
             [_persample_grads(obj, k, Theta.block(k)) for k in range(obj.m)]
         )
-        eps = _subset_mean(persample, keys, model.batch_size) - persample.mean(axis=1)
+        eps = _picked(persample, keys, model.batch_size).mean(axis=-2) - persample.mean(axis=1)
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -353,7 +357,7 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
             stop = min(start + stream.block_size, n_draws)
             blk = stream.raw_block(start // stream.block_size, width)
             keys = blk[: stop - start].reshape(-1, m, n)
-            eps = _subset_mean(persample[None], keys, b) - full
+            eps = _picked(persample, keys, b).mean(axis=-2) - full
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     return sq_norms
 

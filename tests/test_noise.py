@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,8 +83,11 @@ class TestStream:
 class TestAdditiveGaussian:
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
     def test_non_finite_covariance_is_rejected(self, sigma2):
-        with np.errstate(invalid="ignore"), pytest.raises(InvalidParamError, match="non-finite"):
-            AdditiveGaussian.isotropic(2, 2, sigma2)
+        # rejected before sigma2 * I is formed, so no RuntimeWarning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamError, match="non-finite"):
+                AdditiveGaussian.isotropic(2, 2, sigma2)
 
     def test_zero_covariance_draws_zero(self, quad_obj):
         model = AdditiveGaussian.isotropic(2, 1, 0.0)

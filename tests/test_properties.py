@@ -1,13 +1,14 @@
 """Property tests: the block-wise draw reader against single streams, the
 Newton solve for Theta_det against the Picard oracle, the shared Newton loop
-on theta*, and the sigmoid against its mask-based reference."""
+on theta*, the sigmoid against its mask-based reference, and the minibatch
+drift against the full per-sample gradient formula."""
 
 import inspect
 
 import numpy as np
 import pytest
 
-from dsgd_lab.dynamics import _Draws, fixed_point, solve_fixed_point
+from dsgd_lab.dynamics import _drift, _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.matops import damped_newton
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
@@ -131,3 +132,32 @@ def test_sigmoid_is_bitwise_the_masked_formula(values):
     nan = np.isnan(z)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
+def _subset_mean(persample, keys, b):
+    """The reference selection: the mean of the b rows of the full
+    per-sample gradients that hold the smallest words."""
+    idx = np.argsort(keys, axis=-1)[..., :b]
+    return np.take_along_axis(persample, idx[..., None], axis=-2).mean(axis=-2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=st.integers(1, 2), shared=st.booleans(), R=st.integers(1, 4), m=st.integers(1, 5),
+       n=st.integers(1, 50), d=st.integers(1, 5), tied=st.booleans(),
+       scale=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_minibatch_drift_is_bitwise_the_full_gradient_formula(C, shared, R, m, n, d, tied,
+                                                             scale, seed, data):
+    b = data.draw(st.integers(1, n), label="b")
+    obj = generate_logistic_problem(m=m, n=n, d=d, seed=seed)
+    rng = np.random.default_rng(seed)
+    Th = scale * rng.standard_normal((C, R, m, d))
+    # words as _Draws gives them: (1, R, m*n) shared by the chains or (C, R, m*n);
+    # a narrow range makes ties, which argsort must break the same way
+    high = 3 if tied else 2**64
+    draw = rng.integers(0, high, size=(1 if shared else C, R, m * n), dtype=np.uint64)
+    got = _drift(obj, Minibatch(b), Th, draw)
+    X = obj.data
+    persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
+    want = _subset_mean(persample, draw.reshape(-1, R, m, n), b) + obj.lambda_reg * Th
+    assert got.shape == want.shape == (C, R, m, d)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
