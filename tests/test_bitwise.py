@@ -141,7 +141,6 @@ def test_run_moments_are_pinned(case):
     assert got == MOMENT_DIGESTS[case]
 
 
-
 # minibatch rr_run, (coupling, m, d, b) with n = 8 samples per client: shared
 # draws are keyed (1, R, m, n) and broadcast over the gamma and gamma/2
 # chains, independent ones (2, R, m, n); b = 1 and b = n are the edges of
@@ -150,32 +149,32 @@ RR_CASES = [("shared", 3, 2, 3), ("independent", 3, 2, 3), ("shared", 2, 3, 1),
             ("independent", 2, 3, 8), ("shared", 4, 5, 8), ("independent", 1, 4, 1)]
 
 RR_DIGESTS = {
-    ('shared', 3, 2, 3): {
+    ("shared", 3, 2, 3): {
         "stat_sum": "a49693a9db1d9c2e38f9f95ac7e4aed77b3ad1f349d5b9295a8a80d60dce0484",
         "stat_outer": "4b65f1b865069ec1d57ff6e44cf67d87d50ec0656e5b6806da68d529f7df5209",
         "final": "f4ad0c395a5ae4b2b5682e52689abf646b5c30d4b55a27d2cef6f8e21d82bcfc",
     },
-    ('independent', 3, 2, 3): {
+    ("independent", 3, 2, 3): {
         "stat_sum": "f52b377fe9fd1ffcf9a67c5b7ec93cc549ce4d7b8f6054b63c1f6fdcc7f5d0b8",
         "stat_outer": "ee949611c779df10679748cc4e1612c3fe2c9263117ee45cf5e58c81bb6fb3a0",
         "final": "fb6b282ca2b1b2143623b37804d422bcd539c768489ffe7fdcddf94052332f72",
     },
-    ('shared', 2, 3, 1): {
+    ("shared", 2, 3, 1): {
         "stat_sum": "ee6de99793cc778374632e6794054a507875cb426ddf5d953530cad0849a021a",
         "stat_outer": "e29988d6cd84839eaa5406312b9fcd7ec81e82680fe8317b914b5ac35ccc0f78",
         "final": "833a853633202ac7b45a010d840d2e176d1cc65110eb2c5e1148e9155d30d2cd",
     },
-    ('independent', 2, 3, 8): {
+    ("independent", 2, 3, 8): {
         "stat_sum": "f6c27e85e346ffd7afddc7c90850c5c385421196c3f04b519147129c1c7e4fb2",
         "stat_outer": "abcf515f9e758717e8fa0c19a68e49e10201a041f00f19f73f5e63fd9f108a04",
         "final": "d44bec73e414ba83c36bd290ad8d39e583cbfe80b7d4e9e53fcf3e55e2b31d00",
     },
-    ('shared', 4, 5, 8): {
+    ("shared", 4, 5, 8): {
         "stat_sum": "bfe967e6b854c8cca16ef1dd85f2dbc4adce6559ec08a10b9c059cc394d17bb7",
         "stat_outer": "49d7e84b28d95f1b03d841130e3b2e4f640011dc71cde66efa47c630ba6e51c5",
         "final": "c3c94b66a3cf19c9230932ebd4409b4b7f1cb1e498852e219135c5297528c109",
     },
-    ('independent', 1, 4, 1): {
+    ("independent", 1, 4, 1): {
         "stat_sum": "29f6093cc36f07aeec77c0df8a7eb438967dc21e99b7d647e36c66a0d3fde585",
         "stat_outer": "d1b9136b44e29844f0787a30e78004395171ae1d576276aea489816abffa4dff",
         "final": "58d8549d24ac09bb3a35e8746fa8e14fbab1e288aea774489b30157a4129cfdd",
@@ -199,6 +198,7 @@ def test_rr_run_moments_are_pinned(case):
     got = {"stat_sum": _digest(stat_sum), "stat_outer": _digest(stat_outer),
            "final": _digest(final)}
     assert got == RR_DIGESTS[case]
+
 
 # theta* of the presets' problems and of the fig2-heterogeneous data seeds
 # whose Newton solve once stalled in its line search
