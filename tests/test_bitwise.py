@@ -19,8 +19,10 @@ import pytest
 
 from dsgd_lab.cli import build_objective, preset_config
 from dsgd_lab.dynamics import RunConfig, rr_run, run
-from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
+from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
+                             sample_noise, tau_squares)
 from dsgd_lab.objectives import generate_logistic_problem
+from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.topology import build_fully_connected, build_ring
 
 
@@ -229,3 +231,64 @@ def _optimum_problem(kind, value):
 @pytest.mark.parametrize("case", OPTIMUM_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_theta_star_is_pinned(case):
     assert _digest(_optimum_problem(*case).theta_star) == OPTIMUM_DIGESTS[case]
+
+
+# the tau pass: (tau_2^2, tau_4^2) and the per-draw squared norms it is
+# formed from, on predict's fig2-heterogeneous problem at its 20,000 draws
+# (m=12, n=50, d=2, b=10) and on a d=3, b=8 problem whose last block is
+# partial
+TAU_CASES = [("fig2-heterogeneous", 20_000), ("d3-b8", 1_300)]
+
+TAU_DIGESTS = {
+    "fig2-heterogeneous": {
+        "tau_squares": "6cb83f4baf3ec7c30e125f7cceac9e61fd7527166c730d6b85a0708c0e10d1f8",
+        "sq_norms": "f01b81dade59bbc0ce85214f4535d67c9c1906240238ed430841160b7cc611d8",
+    },
+    "d3-b8": {
+        "tau_squares": "69842fb19e4363776f51e1b1b187f2d45bf77892b730c70356bc0ce634ad6fb3",
+        "sq_norms": "95479a0fe17b93f326665773bad7a3368e436a5777bbbc8c697cf3368dee6f80",
+    },
+}
+
+
+def _tau_problem(name):
+    if name == "fig2-heterogeneous":
+        cfg = preset_config(name)
+        return build_objective(cfg, cfg.get("topology", "m")), Minibatch(cfg.get("noise", "batch_size"))
+    return generate_logistic_problem(m=4, n=20, d=3, seed=17), Minibatch(8)
+
+
+@pytest.mark.parametrize("case", TAU_CASES, ids=lambda case: case[0])
+def test_tau_pass_is_pinned(case):
+    name, n_draws = case
+    obj, model = _tau_problem(name)
+    point = obj.theta_star_stacked
+    got = {"tau_squares": _digest(np.array(tau_squares(model, obj, point, n_draws, seed=0))),
+           "sq_norms": _digest(_tau_sq_norms(model, obj, point, n_draws, seed=0))}
+    assert got == TAU_DIGESTS[name]
+
+
+# minibatch sample_noise at a point away from theta*, over steps that cross
+# a block boundary; n = 12, so b = 1, 8 and n are three different selections
+SAMPLE_CASES = [(d, b) for d in (2, 3) for b in (1, 8, 12)]
+
+SAMPLE_DIGESTS = {
+    (2, 1): "efb0a0498ed6f4abf90e1ca41cbdc11b4cfa5f4e4f0f5f442505a6a11f9590df",
+    (2, 8): "4b0d83168d5ba795244a82d55dd6983ca4806654262c1b29ca9beb58b9398260",
+    (2, 12): "298a492726cb6c8dee95c7182b4e20633f49a48f203bdca03945f3a8f8694b7e",
+    (3, 1): "6b20e2ad19a7896e78a048167505d071b29d0322cb0030d5d977ff74d9f5a074",
+    (3, 8): "4ca9d89cd6ef3aae2d61eb10fb083e7b2844b69f5918b56862f41027f4219f12",
+    (3, 12): "76cf474908901b814dc4d0634c973dc9798f4074fa6ff3811896add5ffa45442",
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_CASES, ids=lambda case: "d{}-b{}".format(*case))
+def test_minibatch_sample_noise_is_pinned(case):
+    d, b = case
+    obj = generate_logistic_problem(m=3, n=12, d=d, seed=19)
+    rng = np.random.default_rng(23)
+    point = StackedPoint(obj.m, d, obj.theta_star_stacked.data + rng.standard_normal((obj.m, d)))
+    stream = NoiseStream(seed=29, replicate=2)
+    eps = np.stack([sample_noise(Minibatch(b), obj, point, stream, t).data
+                    for t in range(0, 700, 9)])
+    assert _digest(eps) == SAMPLE_DIGESTS[case]
