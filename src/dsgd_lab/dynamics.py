@@ -38,6 +38,7 @@ from .noise import (
     Minibatch,
     NoiseStream,
     _check_model,
+    _pick_mean,
     _picked,
     smoothness_constant,
 )
@@ -223,10 +224,10 @@ def _drift(obj: ObjectiveSet, noise, Th: np.ndarray, draw: np.ndarray | None) ->
     if isinstance(noise, Minibatch):
         # the subsample mean is the gradient plus the noise, so the full
         # data gradient is never needed, and only the b picked samples'
-        # sigmoids are: Xb is (1 or C, R, m, b, d)
+        # sigmoids are: Xb is (b, 1 or C, R, m, d) and s (b, C, R, m)
         Xb = _picked(obj.data, draw.reshape(-1, R, m, obj.n), noise.batch_size)
-        s = _sigmoid(np.einsum("...kd,...kbd->...kb", Th, Xb))
-        return (s[..., None] * Xb).mean(axis=-2) + obj.lambda_reg * Th
+        s = _sigmoid(np.einsum("...kd,...kd->...k", Th, Xb))
+        return _pick_mean(s[..., None] * Xb) + obj.lambda_reg * Th
     drift = obj._grad_batch(Th)
     if noise is not None:
         z = draw.reshape(-1, R, m, d)

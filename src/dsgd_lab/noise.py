@@ -229,13 +229,28 @@ def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
 
     rows is (m, n, ...) and keys (..., m, n). Each row of n words picks the
     samples holding its b smallest words, in increasing order of the words:
-    a uniform draw of b out of n without replacement. Returns (..., m, b,
-    ...), so a leading axis of length 1 in keys gives one selection that
-    broadcasts over every chain stacked along it.
+    a uniform draw of b out of n without replacement. Returns (b, ..., m,
+    ...), the pick axis first, so that each pick is one contiguous block
+    for _pick_mean; a leading axis of length 1 in keys gives one selection
+    that broadcasts over every chain stacked along it.
     """
     m, n = rows.shape[:2]
     idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
-    return np.take(rows.reshape((m * n,) + rows.shape[2:]), idx, axis=0)
+    return np.take(rows.reshape((m * n,) + rows.shape[2:]), np.moveaxis(idx, -1, 0), axis=0)
+
+
+def _pick_mean(picked: np.ndarray) -> np.ndarray:
+    """The mean over the leading pick axis of _picked's rows.
+
+    The b rows are summed in pick order, then divided by b. numpy's own
+    reductions choose their order from the memory layout (pairwise over a
+    contiguous axis of 8 or more, sequential otherwise), so the explicit
+    loop keeps every subset mean one function of its picks, at any shape.
+    """
+    total = picked[0].copy()
+    for row in picked[1:]:
+        total += row
+    return total / len(picked)
 
 
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
@@ -259,7 +274,7 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
         persample = np.stack(
             [_persample_grads(obj, k, Theta.block(k)) for k in range(obj.m)]
         )
-        eps = _picked(persample, keys, model.batch_size).mean(axis=-2) - persample.mean(axis=1)
+        eps = _pick_mean(_picked(persample, keys, model.batch_size)) - persample.mean(axis=1)
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -310,6 +325,9 @@ def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
     """
     if p not in (2, 4):
         raise InvalidParamError(f"p must be 2 or 4, got {p}")
+    # the standard error takes the draws' spread with ddof=1
+    if n_draws < 2:
+        raise InvalidParamError(f"n_draws must be >= 2, got {n_draws}")
     _check_model(model, obj)
     return _tau_estimate(model, _tau_sq_norms(model, obj, Theta_star, n_draws, seed), p)
 
@@ -322,6 +340,8 @@ def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     and draws nothing; any other model gets both moments from one pass
     over the same n_draws draws (estimate_tau's value).
     """
+    if n_draws < 1:
+        raise InvalidParamError(f"n_draws must be >= 1, got {n_draws}")
     _check_model(model, obj)
     if isinstance(model, AdditiveGaussian):
         taus = (_tau_exact(model, 2), _tau_exact(model, 4))
@@ -357,7 +377,7 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
             stop = min(start + stream.block_size, n_draws)
             blk = stream.raw_block(start // stream.block_size, width)
             keys = blk[: stop - start].reshape(-1, m, n)
-            eps = _picked(persample, keys, b).mean(axis=-2) - full
+            eps = _pick_mean(_picked(persample, keys, b)) - full
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     return sq_norms
 

@@ -262,6 +262,35 @@ class TestTau:
         with pytest.raises(InvalidParamError):
             estimate_tau(model, quad_obj, StackedPoint.zeros(2, 1), p=3)
 
+    @pytest.mark.parametrize("n_draws", [1, 0, -5])
+    def test_estimate_tau_needs_two_draws(self, quad_obj, logit_obj, n_draws):
+        # the standard error takes the draws' spread with ddof=1, which one
+        # draw does not have; no draw count below 2 may warn and return NaN
+        for model, obj in [(Minibatch(batch_size=2), logit_obj),
+                           (AdditiveGaussian.isotropic(2, 1, 1.0), quad_obj)]:
+            Theta = StackedPoint.zeros(obj.m, obj.d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParamError, match="n_draws"):
+                    estimate_tau(model, obj, Theta, p=2, n_draws=n_draws)
+
+    @pytest.mark.parametrize("n_draws", [0, -5])
+    def test_tau_squares_needs_a_draw(self, quad_obj, logit_obj, n_draws):
+        for model, obj in [(Minibatch(batch_size=2), logit_obj),
+                           (AdditiveGaussian.isotropic(2, 1, 1.0), quad_obj)]:
+            Theta = StackedPoint.zeros(obj.m, obj.d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParamError, match="n_draws"):
+                    tau_squares(model, obj, Theta, n_draws=n_draws)
+
+    def test_one_draw_gives_tau_squares(self, logit_obj):
+        Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau2_sq, tau4_sq = tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1)
+        assert np.isfinite(tau2_sq) and tau2_sq <= tau4_sq
+
     def test_tau_squares_are_the_squares_of_estimate_tau(self, quad_obj, logit_obj):
         cases = [
             (Minibatch(batch_size=2), logit_obj,

@@ -1,18 +1,30 @@
 """Property tests: the block-wise draw reader against single streams, the
 Newton solve for Theta_det against the Picard oracle, the shared Newton loop
-on theta*, the sigmoid against its mask-based reference, and the minibatch
-drift against the full per-sample gradient formula."""
+on theta*, the sigmoid against its mask-based reference, the minibatch
+drift against the full per-sample gradient formula, and every topology
+builder's W against the block average."""
 
+import io
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from dsgd_lab.dynamics import _drift, _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.matops import damped_newton
-from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream
+from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream, sample_noise
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
-from dsgd_lab.topology import build_fully_connected, build_ring
+from dsgd_lab.stacked import StackedPoint
+from dsgd_lab.topology import (
+    apply_comm,
+    build_clusters,
+    build_fully_connected,
+    build_ring,
+    from_laplacian,
+    load_edge_list,
+    project_consensus,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -134,11 +146,21 @@ def test_sigmoid_is_bitwise_the_masked_formula(values):
     assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
 
 
-def _subset_mean(persample, keys, b):
-    """The reference selection: the mean of the b rows of the full
-    per-sample gradients that hold the smallest words."""
+def _picked_rows(persample, keys, b):
+    """The reference selection: the b rows of the full per-sample gradients
+    that hold the smallest words, in increasing order of the words."""
     idx = np.argsort(keys, axis=-1)[..., :b]
-    return np.take_along_axis(persample, idx[..., None], axis=-2).mean(axis=-2)
+    return np.take_along_axis(persample, idx[..., None], axis=-2)
+
+
+def _subset_mean(persample, keys, b):
+    """The reference mean: the picked rows added one at a time in pick
+    order, then divided by b."""
+    rows = _picked_rows(persample, keys, b)
+    total = rows[..., 0, :]
+    for j in range(1, b):
+        total = total + rows[..., j, :]
+    return total / b
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,3 +183,90 @@ def test_minibatch_drift_is_bitwise_the_full_gradient_formula(C, shared, R, m, n
     want = _subset_mean(persample, draw.reshape(-1, R, m, n), b) + obj.lambda_reg * Th
     assert got.shape == want.shape == (C, R, m, d)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, b", [(8, 8), (20, 9), (50, 10), (50, 50)])
+def test_one_client_one_coordinate_sums_in_pick_order(n, b):
+    # with C = R = m = d = 1 the b picked terms are one contiguous column,
+    # which numpy's own mean over it would sum pairwise
+    obj = generate_logistic_problem(m=1, n=n, d=1, seed=n + b)
+    rng = np.random.default_rng(b)
+    for t in range(20):
+        Th = 10.0 * rng.standard_normal((1, 1, 1, 1))
+        draw = rng.integers(0, 2**64, size=(1, 1, n), dtype=np.uint64)
+        persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, obj.data))[..., None] * obj.data
+        want = _subset_mean(persample, draw.reshape(1, 1, 1, n), b) + obj.lambda_reg * Th
+        got = _drift(obj, Minibatch(b), Th, draw)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # sample_noise reads its words from the stream at step t
+        point = StackedPoint(1, 1, Th[0, 0])
+        stream = NoiseStream(seed=b, replicate=n)
+        keys = stream.raw_at(t, n).reshape(1, n)
+        persample = _sigmoid(obj.data @ Th[0, 0, 0])[..., None] * obj.data
+        want = _subset_mean(persample, keys, b) - persample.mean(axis=1)
+        got = sample_noise(Minibatch(b), obj, point, stream, t).data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(C=st.integers(1, 2), shared=st.booleans(), R=st.integers(1, 4), m=st.integers(1, 5),
+       n=st.integers(8, 50), scale=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_minibatch_drift_at_d1_is_within_rounding_of_numpy_mean_and_fsum(C, shared, R, m, n,
+                                                                        scale, seed, data):
+    # d = 1 and b >= 8 is where numpy's .mean over b may sum pairwise instead
+    # of in pick order, so there the pick-order drift is bounded, not equal
+    b = data.draw(st.integers(8, n), label="b")
+    obj = generate_logistic_problem(m=m, n=n, d=1, seed=seed)
+    rng = np.random.default_rng(seed)
+    Th = scale * rng.standard_normal((C, R, m, 1))
+    draw = rng.integers(0, 2**64, size=(1 if shared else C, R, m * n), dtype=np.uint64)
+    got = _drift(obj, Minibatch(b), Th, draw)
+    X = obj.data
+    persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
+    terms = np.broadcast_to(_picked_rows(persample, draw.reshape(-1, R, m, n), b),
+                            (C, R, m, b, 1))
+    ridge = obj.lambda_reg * Th
+    numpy_mean = terms.mean(axis=-2) + ridge
+    exact = np.array([math.fsum(row) for row in terms.reshape(-1, b)]).reshape(C, R, m, 1)
+    fsum_mean = exact / b + ridge
+    # two orders of a b-term sum differ by at most b eps sum|terms|, which the
+    # mean divides by b; adding the ridge term rounds each side once more
+    eps = np.finfo(float).eps
+    tol = b * eps * np.abs(terms).sum(axis=-2) / b + eps * np.abs(got)
+    assert np.all(np.abs(got - numpy_mean) <= tol)
+    assert np.all(np.abs(got - fsum_mean) <= tol)
+
+
+@st.composite
+def _topologies(draw):
+    """A W from each builder: fully connected, ring, clusters, or an edge
+    list read as text, with its Laplacian step inside the builder's gate."""
+    kind = draw(st.sampled_from(["fully_connected", "ring", "clusters", "edge_list"]))
+    if kind == "fully_connected":
+        return build_fully_connected(draw(st.integers(1, 20)))
+    if kind == "ring":
+        return build_ring(draw(st.integers(3, 20)), draw(st.floats(0.01, 0.5)))
+    frac = draw(st.floats(0.05, 1.0))
+    if kind == "clusters":
+        k, size = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+        bridge = draw(st.floats(0.1, 2.0))
+        return build_clusters(k * size, k, frac / (size - 1 + bridge), bridge)
+    # a random spanning tree keeps the graph connected; extra edges close cycles
+    m = draw(st.integers(2, 15))
+    weight = st.floats(0.1, 2.0)
+    edges = [(draw(st.integers(0, i - 1)), i, draw(weight)) for i in range(1, m)]
+    for _ in range(draw(st.integers(0, m))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if i != j:
+            edges.append((i, j, draw(weight)))
+    L = load_edge_list(io.StringIO("".join(f"{i} {j} {w!r}\n" for i, j, w in edges)))
+    return from_laplacian(L, frac / np.max(np.diag(L)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(W=_topologies(), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_mixing_preserves_block_average_for_every_builder(W, d, seed):
+    X = StackedPoint(W.m, d, np.random.default_rng(seed).standard_normal((W.m, d)))
+    got = project_consensus(apply_comm(W, X)).data
+    assert np.all(np.abs(got - project_consensus(X).data) <= 1e-12)
