@@ -236,7 +236,10 @@ def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
     """
     m, n = rows.shape[:2]
     idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
-    return np.take(rows.reshape((m * n,) + rows.shape[2:]), np.moveaxis(idx, -1, 0), axis=0)
+    # the pick axis to the front: the same view as np.moveaxis, at a fraction
+    # of its per-call cost, which small single draws pay
+    idx = idx.transpose(idx.ndim - 1, *range(idx.ndim - 1))
+    return np.take(rows.reshape((m * n,) + rows.shape[2:]), idx, axis=0)
 
 
 def _pick_mean(picked: np.ndarray) -> np.ndarray:
