@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dsgd_lab.cli import build_objective, preset_config
-from dsgd_lab.dynamics import RunConfig, rr_run, run
+from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
 from dsgd_lab.objectives import generate_logistic_problem
@@ -292,3 +292,118 @@ def test_minibatch_sample_noise_is_pinned(case):
     eps = np.stack([sample_noise(Minibatch(b), obj, point, stream, t).data
                     for t in range(0, 700, 9)])
     assert _digest(eps) == SAMPLE_DIGESTS[case]
+
+
+# Gaussian run at the AC10 shape (m = d = 1, n = 25, R = 128) over three
+# 512-step blocks
+def test_gaussian_run_at_the_ac10_shape_is_pinned():
+    obj = generate_logistic_problem(m=1, n=25, d=1, heterogeneity_spread=1.2,
+                                    lambda_reg=0.1, seed=7)
+    cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=1100, seed=21, replicates=128,
+                    burn_in=100, record_every=1100)
+    rec = run(build_fully_connected(1), obj, AdditiveGaussian.isotropic(1, 1, 1.0), cfg,
+              obj.theta_star_stacked)
+    assert rec.stat_count == 1000
+    got = {"stat_sum": _digest(rec.stat_sum), "stat_outer": _digest(rec.stat_outer),
+           "final": _digest(rec.final)}
+    assert got == {
+        "stat_sum": "269d405132f9e3220e921dd41cd88d5310c1ca90c6498195b89478cc94c9b489",
+        "stat_outer": "b16613b75794ed77b7a037dafffc1597eb9e1e9e0adbde9b7fa02a92ed1232ee",
+        "final": "18e17f43892ca9a6fccf743e1af9f2ac8864abc4cc8bc8741730957a8b6bf807",
+    }
+
+
+# Gaussian rr_run, (coupling, m, d): shared draws are (1, R, m*d) and
+# broadcast over the gamma and gamma/2 chains, independent ones (2, R, m*d)
+GAUSS_RR_CASES = [("shared", 3, 2), ("independent", 3, 2), ("shared", 1, 1),
+                  ("independent", 2, 3)]
+
+GAUSS_RR_DIGESTS = {
+    ("shared", 3, 2): {
+        "stat_sum": "144f3abcef5cc355bf68724a456c7bff2cf20db65a6662e2088d475be17be301",
+        "stat_outer": "294e84df9d6b858f9c0fe9cc28108999cd8d6f2b6ceb665901237891ad018077",
+        "final": "1b0212d81495f12d13d5d4eda10ebb276c03c5b107d903e97e0fb0d4b48ba90a",
+    },
+    ("independent", 3, 2): {
+        "stat_sum": "dc8d63b45528a48ae5fc202caa434a374cc65289906d7d07f61c71cf1de375f9",
+        "stat_outer": "cf8305027ea4a3c5333ae81ec28e301662769d973e4b6dbed6911a4680054bbb",
+        "final": "8c2b40d18548aedf3ba2236f4ce37b88fe9778148b075b28ea6f88b61811ee1c",
+    },
+    ("shared", 1, 1): {
+        "stat_sum": "f53ef57336612a1583650e542fdc47ee1561e10158c1088a0d696e153a1db13a",
+        "stat_outer": "4d9f866fe8353941f23a75afa9f3fd448b06751a7097a8165aa9a5ccac609cbf",
+        "final": "ee9562fed15c3eda7d5234480792ce2bf8cd8a5e6cbfec35e51ac47b8c3d7baf",
+    },
+    ("independent", 2, 3): {
+        "stat_sum": "9145e5c6f1166d0bad31b8d8e988924dbe7ae85129e346dee5d94cd06647d172",
+        "stat_outer": "5298033e2471ed0fecc4d2a86db76ba7c2684f7c3f57a4b27061c07717319c9c",
+        "final": "c5b7b1ae045c8133e5849583b7a434e533de188f02b6c66802c8711f29abc9c6",
+    },
+}
+
+
+@pytest.mark.parametrize("case", GAUSS_RR_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_gaussian_rr_run_moments_are_pinned(case):
+    coupling, m, d = case
+    obj = generate_logistic_problem(m=m, n=8, d=d, seed=13)
+    W = build_ring(m, 0.3) if m >= 3 else build_fully_connected(m)
+    cfg = RunConfig(algorithm="rr_dsgd", gamma=0.5 / obj.L, T=700, seed=7, replicates=3,
+                    burn_in=100, record_every=700, coupling=coupling)
+    rec = rr_run(W, obj, AdditiveGaussian.isotropic(m, d, 0.5), cfg, obj.theta_star_stacked)
+    assert rec.stat_count == 600
+    got = {"stat_sum": _digest(rec.stat_sum), "stat_outer": _digest(rec.stat_outer),
+           "final": _digest(rec.final)}
+    assert got == GAUSS_RR_DIGESTS[case]
+
+
+# Gaussian coupled_run: two starts, one set of draws, over two blocks
+COUPLED_DIGEST = "5c6866faaa6b254fe059e7057845e324565565bfb757d01bf070e52e9f16f087"
+
+
+def test_gaussian_coupled_run_is_pinned():
+    obj = generate_logistic_problem(m=3, n=8, d=2, seed=13)
+    start = obj.theta_star_stacked
+    other = StackedPoint(3, 2, start.data + np.random.default_rng(31).standard_normal((3, 2)))
+    dist = coupled_run(build_ring(3, 0.3), obj, AdditiveGaussian.isotropic(3, 2, 0.5),
+                       0.5 / obj.L, 700, start, other, seed=9, replicates=3)
+    assert dist.shape == (701,)
+    assert _digest(dist) == COUPLED_DIGEST
+
+
+# the (C, R, width) grid that _Draws.at reads for a run, every step of the
+# first three blocks, at 7 streams (one chain) and 10 (two independent
+# chains of 5): counts that whole-stream chunks of the Gaussian lane do not
+# divide evenly at width 1 or 3; at width 36 one stream's block alone is
+# more than a chunk. (lane, width) -> (m, n, d) of the problem behind it
+GRID_SHAPES = {("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3),
+               ("gaussian", 36): (6, 2, 6), ("minibatch", 1): (1, 1, 1),
+               ("minibatch", 3): (1, 3, 1), ("minibatch", 36): (4, 9, 1)}
+GRID_IDS = {"1x7": [range(7)], "2x5": [range(0, 10, 2), range(1, 10, 2)]}
+
+GRID_DIGESTS = {
+    ("gaussian", 1, "1x7"): "7a141d8f05f8280bfe1151f56cc4d5fa29dd696ec53c1d7a30c2fbb7f1ed4077",
+    ("gaussian", 1, "2x5"): "3355a63c86b16f9207aac7ba55327158ddc8fbda996ad2060d922310b3997d66",
+    ("gaussian", 3, "1x7"): "0cb0153a0ced7e4de42cafee6dfc8e090695c88ce09cda7e29cb7c20de0e000a",
+    ("gaussian", 3, "2x5"): "00a27b2520ecd0177ee9b9991b904fe7dab950afd95375cc8a940be43132acd2",
+    ("gaussian", 36, "1x7"): "6ff927a55c4179b80a7626019633a0027cd579b75fb735eb122e5170ef0e7b79",
+    ("gaussian", 36, "2x5"): "0494f05cda44a8e5116b26b80bf998ab416e2a4edb65da512be8d51d86bb1b36",
+    ("minibatch", 1, "1x7"): "d9bb10de8755f83fdc8babc64731f962a661675a8d08323ea00ba21bc8ebe975",
+    ("minibatch", 1, "2x5"): "a83fb0e69df7698991ea171b65d8d49a8b72504fb6606171ad7a85ecd2cf8c8b",
+    ("minibatch", 3, "1x7"): "30c27ba7f0472c1847fe57fcbff09f06600d834063bc14ac1412138b4707efd6",
+    ("minibatch", 3, "2x5"): "770a96e1adf8738b9e96b51489ace189a7c2c3452c61c6e59dab72645453c59e",
+    ("minibatch", 36, "1x7"): "95cd8c65b23aca11cc99a293d03b37259d085d37d3d07b4366154427b724f52d",
+    ("minibatch", 36, "2x5"): "85a9faad026b499cc974c170cd4bdbedad59feaa5db7f697ec32b292d9fc2d4b",
+}
+
+
+@pytest.mark.parametrize("ids", sorted(GRID_IDS))
+@pytest.mark.parametrize("shape", sorted(GRID_SHAPES), ids=lambda shape: "-".join(map(str, shape)))
+def test_draw_grid_is_pinned(shape, ids):
+    lane, width = shape
+    m, n, d = GRID_SHAPES[shape]
+    obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
+    model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
+    draws = _Draws(model, obj, 41, GRID_IDS[ids])
+    grid = np.stack([draws.at(t) for t in range(3 * 512)])
+    assert grid.shape == (3 * 512, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), width)
+    assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
