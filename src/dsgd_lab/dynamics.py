@@ -38,6 +38,7 @@ from .noise import (
     Minibatch,
     NoiseStream,
     _check_model,
+    _draw_blocks,
     _pick_mean,
     _picked,
     smoothness_constant,
@@ -236,10 +237,10 @@ def _drift(obj: ObjectiveSet, noise, Th: np.ndarray, draw: np.ndarray | None) ->
 
 
 def _lane(noise, obj: ObjectiveSet):
-    """The NoiseStream block reader a noise model draws from, and its width."""
+    """The NoiseStream purpose a noise model draws from, and its width."""
     if isinstance(noise, AdditiveGaussian):
-        return "normals_block", obj.m * obj.d
-    return "raw_block", obj.m * obj.n
+        return NoiseStream.PURPOSE_GAUSS, obj.m * obj.d
+    return NoiseStream.PURPOSE_SUBSET, obj.m * obj.n
 
 
 class _Draws:
@@ -253,7 +254,7 @@ class _Draws:
     def __init__(self, noise, obj: ObjectiveSet, seed: int, ids):
         self.streams = [NoiseStream(seed, r) for row in ids for r in row]
         self.shape = (len(ids), len(ids[0]))
-        self.lane, self.width = _lane(noise, obj)
+        self.purpose, self.width = _lane(noise, obj)
         self.block_size = self.streams[0].block_size
         self.block = -1
         self.buf = None
@@ -266,13 +267,11 @@ class _Draws:
         """
         b, row = divmod(t, self.block_size)
         if b != self.block:
-            for i, s in enumerate(self.streams):
-                block = getattr(s, self.lane)(b, self.width)
-                if self.buf is None:
-                    self.buf = np.empty(self.shape + block.shape, block.dtype)
-                self.buf[divmod(i, self.shape[1])] = block
+            # one (C * R, block_size, width) buffer, filled in place per block
+            self.buf = _draw_blocks(self.streams, self.purpose, b, self.width, self.buf)
+            self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
             self.block = b
-        return self.buf[:, :, row]
+        return self.grid[:, :, row]
 
 
 def _iterate(W: CommMatrix, obj: ObjectiveSet, noise, gammas, Th: np.ndarray,

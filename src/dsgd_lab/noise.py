@@ -13,14 +13,23 @@ backed by the Philox counter-based generator keyed from those coordinates,
 with normals produced by Box-Muller on the raw 64-bit words. This makes
 replicated runs reproducible under any scheduling, allows random access by
 step, and gives shared-noise couplings for free (two chains reading the same
-stream see identical draws). The block generators keep nothing: a run
-reads every stream's blocks in step order into one shared grid, and only
-the per-step readers (`raw_at`, `normals_at`) keep the last block they read,
-so random access regenerates a block it has moved away from.
+stream see identical draws).
+
+A key is two 64-bit words: one mixed from (seed, replicate) when a stream
+is made, one from (purpose, width, block) per block. Each stream keeps one
+generator and re-keys it for every block, under a lock of its own, so that
+no block pays for a new generator and a stream read from two threads still
+gives every block its own words. A run fills one block of all its streams
+at once with `_draw_blocks`, into one shared grid; its normals come from one
+Box-Muller pass per chunk of streams, so the temporaries stay small at any
+replicate count. Only the per-step readers (`raw_at`, `normals_at`) keep
+the last block they read, so random access regenerates a block it has
+moved away from.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +60,12 @@ __all__ = [
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
+# a generator's counter and buffer when it is (re-)keyed
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4.setflags(write=False)
+# Box-Muller pairs per pass of _draw_blocks: a pass over a whole R = 128 grid
+# of AC10-shape blocks raised a run's peak RSS by 4 MB
+_CHUNK_PAIRS = 2048
 
 
 def _mix64(x: int) -> int:
@@ -65,12 +80,17 @@ class NoiseStream:
     """Counter-based random stream for one replicate of one run.
 
     Draws are organized in blocks of ``block_size`` consecutive steps; the
-    block for (purpose, width, block_index) is generated by one Philox call
-    keyed on (seed, replicate, purpose, width, block_index). raw_block and
-    normals_block generate a block on every call; the per-step readers keep
-    the last block they read, so sequential access by step costs one
-    generator call per block, while random access stays exact and pays one
-    call per block switch.
+    block for (purpose, width, block_index) is the first words of a Philox
+    generator keyed on (seed, replicate, purpose, width, block_index). The
+    (seed, replicate) half of that key is mixed once, when the stream is
+    made, and the stream keeps one generator that it re-keys for every
+    block by setting its state (counter zero, nothing buffered), which
+    yields the words a new generator with that key would. _draw_blocks makes
+    a block for many streams at once; raw_block and normals_block are its
+    one-stream case and generate a block on every call. The per-step
+    readers keep the last block they read, so sequential access by step
+    costs one generator call per block, while random access stays exact and
+    pays one call per block switch.
     """
 
     PURPOSE_GAUSS = 1
@@ -82,55 +102,91 @@ class NoiseStream:
         self.seed = int(seed)
         self.replicate = int(replicate)
         self.block_size = int(block_size)
-        self._read = (None, None)  # ((lane, width, block), block) of the last _at
-
-    def _key(self, purpose: int, width: int, block: int) -> np.ndarray:
+        self._read = (None, None)  # ((purpose, width, block), block) of the last _at
         # chain the coordinates through the finalizer instead of xor-folding
         # them: xor is commutative, and (seed, replicate) pairs must not
         # collide under transposition
         k0 = _mix64(_mix64(_mix64(self.seed & _MASK)) ^ _mix64(self.replicate & _MASK))
-        k1 = _mix64(_mix64(_mix64(purpose) + width) + block)
-        return np.array([k0, k1], dtype=np.uint64)
+        self._key = np.array([k0, 0], dtype=np.uint64)  # word 1 is set per block
+        self._philox = Philox(0)  # re-keyed before every read
+        # re-keying and reading are two calls on the one generator
+        self._lock = threading.Lock()
+
+    def _words(self, lane: int, n: int) -> np.ndarray:
+        """The first n words of Philox keyed on (this stream's half, lane)."""
+        with self._lock:
+            self._key[1] = lane
+            self._philox.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZERO4, "key": self._key},
+                "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            return self._philox.random_raw(n)
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        ph = Philox(key=self._key(self.PURPOSE_SUBSET, width, block))
-        return ph.random_raw(self.block_size * width).reshape(self.block_size, width)
+        return _draw_blocks([self], self.PURPOSE_SUBSET, block, width)[0]
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
-        pairs = (width + 1) // 2
-        ph = Philox(key=self._key(self.PURPOSE_GAUSS, width, block))
-        raw = ph.random_raw(self.block_size * pairs * 2).reshape(
-            self.block_size, pairs, 2
-        )
-        # Box-Muller; u1 in (0, 1] so the log stays finite.
-        u1 = ((raw[..., 0] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
-        u2 = (raw[..., 1] >> np.uint64(11)) * _TWO_NEG53
-        r = np.sqrt(-2.0 * np.log(u1))
-        angle = _TWO_PI * u2
-        z = np.empty((self.block_size, width))
-        z[:, 0::2] = r * np.cos(angle)
-        # a sine only for the width // 2 pairs whose second normal is returned
-        z[:, 1::2] = r[:, : width // 2] * np.sin(angle[:, : width // 2])
-        return z
+        return _draw_blocks([self], self.PURPOSE_GAUSS, block, width)[0]
 
-    def _at(self, lane: str, width: int, t: int) -> np.ndarray:
-        """Row t of the block that the lane's generator ("raw_block" or
-        "normals_block") makes, keeping that one block for the next step."""
+    def _at(self, purpose: int, width: int, t: int) -> np.ndarray:
+        """Row t of the purpose's blocks, keeping that one block for the
+        next step."""
         if t < 0:
             raise InvalidParamError(f"step t must be >= 0, got {t}")
         block, row = divmod(t, self.block_size)
-        key = (lane, width, block)
+        key = (purpose, width, block)
         if key != self._read[0]:
-            self._read = (key, getattr(self, lane)(block, width))
+            self._read = (key, _draw_blocks([self], purpose, block, width)[0])
         return self._read[1][row]
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
-        return self._at("normals_block", width, t)
+        return self._at(self.PURPOSE_GAUSS, width, t)
 
     def raw_at(self, t: int, width: int) -> np.ndarray:
-        return self._at("raw_block", width, t)
+        return self._at(self.PURPOSE_SUBSET, width, t)
+
+
+def _draw_blocks(streams, purpose: int, block: int, width: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Block ``block`` of every stream's purpose lane, at width, in out[i].
+
+    out is (len(streams), block_size, width), and is made when not given:
+    uint64 words for NoiseStream.PURPOSE_SUBSET, float standard normals for
+    PURPOSE_GAUSS. The streams share one block_size. Normals come from one
+    Box-Muller pass per chunk of whole streams, at most _CHUNK_PAIRS pairs
+    of words unless one stream's block alone holds more, so the pass's
+    temporaries stay small however many streams a run reads.
+    """
+    size = streams[0].block_size
+    gauss = purpose == NoiseStream.PURPOSE_GAUSS
+    if out is None:
+        out = np.empty((len(streams), size, width), np.float64 if gauss else np.uint64)
+    # the key word of this (purpose, width, block), the same for every stream
+    lane = _mix64(_mix64(_mix64(purpose) + width) + block)
+    if not gauss:
+        for s, dest in zip(streams, out):
+            dest[...] = s._words(lane, size * width).reshape(size, width)
+        return out
+    pairs = (width + 1) // 2
+    chunk = max(1, _CHUNK_PAIRS // (size * pairs))
+    raw = np.empty((min(chunk, len(streams)), size, pairs, 2), np.uint64)
+    for lo in range(0, len(streams), chunk):
+        part = streams[lo:lo + chunk]
+        for s, dest in zip(part, raw):
+            dest[...] = s._words(lane, 2 * size * pairs).reshape(size, pairs, 2)
+        words, z = raw[:len(part)], out[lo:lo + len(part)]
+        # Box-Muller; u1 in (0, 1] so the log stays finite.
+        u1 = ((words[..., 0] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
+        u2 = (words[..., 1] >> np.uint64(11)) * _TWO_NEG53
+        r = np.sqrt(-2.0 * np.log(u1))
+        angle = _TWO_PI * u2
+        z[..., 0::2] = r * np.cos(angle)
+        # a sine only for the width // 2 pairs whose second normal is returned
+        z[..., 1::2] = r[..., : width // 2] * np.sin(angle[..., : width // 2])
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,10 +274,11 @@ def _check_model(model, obj: ObjectiveSet) -> None:
         raise UnsupportedCombinationError(f"unknown noise model {type(model).__name__}")
 
 
-def _persample_grads(obj: LogisticObjectives, k: int, theta: np.ndarray) -> np.ndarray:
-    """Per-sample gradients of the data term: sigma(<theta, x_i>) x_i, (n, d)."""
-    X = obj.data[k]
-    return _sigmoid(X @ theta)[:, None] * X
+def _persample_grads(obj: LogisticObjectives, Theta: np.ndarray) -> np.ndarray:
+    """Per-sample gradients of the data term, sigma(<theta_k, x_i>) x_i, of
+    every client k at its block of the (m, d) point: (m, n, d)."""
+    X = obj.data
+    return _sigmoid(np.matmul(X, Theta[:, :, None])[..., 0])[..., None] * X
 
 
 def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
@@ -274,10 +331,9 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
         eps = np.einsum("kij,kj->ki", model.factors, z)
     else:
         keys = stream.raw_at(t, obj.m * obj.n).reshape(obj.m, obj.n)
-        persample = np.stack(
-            [_persample_grads(obj, k, Theta.block(k)) for k in range(obj.m)]
-        )
-        eps = _pick_mean(_picked(persample, keys, model.batch_size)) - persample.mean(axis=1)
+        persample = _persample_grads(obj, Theta.data)
+        eps = (_pick_mean(_picked(persample, keys, model.batch_size))
+               - np.add.reduce(persample, axis=1) / obj.n)
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -297,8 +353,7 @@ def covariance_at(model, obj: ObjectiveSet, theta) -> np.ndarray:
     out = np.zeros((obj.d, obj.d))
     if factor == 0.0:
         return out
-    for k in range(obj.m):
-        G = _persample_grads(obj, k, theta)
+    for G in _persample_grads(obj, np.broadcast_to(theta, (obj.m, obj.d))):
         D = G - G.mean(axis=0)
         out += factor * (D.T @ D) / (n - 1)
     return out / obj.m
@@ -372,10 +427,8 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     else:
         b, n = model.batch_size, obj.n
         width = m * n
-        persample = np.stack(
-            [_persample_grads(obj, k, Theta_star.block(k)) for k in range(m)]
-        )
-        full = persample.mean(axis=1)
+        persample = _persample_grads(obj, Theta_star.data)
+        full = np.add.reduce(persample, axis=1) / n
         for start in range(0, n_draws, stream.block_size):
             stop = min(start + stream.block_size, n_draws)
             blk = stream.raw_block(start // stream.block_size, width)

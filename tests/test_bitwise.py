@@ -13,6 +13,8 @@ differs, not the code.
 """
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,7 +298,14 @@ def test_minibatch_sample_noise_is_pinned(case):
 
 # Gaussian run at the AC10 shape (m = d = 1, n = 25, R = 128) over three
 # 512-step blocks
-def test_gaussian_run_at_the_ac10_shape_is_pinned():
+AC10_DIGESTS = {
+    "stat_sum": "269d405132f9e3220e921dd41cd88d5310c1ca90c6498195b89478cc94c9b489",
+    "stat_outer": "b16613b75794ed77b7a037dafffc1597eb9e1e9e0adbde9b7fa02a92ed1232ee",
+    "final": "18e17f43892ca9a6fccf743e1af9f2ac8864abc4cc8bc8741730957a8b6bf807",
+}
+
+
+def _ac10_moments():
     obj = generate_logistic_problem(m=1, n=25, d=1, heterogeneity_spread=1.2,
                                     lambda_reg=0.1, seed=7)
     cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=1100, seed=21, replicates=128,
@@ -304,13 +313,52 @@ def test_gaussian_run_at_the_ac10_shape_is_pinned():
     rec = run(build_fully_connected(1), obj, AdditiveGaussian.isotropic(1, 1, 1.0), cfg,
               obj.theta_star_stacked)
     assert rec.stat_count == 1000
-    got = {"stat_sum": _digest(rec.stat_sum), "stat_outer": _digest(rec.stat_outer),
-           "final": _digest(rec.final)}
-    assert got == {
-        "stat_sum": "269d405132f9e3220e921dd41cd88d5310c1ca90c6498195b89478cc94c9b489",
-        "stat_outer": "b16613b75794ed77b7a037dafffc1597eb9e1e9e0adbde9b7fa02a92ed1232ee",
-        "final": "18e17f43892ca9a6fccf743e1af9f2ac8864abc4cc8bc8741730957a8b6bf807",
-    }
+    return rec.stat_sum, rec.stat_outer, rec.final
+
+
+def test_gaussian_run_at_the_ac10_shape_is_pinned():
+    stat_sum, stat_outer, final = _ac10_moments()
+    got = {"stat_sum": _digest(stat_sum), "stat_outer": _digest(stat_outer),
+           "final": _digest(final)}
+    assert got == AC10_DIGESTS
+
+
+def _on_threads(*calls):
+    """Each call's result, with the calls run at once on threads of their
+    own that switch every 10 microseconds: more threads than the 2 cores
+    the suite is timed on."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(calls)) as pool:
+            futures = [pool.submit(call) for call in calls]
+            return [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_gaussian_runs_on_threads_give_the_sequential_digests():
+    # each run reads streams of its own; the digests are the sequential ones
+    small = [("gaussian", 2, 3), ("gaussian", 5, 2)]
+    got = _on_threads(_ac10_moments, *[lambda case=case: _moments(*case) for case in small])
+    names = ("stat_sum", "stat_outer", "final")
+    want = [AC10_DIGESTS] + [MOMENT_DIGESTS[case] for case in small]
+    assert [dict(zip(names, map(_digest, moments))) for moments in got] == want
+
+
+def test_one_stream_read_from_threads_gives_the_sequential_blocks():
+    # the stream re-keys one kept generator for every block it makes; a
+    # wide block keeps the generator busy, with the GIL released, for long
+    # enough that another thread's re-keying would land inside it
+    shared = NoiseStream(12345, 7)
+    widths = (5, 200, 300)
+    calls = [lambda w=width: [shared.normals_block(b, w) for b in range(50)]
+             for width in widths]
+    for blocks, width in zip(_on_threads(*calls), widths):
+        lone = NoiseStream(12345, 7)
+        assert all(np.array_equal(got, lone.normals_block(b, width))
+                   for b, got in enumerate(blocks))
+    assert _digest(shared.normals_block(3, 5)) == DRAW_DIGESTS["normals_block", 5, (12345, 7, 3)]
 
 
 # Gaussian rr_run, (coupling, m, d): shared draws are (1, R, m*d) and

@@ -1,8 +1,9 @@
-"""Property tests: the block-wise draw reader against single streams, the
-Newton solve for Theta_det against the Picard oracle, the shared Newton loop
-on theta*, the sigmoid against its mask-based reference, the minibatch
-drift against the full per-sample gradient formula, and every topology
-builder's W against the block average."""
+"""Property tests: the block-wise draw reader against single streams, a
+re-keyed Philox against a new one, the Newton solve for Theta_det against
+the Picard oracle, the shared Newton loop on theta*, the sigmoid against its
+mask-based reference, the minibatch drift against the full per-sample
+gradient formula, and every topology builder's W against the block
+average."""
 
 import io
 import inspect
@@ -10,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from dsgd_lab.dynamics import _drift, _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.matops import damped_newton
-from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream, sample_noise
+from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream, _mix64, sample_noise
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.topology import (
@@ -30,9 +32,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-# widths m*d = 6 (Gaussian normals) and m*n = 10 (minibatch words)
-OBJ = generate_logistic_problem(m=2, n=5, d=3, seed=1)
-NOISES = {"gaussian": AdditiveGaussian.isotropic(2, 3, 1.0), "minibatch": Minibatch(2)}
+# (lane, width) -> the noise model and a problem of that draw width: m*d
+# for Gaussian normals, m*n for minibatch words. At width 1 four whole
+# streams make one Box-Muller chunk and at width 3 two; at width 36 one
+# stream's block alone is more than a chunk
+GRID_LANES = {
+    ("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3), ("gaussian", 6): (2, 5, 3),
+    ("gaussian", 36): (6, 2, 6), ("minibatch", 1): (1, 1, 1), ("minibatch", 3): (1, 3, 1),
+    ("minibatch", 10): (2, 5, 3), ("minibatch", 36): (4, 9, 1),
+}
+GRID_PROBLEMS = {
+    (lane, width): (AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1),
+                    generate_logistic_problem(m=m, n=n, d=d, seed=1))
+    for (lane, width), (m, n, d) in GRID_LANES.items()
+}
 
 # steps on both sides of the first block boundaries (blocks of 512), so a
 # sequence crosses blocks forwards and jumps back to earlier ones
@@ -41,22 +54,45 @@ STEPS = st.lists(st.sampled_from([0, 1, 510, 511, 512, 513, 1023, 1024, 1600]),
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 6),
-       independent=st.booleans(), lane=st.sampled_from(sorted(NOISES)), steps=STEPS)
+@given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 40), independent=st.booleans(),
+       lane=st.sampled_from(sorted(GRID_LANES)), steps=STEPS)
 def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
     ids = [range(0, 2 * R, 2), range(1, 2 * R, 2)] if independent else [range(R)]
-    draws = _Draws(NOISES[lane], OBJ, seed, ids)
-    for t in steps:
-        grid = draws.at(t)
-        assert grid.shape[:2] == (len(ids), R)
-        for c, row in enumerate(ids):
-            for r, rep in enumerate(row):
-                stream = NoiseStream(seed, rep)
-                if lane == "gaussian":
-                    expected = stream.normals_at(t, OBJ.m * OBJ.d)
+    noise, obj = GRID_PROBLEMS[lane]
+    draws = _Draws(noise, obj, seed, ids)
+    grids = [draws.at(t).copy() for t in steps]
+    for c, row in enumerate(ids):
+        for r, rep in enumerate(row):
+            stream = NoiseStream(seed, rep)
+            for t, grid in zip(steps, grids):
+                assert grid.shape == (len(ids), R, lane[1])
+                if lane[0] == "gaussian":
+                    expected = stream.normals_at(t, lane[1])
                 else:
-                    expected = stream.raw_at(t, OBJ.m * OBJ.n)
+                    expected = stream.raw_at(t, lane[1])
                 assert np.array_equal(grid[c, r], expected)
+
+
+# (purpose, width, block) coordinates and how many words of each are read
+# before the key under test: counts that are not multiples of Philox's
+# four-word output leave its buffer part-read
+SERVED = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 40), st.integers(0, 2**20),
+                            st.integers(1, 4100)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), replicate=st.integers(0, 2**64 - 1), served=SERVED,
+       half_word=st.booleans(), lane=st.integers(0, 2**64 - 1), n=st.integers(1, 2000))
+def test_rekeyed_generator_gives_a_fresh_generators_words(seed, replicate, served, half_word,
+                                                          lane, n):
+    stream = NoiseStream(seed, replicate)
+    for purpose, width, block, count in served:
+        stream._words(_mix64(_mix64(_mix64(purpose) + width) + block), count)
+    if half_word:
+        # a 32-bit draw leaves the other half of its word stored in the generator
+        np.random.Generator(stream._philox).integers(0, 2**32, dtype=np.uint32)
+    key = np.array([_mix64(_mix64(_mix64(seed)) ^ _mix64(replicate)), lane], dtype=np.uint64)
+    assert np.array_equal(stream._words(lane, n), Philox(key=key).random_raw(n))
 
 
 def _problem(kind, m, d, seed):
