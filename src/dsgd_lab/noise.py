@@ -63,8 +63,8 @@ _TWO_PI = 2.0 * np.pi
 # a generator's counter and buffer when it is (re-)keyed
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 _ZERO4.setflags(write=False)
-# Box-Muller pairs per pass of _draw_blocks: a pass over a whole R = 128 grid
-# of AC10-shape blocks raised a run's peak RSS by 4 MB
+# Box-Muller pairs per pass of _draw_blocks: one pass over a whole R = 128
+# grid of AC10-shape blocks raised a run's peak RSS by about 4 MB
 _CHUNK_PAIRS = 2048
 
 
@@ -74,6 +74,12 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
+
+
+def _lane_word(purpose: int, width: int, block: int) -> int:
+    """The key word of a block's (purpose, width, block), the same for every
+    stream."""
+    return _mix64(_mix64(_mix64(purpose) + width) + block)
 
 
 class NoiseStream:
@@ -86,11 +92,12 @@ class NoiseStream:
     made, and the stream keeps one generator that it re-keys for every
     block by setting its state (counter zero, nothing buffered), which
     yields the words a new generator with that key would. _draw_blocks makes
-    a block for many streams at once; raw_block and normals_block are its
-    one-stream case and generate a block on every call. The per-step
-    readers keep the last block they read, so sequential access by step
-    costs one generator call per block, while random access stays exact and
-    pays one call per block switch.
+    a block for many streams at once, and normals_block is its one-stream
+    case; raw_block returns the one stream's words as the generator gives
+    them, without the copy into a grid. Both generate a block on every
+    call. The per-step readers keep the last block they read, so
+    sequential access by step costs one generator call per block, while
+    random access stays exact and pays one call per block switch.
     """
 
     PURPOSE_GAUSS = 1
@@ -125,7 +132,9 @@ class NoiseStream:
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        return _draw_blocks([self], self.PURPOSE_SUBSET, block, width)[0]
+        words = self._words(_lane_word(self.PURPOSE_SUBSET, width, block),
+                            self.block_size * width)
+        return words.reshape(self.block_size, width)
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
@@ -139,7 +148,8 @@ class NoiseStream:
         block, row = divmod(t, self.block_size)
         key = (purpose, width, block)
         if key != self._read[0]:
-            self._read = (key, _draw_blocks([self], purpose, block, width)[0])
+            reader = self.normals_block if purpose == self.PURPOSE_GAUSS else self.raw_block
+            self._read = (key, reader(block, width))
         return self._read[1][row]
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
@@ -164,8 +174,7 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
     gauss = purpose == NoiseStream.PURPOSE_GAUSS
     if out is None:
         out = np.empty((len(streams), size, width), np.float64 if gauss else np.uint64)
-    # the key word of this (purpose, width, block), the same for every stream
-    lane = _mix64(_mix64(_mix64(purpose) + width) + block)
+    lane = _lane_word(purpose, width, block)
     if not gauss:
         for s, dest in zip(streams, out):
             dest[...] = s._words(lane, size * width).reshape(size, width)
