@@ -16,20 +16,20 @@ step, and gives shared-noise couplings for free (two chains reading the same
 stream see identical draws).
 
 A key is two 64-bit words: one mixed from (seed, replicate) when a stream
-is made, one from (purpose, width, block) per block. Each stream keeps one
-generator and re-keys it for every block, under a lock of its own, so that
-no block pays for a new generator and a stream read from two threads still
-gives every block its own words. A run fills one block of all its streams
-at once with `_draw_blocks`, into one shared grid; its normals come from one
-Box-Muller pass per chunk of streams, so the temporaries stay small at any
-replicate count. Only the per-step readers (`raw_at`, `normals_at`) keep
-the last block they read, so random access regenerates a block it has
-moved away from.
+is made, one from (purpose, width, block) per block. A run fills one block
+of all its streams at once with `_draw_blocks`, into one shared grid: one
+generator, made for the call, is re-keyed for each stream instead of a new
+one built per stream and block, and the normals come from one Box-Muller
+pass per chunk of streams, so the temporaries stay small at any replicate
+count. No generator outlives the call that made it, so streams hold no
+generator state, and a stream read from several threads gives every block
+its own words. Only the per-step readers (`raw_at`, `normals_at`) keep the
+last block they read, so random access regenerates a block it has moved
+away from.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,16 +88,14 @@ class NoiseStream:
     Draws are organized in blocks of ``block_size`` consecutive steps; the
     block for (purpose, width, block_index) is the first words of a Philox
     generator keyed on (seed, replicate, purpose, width, block_index). The
-    (seed, replicate) half of that key is mixed once, when the stream is
-    made, and the stream keeps one generator that it re-keys for every
-    block by setting its state (counter zero, nothing buffered), which
-    yields the words a new generator with that key would. _draw_blocks makes
-    a block for many streams at once, and normals_block is its one-stream
-    case; raw_block returns the one stream's words as the generator gives
-    them, without the copy into a grid. Both generate a block on every
-    call. The per-step readers keep the last block they read, so
-    sequential access by step costs one generator call per block, while
-    random access stays exact and pays one call per block switch.
+    (seed, replicate) word of that key is mixed once, when the stream is
+    made. _draw_blocks makes a block for many streams at once, and
+    normals_block is its one-stream case; raw_block returns one stream's
+    words as the generator gives them, without the copy into a grid. Both
+    generate a block on every call. The per-step readers keep the last
+    block they read, so sequential access by step costs one generator call
+    per block, while random access stays exact and pays one call per block
+    switch.
     """
 
     PURPOSE_GAUSS = 1
@@ -113,27 +111,12 @@ class NoiseStream:
         # chain the coordinates through the finalizer instead of xor-folding
         # them: xor is commutative, and (seed, replicate) pairs must not
         # collide under transposition
-        k0 = _mix64(_mix64(_mix64(self.seed & _MASK)) ^ _mix64(self.replicate & _MASK))
-        self._key = np.array([k0, 0], dtype=np.uint64)  # word 1 is set per block
-        self._philox = Philox(0)  # re-keyed before every read
-        # re-keying and reading are two calls on the one generator
-        self._lock = threading.Lock()
-
-    def _words(self, lane: int, n: int) -> np.ndarray:
-        """The first n words of Philox keyed on (this stream's half, lane)."""
-        with self._lock:
-            self._key[1] = lane
-            self._philox.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZERO4, "key": self._key},
-                "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
-            return self._philox.random_raw(n)
+        self._key0 = _mix64(_mix64(_mix64(self.seed & _MASK)) ^ _mix64(self.replicate & _MASK))
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        words = self._words(_lane_word(self.PURPOSE_SUBSET, width, block),
-                            self.block_size * width)
+        lane = _lane_word(self.PURPOSE_SUBSET, width, block)
+        words = _words(Philox(0), self, lane, self.block_size * width)
         return words.reshape(self.block_size, width)
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
@@ -159,13 +142,31 @@ class NoiseStream:
         return self._at(self.PURPOSE_SUBSET, width, t)
 
 
+def _words(philox: Philox, stream: NoiseStream, lane: int, n: int) -> np.ndarray:
+    """The first n words of Philox keyed on (the stream's key word, lane).
+
+    philox is re-keyed, whatever it served before: its state is set to the
+    key with counter zero and nothing buffered, which gives the words that
+    Philox(key=...) would, without the OS entropy that constructor draws
+    for a seed the key then overrides.
+    """
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4,
+                  "key": np.array([stream._key0, lane], dtype=np.uint64)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return philox.random_raw(n)
+
+
 def _draw_blocks(streams, purpose: int, block: int, width: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Block ``block`` of every stream's purpose lane, at width, in out[i].
 
     out is (len(streams), block_size, width), and is made when not given:
     uint64 words for NoiseStream.PURPOSE_SUBSET, float standard normals for
-    PURPOSE_GAUSS. The streams share one block_size. Normals come from one
+    PURPOSE_GAUSS. The streams share one block_size, and one generator made
+    for the call is re-keyed for each of them. Normals come from one
     Box-Muller pass per chunk of whole streams, at most _CHUNK_PAIRS pairs
     of words unless one stream's block alone holds more, so the pass's
     temporaries stay small however many streams a run reads.
@@ -174,10 +175,11 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
     gauss = purpose == NoiseStream.PURPOSE_GAUSS
     if out is None:
         out = np.empty((len(streams), size, width), np.float64 if gauss else np.uint64)
+    philox = Philox(0)
     lane = _lane_word(purpose, width, block)
     if not gauss:
         for s, dest in zip(streams, out):
-            dest[...] = s._words(lane, size * width).reshape(size, width)
+            dest[...] = _words(philox, s, lane, size * width).reshape(size, width)
         return out
     pairs = (width + 1) // 2
     chunk = max(1, _CHUNK_PAIRS // (size * pairs))
@@ -185,7 +187,7 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
     for lo in range(0, len(streams), chunk):
         part = streams[lo:lo + chunk]
         for s, dest in zip(part, raw):
-            dest[...] = s._words(lane, 2 * size * pairs).reshape(size, pairs, 2)
+            dest[...] = _words(philox, s, lane, 2 * size * pairs).reshape(size, pairs, 2)
         words, z = raw[:len(part)], out[lo:lo + len(part)]
         # Box-Muller; u1 in (0, 1] so the log stays finite.
         u1 = ((words[..., 0] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53

@@ -347,9 +347,9 @@ def test_gaussian_runs_on_threads_give_the_sequential_digests():
 
 
 def test_one_stream_read_from_threads_gives_the_sequential_blocks():
-    # the stream re-keys one kept generator for every block it makes; a
-    # wide block keeps the generator busy, with the GIL released, for long
-    # enough that another thread's re-keying would land inside it
+    # a generator kept by the stream and re-keyed for every block would
+    # need a lock: a wide block keeps it busy, with the GIL released, for
+    # long enough that another thread's re-keying would land inside it
     shared = NoiseStream(12345, 7)
     widths = (5, 200, 300)
     calls = [lambda w=width: [shared.normals_block(b, w) for b in range(50)]

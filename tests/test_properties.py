@@ -15,7 +15,8 @@ from numpy.random import Philox
 
 from dsgd_lab.dynamics import _drift, _Draws, fixed_point, solve_fixed_point
 from dsgd_lab.matops import damped_newton
-from dsgd_lab.noise import AdditiveGaussian, Minibatch, NoiseStream, _mix64, sample_noise
+from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _words,
+                             sample_noise)
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.topology import (
@@ -73,26 +74,27 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
                 assert np.array_equal(grid[c, r], expected)
 
 
-# (purpose, width, block) coordinates and how many words of each are read
-# before the key under test: counts that are not multiples of Philox's
-# four-word output leave its buffer part-read
-SERVED = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 40), st.integers(0, 2**20),
-                            st.integers(1, 4100)), max_size=4)
+# keys that the generator serves before the key under test, each as a
+# (seed, replicate) stream, a lane word and a word count: counts that are
+# not multiples of Philox's four-word output leave its buffer part-read
+WORD = st.integers(0, 2**64 - 1)
+SERVED = st.lists(st.tuples(WORD, WORD, WORD, st.integers(1, 4100)), max_size=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), replicate=st.integers(0, 2**64 - 1), served=SERVED,
-       half_word=st.booleans(), lane=st.integers(0, 2**64 - 1), n=st.integers(1, 2000))
+@given(seed=WORD, replicate=WORD, served=SERVED, half_word=st.booleans(), lane=WORD,
+       n=st.integers(1, 2000))
 def test_rekeyed_generator_gives_a_fresh_generators_words(seed, replicate, served, half_word,
                                                           lane, n):
-    stream = NoiseStream(seed, replicate)
-    for purpose, width, block, count in served:
-        stream._words(_mix64(_mix64(_mix64(purpose) + width) + block), count)
+    philox = Philox(0)
+    for other_seed, other_replicate, other_lane, count in served:
+        _words(philox, NoiseStream(other_seed, other_replicate), other_lane, count)
     if half_word:
         # a 32-bit draw leaves the other half of its word stored in the generator
-        np.random.Generator(stream._philox).integers(0, 2**32, dtype=np.uint32)
+        np.random.Generator(philox).integers(0, 2**32, dtype=np.uint32)
     key = np.array([_mix64(_mix64(_mix64(seed)) ^ _mix64(replicate)), lane], dtype=np.uint64)
-    assert np.array_equal(stream._words(lane, n), Philox(key=key).random_raw(n))
+    got = _words(philox, NoiseStream(seed, replicate), lane, n)
+    assert np.array_equal(got, Philox(key=key).random_raw(n))
 
 
 def _problem(kind, m, d, seed):
