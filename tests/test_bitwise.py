@@ -325,8 +325,7 @@ def test_gaussian_run_at_the_ac10_shape_is_pinned():
 
 def _on_threads(*calls):
     """Each call's result, with the calls run at once on threads of their
-    own that switch every 10 microseconds: more threads than the 2 cores
-    the suite is timed on."""
+    own that switch every 10 microseconds."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
