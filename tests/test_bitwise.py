@@ -1,4 +1,5 @@
-"""Bit-for-bit pins of the step kernel's draws and moments, and of theta*.
+"""Bit-for-bit pins of the step kernel's draws and moments, of theta*, and of
+theory's closed forms, bounds and diagnostics.
 
 The goldens compare within 1e-12 relative and the stream tests compare the
 generators with themselves, so neither notices a change that moves the last
@@ -19,13 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dsgd_lab.cli import build_objective, preset_config
+from dsgd_lab.cli import build_noise, build_objective, build_topology, preset_config
 from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
-from dsgd_lab.objectives import generate_logistic_problem
+from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
-from dsgd_lab.topology import build_fully_connected, build_ring
+from dsgd_lab.theory import (bound_diagnostics, det_bias_expansion, recommend_schedule,
+                             rr_bias_bound, stochastic_bias_first_order, theory_report)
+from dsgd_lab.topology import build_clusters, build_fully_connected, build_ring
 
 
 def _digest(*arrays) -> str:
@@ -454,3 +457,138 @@ def test_draw_grid_is_pinned(shape, ids):
     grid = np.stack([draws.at(t) for t in range(3 * 512)])
     assert grid.shape == (3 * 512, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), width)
     assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
+
+
+# theory's closed forms: (W, obj, noise, gamma) for the fig2-heterogeneous
+# preset (minibatch), a logistic Gaussian ring, a generated quadratic with
+# noise (the exact fixed-point branch), a fully connected graph (Lambda = 0)
+# and a 3-client ring at a gamma inside the expansion gate but outside the
+# diagnostics' 1/(10L) gate, whose diagnostics rows are NaN
+THEORY_CASES = ["fig2-heterogeneous", "logistic-gauss-ring", "quadratic-gauss-clusters",
+                "logistic-full", "logistic-ring-nan-diag"]
+
+
+def _theory_problem(name):
+    if name == "fig2-heterogeneous":
+        cfg = preset_config(name)
+        W = build_topology(cfg)
+        obj = build_objective(cfg, W.m)
+        return W, obj, build_noise(cfg, obj), cfg.get("run", "gamma")
+    if name == "logistic-gauss-ring":
+        obj = generate_logistic_problem(m=5, n=8, d=2, seed=23)
+        return build_ring(5, 0.3), obj, AdditiveGaussian.isotropic(5, 2, 0.5), 0.02 / obj.L
+    if name == "quadratic-gauss-clusters":
+        rng = np.random.default_rng(29)
+        A = np.empty((6, 3, 3))
+        for k in range(6):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            A[k] = (Q * rng.uniform(0.5, 3.0, 3)) @ Q.T
+        obj = QuadraticObjectives(A, rng.standard_normal((6, 3)))
+        return (build_clusters(6, 2, 0.2), obj, AdditiveGaussian.isotropic(6, 3, 0.4),
+                0.01 / obj.L)
+    if name == "logistic-full":
+        obj = generate_logistic_problem(m=4, n=8, d=2, seed=31)
+        return build_fully_connected(4), obj, AdditiveGaussian.isotropic(4, 2, 0.3), 0.05 / obj.L
+    obj = generate_logistic_problem(m=3, n=10, d=2, seed=37)
+    return build_ring(3, 0.3), obj, AdditiveGaussian.isotropic(3, 2, 0.2), 0.5 / obj.L
+
+
+def _rows_digest(rows):
+    names, values = zip(*rows)
+    return _digest(np.array(names), np.array([float(v) for v in values]))
+
+
+REPORT_DIGESTS = {
+    "fig2-heterogeneous": "f6b0294fc005b6249949f9d7f00f2672c70dec9adf4f34968551ce62505be1c6",
+    "logistic-gauss-ring": "fabae943dd0ea7fa54741d303747f4883ef43407f6750b558dc0e0518e3f1553",
+    "quadratic-gauss-clusters": "03fc5432cc932e1395cc18f3b52f23f1c0a0c9617d7ec002e5dfc0c78b5ccd32",
+    "logistic-full": "7b39c7aa9f6880ebe533b366807727f5e199506131db102db54403a07e4e7b25",
+    "logistic-ring-nan-diag": "f8535fc1ef01e7c71359cf68928a33747f9542723cea0c9026b5cd5945822ff7",
+}
+
+
+@pytest.mark.parametrize("name", THEORY_CASES)
+def test_theory_report_rows_are_pinned(name):
+    rep = theory_report(*_theory_problem(name))
+    assert (rep.diagnostics is None) == (name == "logistic-ring-nan-diag")
+    assert _rows_digest(rep.rows()) == REPORT_DIGESTS[name]
+
+
+EXPANSION_DIGESTS = {
+    "fig2-heterogeneous": {
+        "prediction": "8b9fb5115fd369a5b35e6dc1ca7cc847c902e654d1dfed072fe835ef81f76a05",
+        "residual_bound": "dd5ae27fd75554bcb5a7eaf22bd7ba14e42b3c8f251aaaa4e421fdc2e1be50ed",
+        "rr_bias_bound": "396cdd9a18fe7c3b483d1c85781c68c8c81e7b75f6f6accaed63bcb8150753fd",
+    },
+    "logistic-gauss-ring": {
+        "prediction": "a2fd1dfda981a52108092204f2ffb2491e57f5c4879495e4274accdce0194ffa",
+        "residual_bound": "94aae85181cb23ebd675de68cac39c117a9aa051502df3d689f561a451748b5a",
+        "rr_bias_bound": "121ed314bfe728df22f761be8b8519a8f5c445e3fdeb4dc62e6a9027edc22af4",
+    },
+    "quadratic-gauss-clusters": {
+        "prediction": "a42f08018c68bcb5f82c78411da5562b6657f1ef7de68c285aba5535a2358427",
+        "residual_bound": "bb27e345d25cb8dee7bd0d420a106b240aa909548496372a923646e4e3dfa737",
+        "rr_bias_bound": "cdfbc6b3426139ca90a73bd9633647d2a13441d9095604b5cf80e465789dad2f",
+    },
+    "logistic-full": {
+        "prediction": "817e2ae2512b5b8788eb867d601c48d412690e7d8e965e3e04adb9ff629a55ac",
+        "residual_bound": "746e75607f7ce3478b54dd31aa809ce25c0435996ce87be6a05d52790547d949",
+        "rr_bias_bound": "746e75607f7ce3478b54dd31aa809ce25c0435996ce87be6a05d52790547d949",
+    },
+    "logistic-ring-nan-diag": {
+        "prediction": "a58d0737afba0a10244250defe50c68d090a59d4c8b3524d08d4debb549ac432",
+        "residual_bound": "851d22445345d81a47a1a88916d9201ecc4c9fbd9c3f8f17311449299bc24945",
+        "rr_bias_bound": "8a442f3d88ebc934e7a982991783bb8bdaf7c6b58450b0a14b8700869d08828e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", THEORY_CASES)
+def test_expansion_and_rr_bound_are_pinned(name):
+    W, obj, _, gamma = _theory_problem(name)
+    expansion = det_bias_expansion(W, obj, gamma)
+    got = {"prediction": _digest(expansion.prediction.data),
+           "residual_bound": _digest(np.array(expansion.residual_bound)),
+           "rr_bias_bound": _digest(np.array(rr_bias_bound(obj, W, gamma)))}
+    assert got == EXPANSION_DIGESTS[name]
+
+
+# bound_diagnostics at an explicit client count, with Gaussian noise and
+# with a minibatch tau pass
+DIAG_DIGESTS = {
+    "gaussian": "ef8713ce900cd5ea05af234f7f2c940c3324e1ff600bbd00917731c2cbfba6b5",
+    "minibatch": "e9ea7067132dd918da260d1859ffaf8480eb2242159b7ed29ac8ce25f7488c63",
+}
+
+
+@pytest.mark.parametrize("lane", sorted(DIAG_DIGESTS))
+def test_bound_diagnostics_at_m2_are_pinned(lane):
+    W, obj, noise, gamma = _theory_problem("logistic-gauss-ring")
+    if lane == "minibatch":
+        noise = Minibatch(3)
+    diag = bound_diagnostics(obj, W, noise, gamma, m=2)
+    assert diag.m == 2
+    assert _rows_digest(diag.as_rows()) == DIAG_DIGESTS[lane]
+
+
+SCHEDULE_DIGESTS = {
+    ("dsgd", "none"): "94a638b259d4bb6ea5db8b03032e582dc9debc48d7716abcef81086bc8e1ec9a",
+    ("dsgd", "minibatch"): "6809dea6c805c26756bdeab156ecce960ea3d5a2ca62150801f9ff367c0ed060",
+    ("rr", "none"): "9aba00306f208f44f2c1418e692380a25d24f65d54076ef5dc5abf6148b31062",
+    ("rr", "minibatch"): "6809dea6c805c26756bdeab156ecce960ea3d5a2ca62150801f9ff367c0ed060",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_DIGESTS), ids="-".join)
+def test_recommend_schedule_is_pinned(case):
+    variant, lane = case
+    W, obj, _, _ = _theory_problem("logistic-gauss-ring")
+    noise = Minibatch(3) if lane == "minibatch" else None
+    gam, T = recommend_schedule(obj, W, noise, epsilon=1e-2, variant=variant)
+    assert _digest(np.array(gam), np.array(T)) == SCHEDULE_DIGESTS[case]
+
+
+def test_stochastic_bias_under_zero_covariance_is_positive_zero():
+    obj = generate_logistic_problem(m=2, n=10, d=2, seed=1)
+    out = stochastic_bias_first_order(obj, AdditiveGaussian.isotropic(2, 2, 0.0), 0.01)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
