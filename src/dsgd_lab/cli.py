@@ -391,6 +391,10 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
                 f"run.gammas needs at least 3 values for order fits, got "
                 f"{len(grid)}"
             )
+        if min(grid) <= 0.0:
+            raise ConfigError(f"run.gammas must be positive, got {min(grid)!r}")
+        if len(set(grid)) < len(grid):
+            raise ConfigError("run.gammas must be distinct for order fits")
         points = {}
         for g in sorted(set(grid) | {g / 2.0 for g in grid}):
             points[g] = dynamics.solve_fixed_point(W, obj, g).point

@@ -100,13 +100,11 @@ class NoiseStream:
 
     PURPOSE_GAUSS = 1
     PURPOSE_SUBSET = 2
+    block_size = 512
 
-    def __init__(self, seed: int, replicate: int = 0, block_size: int = 512):
-        if block_size < 1:
-            raise InvalidParamError(f"block_size must be >= 1, got {block_size}")
+    def __init__(self, seed: int, replicate: int = 0):
         self.seed = int(seed)
         self.replicate = int(replicate)
-        self.block_size = int(block_size)
         self._read = (None, None)  # ((purpose, width, block), block) of the last _at
         # chain the coordinates through the finalizer instead of xor-folding
         # them: xor is commutative, and (seed, replicate) pairs must not

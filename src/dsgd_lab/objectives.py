@@ -156,10 +156,6 @@ class QuadraticObjectives(ObjectiveSet):
         M.setflags(write=False)
         return M
 
-    @property
-    def theta_loc_star_stacked(self) -> StackedPoint:
-        return StackedPoint(self.m, self.d, self.theta_loc_star)
-
     def grad_local(self, k: int, theta) -> np.ndarray:
         self._check_client(k)
         theta = np.asarray(theta, dtype=float)

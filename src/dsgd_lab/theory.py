@@ -12,6 +12,15 @@ nothing of size (m*d)^2 is materialized.  The only dense inverses are d x d:
 the consensus-averaging operator has rank d, so the md-dimensional resolvent
 reduces to a d x d core via the Woodbury identity, and the remaining resolvent
 is summed as a Neumann series (geometric within the admissible step range).
+
+Each ingredient is computed in one place: `_expansion_gate` checks
+gamma <= min(1/(Lambda L), 1/L) for the expansion, `lemma3_bound` and
+`rr_bias_bound`; `_second_order_constant` is the gamma^2 constant that
+`rr_bias_bound` returns and the expansion's residual bound halves;
+`_lyapunov_core` gives (Abar, J C-bar) at theta* to the first-order variance
+and stochastic bias; `_BlockOps` holds the gossip operator and the consensus
+solve; `_moment_bound` and `_psi0` give B and psi0 to the diagnostics and the
+schedule.
 """
 
 import math
@@ -36,6 +45,8 @@ from .topology import CommMatrix, gossip_operator
 
 _NEUMANN_MAX_ITER = 400
 _NEUMANN_RTOL = 1e-15
+# draws of the tau pass, taken with seed 0
+_TAU_DRAWS = 20_000
 
 
 def _require_positive_step(gamma: float) -> None:
@@ -57,6 +68,16 @@ def _standard_limit(L: float, Lambda: float, frac: float = 1.0) -> float:
     if Lambda > 0.0:
         lim = min(lim, 1.0 / (Lambda * L))
     return lim
+
+
+def _expansion_gate(W: CommMatrix, obj: ObjectiveSet, gamma: float):
+    """Check gamma <= min(1/(Lambda L), 1/L) and return W's spectral profile."""
+    prof = W.spectral
+    _require_step_at_most(
+        gamma, _standard_limit(obj.L, prof.Lambda),
+        "gamma <= min(1/(Lambda*L), 1/L)",
+    )
+    return prof
 
 
 def _resolve_m(obj: ObjectiveSet, m) -> int:
@@ -194,49 +215,48 @@ class BiasExpansion(NamedTuple):
     residual_bound: float
 
 
+def _second_order_constant(obj: ObjectiveSet, Lambda: float, gamma: float,
+                           m: int) -> float:
+    """gamma^2 (L^2/mu^2) Lambda^2 (K3 zeta*^2 / (mu sqrt(m)) + L zeta*)."""
+    zeta = obj.zeta_star
+    return float(
+        gamma**2 * (obj.L**2 / obj.mu**2) * Lambda**2
+        * (obj.K3 * zeta**2 / (obj.mu * math.sqrt(m)) + obj.L * zeta)
+    )
+
+
 def det_bias_expansion(W: CommMatrix, obj: ObjectiveSet,
                        gamma: float) -> BiasExpansion:
     """First-order prediction of the deterministic fixed point.
 
     prediction = Theta* - gamma (I - H) G grad F(Theta*), with H and G built
-    from the Hessians at theta*.  The returned residual bound controls
-    ||Theta_det - prediction|| for gamma <= min(1/(Lambda L), 1/L).
+    from the Hessians at theta*.  The returned residual bound, half the
+    second-order constant, controls ||Theta_det - prediction|| for
+    gamma <= min(1/(Lambda L), 1/L).
     """
-    prof = W.spectral
-    L, mu = obj.L, obj.mu
-    _require_step_at_most(
-        gamma, _standard_limit(L, prof.Lambda),
-        "gamma <= min(1/(Lambda*L), 1/L)",
-    )
+    prof = _expansion_gate(W, obj, gamma)
     star = obj.theta_star
     hess = np.stack([obj.hess_local(k, star) for k in range(obj.m)])
-    Abar = hess.mean(axis=0)
-    g = obj.grad_stacked(obj.theta_star_stacked).data
-    Gg = gossip_operator(W) @ g
-    rhs = np.einsum("kij,kj->ki", hess, Gg).mean(axis=0)
-    try:
-        h = np.linalg.solve(Abar, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "mean Hessian at the optimum is singular"
-        ) from exc
-    data = star[None, :] - gamma * (Gg - h[None, :])
-    zeta = obj.zeta_star
-    bound = (
-        gamma**2 * (L**2 / (2.0 * mu**2)) * prof.Lambda**2
-        * (obj.K3 * zeta**2 / (mu * math.sqrt(obj.m)) + L * zeta)
-    )
-    return BiasExpansion(StackedPoint(obj.m, obj.d, data), float(bound))
+    ops = _BlockOps(W, hess, hess.mean(axis=0), gamma)
+    Gg = ops.G @ obj.grad_stacked(obj.theta_star_stacked).data
+    data = star[None, :] - gamma * (Gg - ops.h(Gg)[None, :])
+    # halving is exact in binary floating point
+    bound = 0.5 * _second_order_constant(obj, prof.Lambda, gamma, obj.m)
+    return BiasExpansion(StackedPoint(obj.m, obj.d, data), bound)
 
 
 def lemma3_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float) -> float:
     """Upper bound gamma L Lambda zeta* / mu on ||Theta_det - Theta*||."""
-    prof = W.spectral
-    _require_step_at_most(
-        gamma, _standard_limit(obj.L, prof.Lambda),
-        "gamma <= min(1/(Lambda*L), 1/L)",
-    )
+    prof = _expansion_gate(W, obj, gamma)
     return float(gamma * obj.L * prof.Lambda * obj.zeta_star / obj.mu)
+
+
+def _lyapunov_core(obj: ObjectiveSet, noise):
+    """(Abar, X) at theta*: the mean Hessian, and X = J C-bar solving
+    Abar X + X Abar = C(theta*)."""
+    star = obj.theta_star
+    Abar = obj.mean_hessian(star)
+    return Abar, sylvester_solve(Abar, covariance_at(noise, obj, star))
 
 
 def variance_first_order(obj: ObjectiveSet, noise, gamma: float,
@@ -252,22 +272,19 @@ def variance_first_order(obj: ObjectiveSet, noise, gamma: float,
     m_eff = _resolve_m(obj, m)
     if noise is None:
         return np.zeros((obj.d, obj.d))
-    Cbar = covariance_at(noise, obj, obj.theta_star)
-    Abar = obj.mean_hessian(obj.theta_star)
-    X = sylvester_solve(Abar, Cbar)
-    out = (gamma / m_eff) * X
+    out = (gamma / m_eff) * _lyapunov_core(obj, noise)[1]
     return 0.5 * (out + out.T)
 
 
 def mean_third_contraction(obj: ObjectiveSet, theta, V: np.ndarray,
-                           method: str = "auto") -> np.ndarray:
+                           method: str = "analytic") -> np.ndarray:
     """Contract the averaged third derivative at theta against symmetric V.
 
     Returns T with T_a = sum_{b,c} (mean_k grad^3 f_k(theta))_{a,b,c} V_{b,c},
-    computed through the eigendecomposition of V.  The analytic per-client
-    contraction is used when the objective provides one; otherwise central
-    differences of the mean Hessian with step eps**(1/3) * scale are used.
-    ``method`` forces a path ("analytic" or "fd") for cross-validation.
+    computed through the eigendecomposition of V with each objective's
+    analytic per-client contraction.  ``method="fd"`` takes central
+    differences of the mean Hessian with step eps**(1/3) * scale instead,
+    to cross-check the analytic path.
     """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -275,12 +292,8 @@ def mean_third_contraction(obj: ObjectiveSet, theta, V: np.ndarray,
         raise InvalidParamError(
             f"contraction target must be ({obj.d}, {obj.d}), got {V.shape}"
         )
-    if method not in ("auto", "analytic", "fd"):
+    if method not in ("analytic", "fd"):
         raise InvalidParamError(f"unknown contraction method {method!r}")
-    if method == "auto":
-        method = (
-            "analytic" if hasattr(obj, "third_contract_local") else "fd"
-        )
     vals, vecs = np.linalg.eigh(0.5 * (V + V.T))
     T = np.zeros(obj.d)
     step = np.finfo(float).eps ** (1.0 / 3.0) * max(
@@ -305,7 +318,7 @@ def mean_third_contraction(obj: ObjectiveSet, theta, V: np.ndarray,
 
 
 def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float,
-                                m=None, method: str = "auto") -> np.ndarray:
+                                m=None) -> np.ndarray:
     """First-order shift of the stationary mean away from Theta_det.
 
     Evaluates -(gamma / 2m) Abar^{-1} T where T contracts the averaged third
@@ -316,13 +329,11 @@ def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float,
     m_eff = _resolve_m(obj, m)
     if noise is None or obj.kind == "quadratic":
         return np.zeros(obj.d)
-    star = obj.theta_star
-    Cbar = covariance_at(noise, obj, star)
-    if not np.any(Cbar):
+    Abar, V = _lyapunov_core(obj, noise)
+    # zero noise returns +0.0 here; scaling a zero correction would give -0.0
+    if not np.any(V):
         return np.zeros(obj.d)
-    Abar = obj.mean_hessian(star)
-    V = sylvester_solve(Abar, Cbar)
-    T = mean_third_contraction(obj, star, V, method=method)
+    T = mean_third_contraction(obj, obj.theta_star, V)
     try:
         corr = np.linalg.solve(Abar, T)
     except np.linalg.LinAlgError as exc:
@@ -339,25 +350,37 @@ def rr_bias_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float,
     gamma^2 (L^2/mu^2) Lambda^2 (K3 zeta*^2 / (mu sqrt(m)) + L zeta*): one
     order of gamma better than the single-step fixed point.
     """
-    prof = W.spectral
-    _require_step_at_most(
-        gamma, _standard_limit(obj.L, prof.Lambda),
-        "gamma <= min(1/(Lambda*L), 1/L)",
-    )
-    m_eff = _resolve_m(obj, m)
-    zeta = obj.zeta_star
-    return float(
-        gamma**2 * (obj.L**2 / obj.mu**2) * prof.Lambda**2
-        * (obj.K3 * zeta**2 / (obj.mu * math.sqrt(m_eff)) + obj.L * zeta)
-    )
+    prof = _expansion_gate(W, obj, gamma)
+    return _second_order_constant(obj, prof.Lambda, gamma, _resolve_m(obj, m))
 
 
-def _tau_squares(obj: ObjectiveSet, noise, n_draws: int,
-                 seed: int) -> tuple:
+def _tau_squares(obj: ObjectiveSet, noise) -> tuple:
     """(tau_2^2, tau_4^2) at Theta*; zero without noise."""
     if noise is None:
         return 0.0, 0.0
-    return tau_squares(noise, obj, obj.theta_star_stacked, n_draws, seed)
+    return tau_squares(noise, obj, obj.theta_star_stacked, _TAU_DRAWS, 0)
+
+
+def _moment_bound(obj: ObjectiveSet, Lambda: float, gamma: float,
+                  tau4_sq: float) -> float:
+    """B = (tau4^2 + gamma^2 (L^4/mu^2) Lambda^2 zeta*^2) / mu."""
+    return (
+        tau4_sq + gamma**2 * (obj.L**4 / obj.mu**2) * Lambda**2
+        * obj.zeta_star**2
+    ) / obj.mu
+
+
+def _psi0(obj: ObjectiveSet, Lambda: float, gamma: float,
+          tau2_sq: float) -> float:
+    """Initial-condition constant of the convergence bound, from the origin."""
+    L, mu = obj.L, obj.mu
+    lam2, zeta = Lambda**2, obj.zeta_star
+    return (
+        float(np.sum(obj.theta_star**2))
+        + gamma**2 * (L**2 / mu**2) * lam2 * zeta**2
+        + (gamma / mu)
+        * (tau2_sq + gamma**2 * (4.0 * L**4 / mu**2) * lam2 * zeta**2)
+    )
 
 
 def _scaled(coeff: float, term: float) -> float:
@@ -395,14 +418,13 @@ class BoundDiagnostics:
 
 
 def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
-                      m=None, Theta0: Optional[StackedPoint] = None,
-                      tau_draws: int = 20000, seed: int = 0) -> BoundDiagnostics:
+                      m=None) -> BoundDiagnostics:
     """Evaluate every named term of the variance and convergence bounds.
 
     B = (tau4^2 + gamma^2 (L^4/mu^2) Lambda^2 zeta*^2) / mu bounds fourth
     moments at stationarity; C is the topology-correction factor of the
     variance bound; psi0 is the initial-condition constant of the
-    convergence bound (evaluated at Theta0, or the origin when omitted).
+    convergence bound, evaluated at the origin.
     """
     prof = W.spectral
     L, mu, K3 = obj.L, obj.mu, obj.K3
@@ -412,24 +434,14 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
         "gamma <= min(1/(Lambda*L), 1/(10*L))",
     )
     m_eff = _resolve_m(obj, m)
-    tau2_sq, tau4_sq = _tau_squares(obj, noise, tau_draws, seed)
+    tau2_sq, tau4_sq = _tau_squares(obj, noise)
     lam2 = prof.Lambda**2
-    B = (tau4_sq + gamma**2 * (L**4 / mu**2) * lam2 * zeta**2) / mu
+    B = _moment_bound(obj, prof.Lambda, gamma, tau4_sq)
     c_numer = (
         L * B + K3 * B**1.5 * math.sqrt(gamma)
         + 0.5 * gamma**2 * K3**2 * B**2 + tau2_sq
     )
     C = c_numer / tau2_sq if tau2_sq > 0.0 else math.inf
-    if Theta0 is None:
-        avg0 = np.zeros(obj.d)
-    else:
-        avg0 = Theta0.block_average()
-    psi0 = (
-        float(np.sum((avg0 - obj.theta_star) ** 2))
-        + gamma**2 * (L**2 / mu**2) * lam2 * zeta**2
-        + (gamma / mu)
-        * (tau2_sq + gamma**2 * (4.0 * L**4 / mu**2) * lam2 * zeta**2)
-    )
     rho = prof.rho
     topo = rho**2 / (1.0 - rho**2) if rho < 1.0 else math.inf
     return BoundDiagnostics(
@@ -439,7 +451,7 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
         tau4_sq=tau4_sq,
         B=B,
         C=C,
-        psi0=psi0,
+        psi0=_psi0(obj, prof.Lambda, gamma, tau2_sq),
         contraction_rate=1.0 - gamma * mu,
         term_gamma=gamma * tau2_sq / (mu * m_eff),
         term_gamma_3_2=gamma**1.5 * K3 * B**1.5 / (mu * m_eff),
@@ -457,8 +469,7 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
 
 
 def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
-                       epsilon: float = 1e-2, variant: str = "dsgd",
-                       tau_draws: int = 20000, seed: int = 0):
+                       epsilon: float = 1e-2, variant: str = "dsgd"):
     """Step size and horizon reaching accuracy epsilon, up to absolute constants.
 
     ``variant`` selects plain averaging ("dsgd") or two-step-size
@@ -483,7 +494,7 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
             "schedule recommendation requires rho < 1"
         )
     m_eff = _resolve_m(obj, m)
-    tau2_sq, tau4_sq = _tau_squares(obj, noise, tau_draws, seed)
+    tau2_sq, tau4_sq = _tau_squares(obj, noise)
 
     def div(a, b):
         return a / b if b > 0.0 else math.inf
@@ -495,7 +506,7 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
         div(mu * m_eff * epsilon**2, tau2_sq),
         div(mu * het_eps, L * Lambda * zeta),
     )
-    B = (tau4_sq + gam**2 * (L**4 / mu**2) * Lambda**2 * zeta**2) / mu
+    B = _moment_bound(obj, Lambda, gam, tau4_sq)
     topo = rho**2 / (1.0 - rho**2)
     if topo > 0.0:
         gam = min(
@@ -510,14 +521,15 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
         div(L * Lambda * zeta, mu**2 * het_eps),
         div(math.sqrt(tau2_sq), mu * epsilon) * math.sqrt(topo),
     )
-    psi0 = (
-        float(np.sum(obj.theta_star**2))
-        + gam**2 * (L**2 / mu**2) * Lambda**2 * zeta**2
-        + (gam / mu)
-        * (tau2_sq + gam**2 * (4.0 * L**4 / mu**2) * Lambda**2 * zeta**2)
-    )
+    psi0 = _psi0(obj, Lambda, gam, tau2_sq)
     log_factor = max(1.0, math.log(psi0 / epsilon)) if psi0 > 0.0 else 1.0
     return float(gam), int(math.ceil(T_core * log_factor))
+
+
+def _flat_rows(name: str, array: np.ndarray):
+    """(name[i][j]..., entry) for every entry of array, in C order."""
+    return [(name + "".join(f"[{i}]" for i in index), array[index])
+            for index in np.ndindex(array.shape)]
 
 
 @dataclass(frozen=True)
@@ -536,33 +548,19 @@ class TheoryReport:
     diagnostics: Optional[BoundDiagnostics]
 
     def rows(self):
-        out = []
-        for k in range(self.theta_det_pred.m):
-            for j in range(self.theta_det_pred.d):
-                out.append((f"theta_det_pred[{k}][{j}]",
-                            self.theta_det_pred.data[k, j]))
-        for k in range(self.bias_first_order.m):
-            for j in range(self.bias_first_order.d):
-                out.append((f"bias_first_order[{k}][{j}]",
-                            self.bias_first_order.data[k, j]))
-        out.append(("det_residual_bound", self.det_residual_bound))
-        out.append(("lemma3_bound", self.lemma3_bound))
-        d = self.variance_first_order.shape[0]
-        for i in range(d):
-            for j in range(d):
-                out.append((f"variance_first_order[{i}][{j}]",
-                            self.variance_first_order[i, j]))
-        for i in range(len(self.stochastic_bias_first_order)):
-            out.append((f"stochastic_bias_first_order[{i}]",
-                        self.stochastic_bias_first_order[i]))
-        out.append(("rr_bias_bound", self.rr_bias_bound))
-        if self.diagnostics is not None:
-            for name, value in self.diagnostics.as_rows():
-                out.append((f"diag_{name}", value))
-        else:
-            for f in fields(BoundDiagnostics):
-                out.append((f"diag_{f.name}", float("nan")))
-        return out
+        diag = (self.diagnostics.as_rows() if self.diagnostics is not None
+                else [(f.name, float("nan")) for f in fields(BoundDiagnostics)])
+        return [
+            *_flat_rows("theta_det_pred", self.theta_det_pred.data),
+            *_flat_rows("bias_first_order", self.bias_first_order.data),
+            ("det_residual_bound", self.det_residual_bound),
+            ("lemma3_bound", self.lemma3_bound),
+            *_flat_rows("variance_first_order", self.variance_first_order),
+            *_flat_rows("stochastic_bias_first_order",
+                        self.stochastic_bias_first_order),
+            ("rr_bias_bound", self.rr_bias_bound),
+            *((f"diag_{name}", value) for name, value in diag),
+        ]
 
     def to_csv(self, dest) -> None:
         """Write rows() as quantity,value to a path or an open handle."""
@@ -570,9 +568,8 @@ class TheoryReport:
                   ((name, float(value)) for name, value in self.rows()))
 
 
-def theory_report(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
-                  Theta0: Optional[StackedPoint] = None,
-                  tau_draws: int = 20000, seed: int = 0) -> TheoryReport:
+def theory_report(W: CommMatrix, obj: ObjectiveSet, noise,
+                  gamma: float) -> TheoryReport:
     """Assemble the full report.
 
     The fixed-point and expansion gates are hard: a gamma outside them
@@ -584,15 +581,11 @@ def theory_report(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
     # for quadratics the exact fixed point goes first: its step-size gate
     # gamma < 2/((1+L/mu) L Lambda) is the tighter one and should be the
     # inequality named on failure
-    if obj.kind == "quadratic":
-        pred = quad_exact_fixed_point(W, obj, gamma).theta_det
-        expansion = det_bias_expansion(W, obj, gamma)
-    else:
-        expansion = det_bias_expansion(W, obj, gamma)
-        pred = expansion.prediction
+    exact = (quad_exact_fixed_point(W, obj, gamma).theta_det
+             if obj.kind == "quadratic" else None)
+    expansion = det_bias_expansion(W, obj, gamma)
     try:
-        diag = bound_diagnostics(obj, W, noise, gamma, Theta0=Theta0,
-                                 tau_draws=tau_draws, seed=seed)
+        diag = bound_diagnostics(obj, W, noise, gamma)
     except StepTooLargeError:
         diag = None
     bias = StackedPoint(
@@ -600,7 +593,7 @@ def theory_report(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
         expansion.prediction.data - obj.theta_star_stacked.data,
     )
     return TheoryReport(
-        theta_det_pred=pred,
+        theta_det_pred=expansion.prediction if exact is None else exact,
         bias_first_order=bias,
         det_residual_bound=expansion.residual_bound,
         lemma3_bound=lemma3_bound(obj, W, gamma),

@@ -453,6 +453,18 @@ class TestCompare:
         assert rc == 1
         assert "at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gammas, reason", [
+        ("0.01,-0.01,0.02", "run.gammas must be positive, got -0.01"),
+        ("0.01,0.01,0.02", "run.gammas must be distinct"),
+    ])
+    def test_bad_grid_is_a_config_error(self, tmp_path, capsys, gammas, reason):
+        cfg = write_cfg(tmp_path, COMPARE_CFG)
+        rc = main(["compare", "--config", cfg, "--out", str(tmp_path),
+                   "--set", f"run.gammas={gammas}", "--set", "noise.variant=none"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {reason}")
+        assert not (tmp_path / "cmp_verdicts.csv").exists()
+
 
 SWEEP_CFG = """
 topology.kind = ring

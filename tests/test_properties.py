@@ -2,8 +2,8 @@
 re-keyed Philox against a new one, the Newton solve for Theta_det against
 the Picard oracle, the shared Newton loop on theta*, the sigmoid against its
 mask-based reference, the minibatch drift against the full per-sample
-gradient formula, and every topology builder's W against the block
-average."""
+gradient formula, every topology builder's W against the block average,
+and the expansion's residual bound against the rr bound."""
 
 import io
 import inspect
@@ -19,6 +19,7 @@ from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _w
                              sample_noise)
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
+from dsgd_lab.theory import det_bias_expansion, rr_bias_bound
 from dsgd_lab.topology import (
     apply_comm,
     build_clusters,
@@ -308,3 +309,21 @@ def test_mixing_preserves_block_average_for_every_builder(W, d, seed):
     X = StackedPoint(W.m, d, np.random.default_rng(seed).standard_normal((W.m, d)))
     got = project_consensus(apply_comm(W, X)).data
     assert np.all(np.abs(got - project_consensus(X).data) <= 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "logistic"]), clusters=st.booleans(),
+       k=st.integers(1, 4), size=st.integers(2, 4), t=st.floats(0.05, 1.0),
+       d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), frac=st.floats(0.01, 1.0))
+def test_expansion_residual_bound_is_bitwise_half_the_rr_bound(kind, clusters, k, size, t, d,
+                                                               seed, frac):
+    # both are the one gamma^2 constant; halving it is exact in binary
+    if clusters:
+        W = build_clusters(k * size, k, t / size)
+    else:
+        W = build_ring(k + size, t / 2.0)
+    obj = _problem(kind, W.m, d, seed)
+    # min(1/(Lambda L), 1/L), with no division by a zero Lambda
+    gamma = frac / (obj.L * max(W.spectral.Lambda, 1.0))
+    residual = det_bias_expansion(W, obj, gamma).residual_bound
+    assert residual == 0.5 * rr_bias_bound(obj, W, gamma)
