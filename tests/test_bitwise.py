@@ -20,14 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dsgd_lab.cli import build_noise, build_objective, build_topology, preset_config
+from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
 from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
-from dsgd_lab.theory import (bound_diagnostics, det_bias_expansion, recommend_schedule,
-                             rr_bias_bound, stochastic_bias_first_order, theory_report)
+from dsgd_lab.theory import (bound_diagnostics, det_bias_expansion, quad_exact_fixed_point,
+                             recommend_schedule, rr_bias_bound, stochastic_bias_first_order,
+                             theory_report)
 from dsgd_lab.topology import build_clusters, build_fully_connected, build_ring
 
 
@@ -308,10 +309,23 @@ AC10_DIGESTS = {
 }
 
 
-def _ac10_moments():
+# the same run at AC10's second step size
+AC10_HALF_DIGESTS = {
+    "stat_sum": "acd9478eea90d78b666613705bf2b821a0bc4c7ec6c63fb003d98924476c4198",
+    "stat_outer": "21a1fa1bc7e33387d5bf89c390c69459b890c119bafb1fe5979e25323bcd2654",
+    "final": "cbb29d31a03ad1fe0779efb30ea86964411f99e82cad1118db3b7bcdbd781425",
+}
+
+
+def _moment_digests(rec) -> dict:
+    return {"stat_sum": _digest(rec.stat_sum), "stat_outer": _digest(rec.stat_outer),
+            "final": _digest(rec.final)}
+
+
+def _ac10_moments(gamma=0.1):
     obj = generate_logistic_problem(m=1, n=25, d=1, heterogeneity_spread=1.2,
                                     lambda_reg=0.1, seed=7)
-    cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=1100, seed=21, replicates=128,
+    cfg = RunConfig(algorithm="dsgd", gamma=gamma, T=1100, seed=21, replicates=128,
                     burn_in=100, record_every=1100)
     rec = run(build_fully_connected(1), obj, AdditiveGaussian.isotropic(1, 1, 1.0), cfg,
               obj.theta_star_stacked)
@@ -324,6 +338,47 @@ def test_gaussian_run_at_the_ac10_shape_is_pinned():
     got = {"stat_sum": _digest(stat_sum), "stat_outer": _digest(stat_outer),
            "final": _digest(final)}
     assert got == AC10_DIGESTS
+
+
+def test_gaussian_run_at_the_half_ac10_step_is_pinned():
+    names = ("stat_sum", "stat_outer", "final")
+    assert dict(zip(names, map(_digest, _ac10_moments(0.05)))) == AC10_HALF_DIGESTS
+
+
+# Gaussian runs at the AC8(b) shape (m = 4, d = 2, R = 16, seed 11): isotropic
+# quadratics on a ring and on the full graph, each started at its own fixed
+# point, over three 512-step blocks
+AC8_DIGESTS = {
+    "ring": {
+        "stat_sum": "73ce376a07d31761664ff13d9ab7cd9cd4a0c48a144952d943eaeeba1afea059",
+        "stat_outer": "9300c3799361e7939e0809c899281100329ba1dfb04f66b823243324893b1df4",
+        "final": "efdd8d1c547e8f7c4400ccc3ceb071bb3f22b1a03e55ff489dc449efe7177eec",
+    },
+    "full": {
+        "stat_sum": "1710c8f9b32f973cb8114c29593048bcedda59f9c167e05b41c4ff66c7eddd38",
+        "stat_outer": "a2d495b9fb8b356ef9f0199de98f838e0ee9c09676d947933fbb93c8657a6246",
+        "final": "cae32d32e3607b665ab378d96f63f16ce78a613717593968598649281e8f9705",
+    },
+}
+
+
+def _ac8_problem():
+    A = np.einsum("k,ij->kij", np.array([1.0, 2.0, 1.0, 2.0]), np.eye(2))
+    obj = QuadraticObjectives(A, np.array([[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0], [0.0, -0.3]]))
+    cfg = RunConfig(algorithm="dsgd", gamma=1e-2 / obj.L, T=1100, seed=11, replicates=16,
+                    burn_in=100, record_every=1100)
+    graphs = {"ring": build_ring(4, 0.25), "full": build_fully_connected(4)}
+    starts = {name: quad_exact_fixed_point(W, obj, cfg.gamma).theta_det
+              for name, W in graphs.items()}
+    return obj, AdditiveGaussian.isotropic(4, 2, 1.0), cfg, graphs, starts
+
+
+@pytest.mark.parametrize("graph", sorted(AC8_DIGESTS))
+def test_gaussian_run_at_the_ac8_shape_is_pinned(graph):
+    obj, model, cfg, graphs, starts = _ac8_problem()
+    rec = run(graphs[graph], obj, model, cfg, starts[graph], Theta_det=starts[graph])
+    assert rec.stat_count == 1000
+    assert _moment_digests(rec) == AC8_DIGESTS[graph]
 
 
 def _on_threads(*calls):
@@ -592,3 +647,108 @@ def test_stochastic_bias_under_zero_covariance_is_positive_zero():
     obj = generate_logistic_problem(m=2, n=10, d=2, seed=1)
     out = stochastic_bias_first_order(obj, AdditiveGaussian.isotropic(2, 2, 0.0), 0.01)
     assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
+# CLI output files by SHA-256 of their bytes: the goldens compare within
+# 1e-12, these byte for byte. A noisy sweep over two m, two topologies and
+# two gamma, with Gaussian noise on quadratics and minibatch noise on
+# logistic data
+SWEEP_CFG = """\
+topology.kind = ring
+topology.m = 4
+objective.kind = quadratic
+objective.d = 2
+objective.seed = 3
+run.algorithm = dgd
+run.gamma = 0.01
+run.T = 4000
+run.replicates = 2
+run.seed = 1
+sweep.m_list = 4, 8
+sweep.topologies = fully_connected, ring
+sweep.gammas = 0.01, 0.004
+output.prefix = swp
+"""
+
+SWEEP_NOISE = {"gaussian": ["--set", "noise.variant=gaussian"],
+               "minibatch": ["--set", "noise.variant=minibatch", "--set", "objective.kind=logistic",
+                             "--set", "objective.n=12", "--set", "noise.batch_size=4"]}
+
+SWEEP_DIGESTS = {
+    "gaussian": "41d9e93037542ebb3794354d637154b7756e5b0e96742e4f0edb32974ef8efc2",
+    "minibatch": "d79decafe16e3c82f5fbbed9a2889413ebb6954d13abd39945ceb3c241724b41",
+}
+
+
+def _files_digest(directory) -> dict:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("noise", sorted(SWEEP_DIGESTS))
+def test_noisy_sweep_csv_is_pinned(noise, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), *SWEEP_NOISE[noise]]) == 0
+    assert _files_digest(out) == {"swp_sweep.csv": SWEEP_DIGESTS[noise]}
+
+
+# the simulate cases of tests/test_golden.py, every file they write
+_SHORT = ["--set", "run.T=600", "--set", "run.replicates=3"]
+
+SIMULATE_CASES = {
+    "fig2-heterogeneous": ["--preset", "fig2-heterogeneous", *_SHORT],
+    "fig2-homogeneous": ["--preset", "fig2-homogeneous", *_SHORT],
+    "fig1-rr-det": ["--preset", "fig1-rr-det", *_SHORT],
+    "fig1-rr-sto": ["--preset", "fig1-rr-sto", *_SHORT],
+    "fig2-gaussian": ["--preset", "fig2-heterogeneous", "--set", "noise.variant=gaussian",
+                      *_SHORT],
+    "fig1-independent": ["--preset", "fig1-rr-sto", "--set", "run.coupling=independent",
+                         *_SHORT],
+}
+
+SIMULATE_DIGESTS = {
+    "fig2-heterogeneous": {
+        "simulate_aggregate.csv": "79b5355379095c2285f7e8695759e993bec89c73bb24ddcf2bc4e06fdfdeada6",
+        "simulate_replicate000.csv": "44c5383a39d70e98cecdb08be40e75f96300f021498425d1588c1ca2f6253084",
+        "simulate_replicate001.csv": "63b667310d35853532756cbfff4282773590ddec241adfa5ef4ac054e05f0805",
+        "simulate_replicate002.csv": "72e9eb782483dbd1813f1de990f09105732592dc4fb6beda348372057867dfba",
+    },
+    "fig2-homogeneous": {
+        "simulate_aggregate.csv": "a2098adeffdb8962d4dd67b9b7e5b645074c9ad87ca364df11061364925a24b7",
+        "simulate_replicate000.csv": "9b0aaa811c7b1724f4016238f5f5752657c15fdfbc7088ce595da931e24bf4db",
+        "simulate_replicate001.csv": "74ee3efb266af585af79522b62345065201c9ca9db301eb660b6775b675396e0",
+        "simulate_replicate002.csv": "28535c3e454c0351e7b306af0c4d91ba9329916e37f4f38309dec5d2bb99a97a",
+    },
+    "fig1-rr-det": {
+        "simulate_aggregate.csv": "4e0b59d44ba393d59245bd0e4423da74ff83e4c85dcfe4783aafeb700919aaad",
+        "simulate_replicate000.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
+        "simulate_replicate001.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
+        "simulate_replicate002.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
+    },
+    "fig1-rr-sto": {
+        "simulate_aggregate.csv": "2ddbabb86edac2ac0a4bc2ed2a0f2995bdbe5040e94ed95e87518ae85f0cb469",
+        "simulate_replicate000.csv": "068dff98a0ee6391a1c6b7caa138728808ab93614a64ee108c80f823698cf983",
+        "simulate_replicate001.csv": "12071a435f4ac1566d53a1d37a687cc00d7b79834e02c74b16609d672d584f37",
+        "simulate_replicate002.csv": "1ba42aa7c8d90dc851601eb00649e06d6d00ae2979a8ea156b93efda63257f04",
+    },
+    "fig2-gaussian": {
+        "simulate_aggregate.csv": "31afe3153bb87794edd2a59ef630cfe0e11de895bd0ad874c5a6c28924694518",
+        "simulate_replicate000.csv": "b59cdfa69677fd28efe23c2d28aff31655bd549747e6792991fb4a77d1de5394",
+        "simulate_replicate001.csv": "0204d3d7854c2fd1b9831aa7d7dec29b493bfb708d6a51e9c19717c7dca2fdd2",
+        "simulate_replicate002.csv": "774db85d541a42503c457cd3a44f68ae430da9b937aad348b8c6896097864ffc",
+    },
+    "fig1-independent": {
+        "simulate_aggregate.csv": "3e4c7e7b7def9e907b7c657e0d2739ed586694c1310a1189f0ff11edd0288af3",
+        "simulate_replicate000.csv": "0096fff0e61265996b1a2d0c79cf924dd86f10f6006bbdd2b1bda9077bb62883",
+        "simulate_replicate001.csv": "07e0610596efa8859ed24327739ff937dd161f7ce0366e571da55cc253e0bcad",
+        "simulate_replicate002.csv": "fc983f5f5c162aa43c3c2943da1742a26ca1e36c79540a7c1ce74659c29a5056",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_files_are_pinned(case, tmp_path):
+    assert main(["simulate", *SIMULATE_CASES[case], "--out", str(tmp_path)]) == 0
+    assert _files_digest(tmp_path) == SIMULATE_DIGESTS[case]
