@@ -344,8 +344,8 @@ def _stacked_dist(A: StackedPoint, B: StackedPoint) -> float:
     return float(np.linalg.norm(A.data - B.data))
 
 
-def _stationary_record(W, obj, noise_model, rc, start):
-    """DSGD chain for stationary statistics, started at the fixed point.
+def _stationary_config(rc, obj):
+    """DSGD config for stationary statistics of a chain started at the fixed point.
 
     With no cold-start transient the default burn-in (sized for arbitrary
     initializations) is overly conservative, so cap it at T/2; an explicit
@@ -357,7 +357,7 @@ def _stationary_record(W, obj, noise_model, rc, start):
             dynamics.default_burn_in(rc.gamma, obj.mu, rc.T), rc.T // 2
         )
         rc = replace(rc, burn_in=burn)
-    return dynamics.run(W, obj, noise_model, rc, start, start)
+    return rc
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
@@ -426,12 +426,12 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         )
 
     if noise_model is not None:
-        rc = build_run_config(cfg)
+        rc = _stationary_config(build_run_config(cfg), obj)
         if rc.replicates < 2:
             raise ConfigError(
                 "stationary claims need run.replicates >= 2 for standard errors"
             )
-        record = _stationary_record(W, obj, noise_model, rc, fp.point)
+        record = dynamics.run(W, obj, noise_model, rc, fp.point, fp.point)
         moments = stats.stationary_moments(record, fp.point)
         z_mean = _max_z(
             moments.mean.data - fp.point.data, moments.std_errors
@@ -460,35 +460,34 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 _SWEEP_METRICS = ("bias_norm", "bias_norm_pred", "stat_trace", "stat_trace_pred")
 
 
-def _sweep_cell(cfg: ExperimentConfig, m: int, topo_kind: str, gamma: float):
-    cell_cfg = ExperimentConfig()
-    cell_cfg.update(cfg)
-    cell_cfg.set("topology", "kind", topo_kind)
-    cell_cfg.set("topology", "m", m)
-    cell_cfg.set("run", "gamma", gamma)
-    W = build_topology(cell_cfg)
-    obj = build_objective(cell_cfg, W.m)
-    noise_model = build_noise(cell_cfg, obj)
-    fp = dynamics.solve_fixed_point(W, obj, gamma)
-    values = {
-        "bias_norm": _stacked_dist(fp.point, obj.theta_star_stacked),
-        "bias_norm_pred": float(
-            np.linalg.norm(
-                theory.det_bias_expansion(W, obj, gamma).prediction.data
-                - obj.theta_star_stacked.data
-            )
-        ),
-        "stat_trace": 0.0,
-        "stat_trace_pred": 0.0,
-    }
-    if noise_model is not None:
-        rc = build_run_config(cell_cfg)
-        record = _stationary_record(W, obj, noise_model, rc, fp.point)
-        moments = stats.stationary_moments(record, fp.point)
-        values["stat_trace"] = moments.diag_trace_average()
-        values["stat_trace_pred"] = float(
-            np.trace(theory.variance_first_order(obj, noise_model, gamma))
-        )
+def _sweep_m(cfg: ExperimentConfig, m: int, topologies, gammas) -> dict:
+    """The _SWEEP_METRICS of one client count's cells, keyed (topology, gamma):
+    one objective, one W per topology, one batched run per gamma."""
+    m_cfg = ExperimentConfig()
+    m_cfg.update(cfg)
+    m_cfg.set("topology", "m", m)
+    Ws = []
+    for kind in topologies:
+        m_cfg.set("topology", "kind", kind)
+        Ws.append(build_topology(m_cfg))
+    obj = build_objective(m_cfg, m)
+    noise_model = build_noise(m_cfg, obj)
+    star = obj.theta_star_stacked
+    values = {}
+    for gamma in gammas:
+        points = [dynamics.solve_fixed_point(W, obj, gamma).point for W in Ws]
+        for kind, W, point in zip(topologies, Ws, points):
+            expansion = theory.det_bias_expansion(W, obj, gamma).prediction
+            values[kind, gamma] = [_stacked_dist(point, star), _stacked_dist(expansion, star),
+                                   0.0, 0.0]
+        if noise_model is not None:
+            m_cfg.set("run", "gamma", gamma)
+            rc = _stationary_config(build_run_config(m_cfg), obj)
+            records = dynamics.run_chains(Ws, obj, noise_model, [rc] * len(Ws), points, points)
+            pred = float(np.trace(theory.variance_first_order(obj, noise_model, gamma)))
+            for kind, record, point in zip(topologies, records, points):
+                moments = stats.stationary_moments(record, point)
+                values[kind, gamma][2:] = [moments.diag_trace_average(), pred]
     return values
 
 
@@ -507,12 +506,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raise BudgetExceededError(
             f"sweep has {len(cells)} cells; the limit is {MAX_SWEEP_CELLS}"
         )
-    results = [_sweep_cell(cfg, *cell) for cell in cells]
+    results = {m: _sweep_m(cfg, m, topologies, gammas) for m in dict.fromkeys(m_list)}
     out_dir, prefix = _resolve_output(cfg, args, "sweep")
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
-    rows = ([m, topo_kind, gamma, metric, values[metric]]
-            for (m, topo_kind, gamma), values in zip(cells, results)
-            for metric in _SWEEP_METRICS)
+    rows = ([m, topo_kind, gamma, metric, value] for m, topo_kind, gamma in cells
+            for metric, value in zip(_SWEEP_METRICS, results[m][topo_kind, gamma]))
     write_csv(path, ["m", "topology", "gamma", "metric", "value"], rows)
     print(f"wrote {len(cells) * len(_SWEEP_METRICS)} rows to {path}")
     return 0

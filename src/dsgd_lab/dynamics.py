@@ -7,10 +7,10 @@ gradient step, then the network averages with W. In stacked form
 
 with E = 0 for the deterministic variant. One step kernel performs this
 update for every engine, on a (C, R, m, d) stack: C chains, each with its
-own step size, times R replicates, and W acts blockwise through batched
-matmul; no Kronecker products are materialized. A plain run is C = 1, the
-extrapolated run is C = 2 (gamma and gamma/2), a coupled pair is C = 2 (two
-starts), and the single steps and the fixed-point iteration are C = R = 1.
+own step size, W and start, times R replicates, and W acts blockwise
+through batched matmul. A plain run is C = 1 of run_chains, the extrapolated
+run is C = 2 (gamma and gamma/2), a coupled pair is C = 2 (two starts), and
+the single steps and the fixed-point iteration are C = R = 1.
 All randomness flows through keyed NoiseStream objects, so a run is a pure
 function of its configuration and seed: the trajectory of replicate r does
 not depend on how many other replicates or chains are batched alongside it
@@ -57,6 +57,7 @@ __all__ = [
     "fixed_point",
     "solve_fixed_point",
     "run",
+    "run_chains",
     "coupled_run",
     "rr_run",
     "default_burn_in",
@@ -274,11 +275,15 @@ class _Draws:
         return self.grid[:, :, row]
 
 
-def _iterate(W: CommMatrix, obj: ObjectiveSet, noise, gammas, Th: np.ndarray,
+def _iterate(Ws, obj: ObjectiveSet, noise, gammas, starts, R: int,
              draws: _Draws | None, T: int):
-    """Yield the (C, R, m, d) stack at t = 0, 1, ..., T."""
-    W = W.entries
+    """Yield the (C, R, m, d) stack at t = 0, 1, ..., T, chain c stepping
+    with gammas[c] from starts[c]; equal Ws mix as one (m, m) matrix."""
+    W = np.stack([W.entries for W in Ws])[:, None]
+    if (W == W[0]).all():
+        W = W[0, 0]
     gammas = np.reshape(np.asarray(gammas, dtype=float), (-1, 1, 1, 1))
+    Th = np.repeat(np.stack([P.data for P in starts])[:, None], R, axis=1)
     yield Th
     for t in range(T):
         Th = _step(W, obj, noise, gammas, Th, None if draws is None else draws.at(t))
@@ -457,9 +462,23 @@ def _record_metrics(P: np.ndarray, theta_star: np.ndarray,
     return dist_opt, dist_det, consensus, disagree, client_avg
 
 
-def _stack(points, R: int) -> np.ndarray:
-    """(C, R, m, d) stack: chain c starts every replicate at points[c]."""
-    return np.stack([np.tile(P.data[None], (R, 1, 1)) for P in points])
+def _checked_noise(Ws, obj: ObjectiveSet, noise, configs, starts):
+    """The noise model the chains step with, after the input checks that
+    run_chains and rr_run share."""
+    alg = configs[0].algorithm
+    if not alg.endswith("dsgd"):
+        noise = None
+    elif noise is None:
+        raise InvalidParamError(
+            f"{alg} requires a noise model; use algorithm={alg.replace('dsgd', 'dgd')!r} instead"
+        )
+    else:
+        _check_model(noise, obj)
+    for W in Ws:
+        _check_shapes(W, obj, *starts)
+    for config in configs:
+        _check_step(config.gamma, obj.L)
+    return noise
 
 
 def run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
@@ -473,19 +492,37 @@ def run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
     """
     if config.algorithm in ("rr_dgd", "rr_dsgd"):
         return rr_run(W, obj, noise, config, Theta0, Theta_det)
-    if config.algorithm == "dsgd" and noise is None:
-        raise InvalidParamError("dsgd requires a noise model; use algorithm='dgd' instead")
-    if config.algorithm == "dgd":
-        noise = None
-    if noise is not None:
-        _check_model(noise, obj)
-    _check_shapes(W, obj, Theta0)
-    _check_step(config.gamma, obj.L)
+    return run_chains([W], obj, noise, [config], [Theta0], [Theta_det])[0]
 
-    R = config.replicates
-    draws = None if noise is None else _Draws(noise, obj, config.seed, [range(R)])
-    chain = _iterate(W, obj, noise, [config.gamma], _stack([Theta0], R), draws, config.T)
-    return _drive(chain, lambda Th: Th[0], obj, config, Theta_det)
+
+def run_chains(Ws, obj: ObjectiveSet, noise, configs, starts,
+               Theta_dets=None) -> list[RunRecord]:
+    """Run configs[c] on Ws[c] from starts[c], every chain on the draws
+    that a lone run reads, so chain c equals run(Ws[c], obj, noise,
+    configs[c], starts[c], Theta_dets[c]) bit for bit. The configs differ
+    only in gamma: the algorithm (dgd or dsgd), T, seed, replicates,
+    record_every and the resolved burn-in are shared."""
+    Theta_dets = Theta_dets or [None] * len(configs)
+    if not 0 < len(configs) == len(Ws) == len(starts) == len(Theta_dets):
+        raise InvalidParamError("run_chains needs one W, start and Theta_det per config")
+
+    def shared(c):
+        return (c.algorithm, c.T, c.seed, c.replicates, c.record_every,
+                c.resolved_burn_in(obj.mu))
+
+    first = configs[0]
+    if first.algorithm not in ("dgd", "dsgd") or any(shared(c) != shared(first)
+                                                     for c in configs):
+        raise InvalidParamError(
+            "run_chains needs dgd or dsgd chains that share the algorithm, T, seed, "
+            "replicates, record_every and burn-in"
+        )
+    noise = _checked_noise(Ws, obj, noise, configs, starts)
+    R = first.replicates
+    draws = None if noise is None else _Draws(noise, obj, first.seed, [range(R)])
+    gammas = [config.gamma for config in configs]
+    return _drive(_iterate(Ws, obj, noise, gammas, starts, R, draws, first.T), obj, configs,
+                  Theta_dets)
 
 
 def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
@@ -498,15 +535,7 @@ def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
     """
     if config.algorithm in ("dgd", "dsgd"):
         raise InvalidParamError("rr_run requires an rr_dgd or rr_dsgd configuration")
-    if config.algorithm == "rr_dsgd" and noise is None:
-        raise InvalidParamError("rr_dsgd requires a noise model")
-    if config.algorithm == "rr_dgd":
-        noise = None
-    if noise is not None:
-        _check_model(noise, obj)
-    _check_shapes(W, obj, Theta0)
-    _check_step(config.gamma, obj.L)
-
+    noise = _checked_noise([W], obj, noise, [config], [Theta0])
     R = config.replicates
     if config.coupling == "shared":
         ids = [range(R)]
@@ -514,77 +543,55 @@ def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
         ids = [range(0, 2 * R, 2), range(1, 2 * R, 2)]
     draws = None if noise is None else _Draws(noise, obj, config.seed, ids)
     gammas = [config.gamma, config.gamma / 2.0]
-    chain = _iterate(W, obj, noise, gammas, _stack([Theta0, Theta0], R), draws, config.T)
-    return _drive(chain, lambda Th: 2.0 * Th[1] - Th[0], obj, config, Theta_det)
+    chain = _iterate([W], obj, noise, gammas, [Theta0, Theta0], R, draws, config.T)
+    return _drive(chain, obj, [config], [Theta_det], lambda Th: 2.0 * Th[1:] - Th[:1])[0]
 
 
-def _drive(chain, combine, obj: ObjectiveSet, config: RunConfig,
-           Theta_det: StackedPoint | None) -> RunRecord:
+def _drive(chain, obj: ObjectiveSet, configs, Theta_dets, combine=None) -> list[RunRecord]:
     """Consume the chain's stacks: record metrics, accumulate moments.
 
-    combine maps a (C, R, m, d) stack to the (R, m, d) recorded iterate.
-    Raises DivergenceError when that iterate is not finite at a record step
-    or at T.
+    combine maps a (C, R, m, d) stack to the (K, R, m, d) recorded iterates,
+    one per config; by default they are the chains. Raises DivergenceError
+    when one is not finite at a record step or at T, naming the chain if K > 1.
     """
+    config = configs[0]
     theta_star = obj.theta_star
-    det_data = Theta_det.data if Theta_det is not None else None
+    dets = [None if P is None else P.data for P in Theta_dets]
     burn = config.resolved_burn_in(obj.mu)
     T, stride = config.T, config.record_every
     R = config.replicates
-    m, d = obj.m, obj.d
+    K, m, d = len(configs), obj.m, obj.d
 
     times = []
-    rec = {k: [] for k in ("opt", "det", "cons", "dis", "client")}
-    stat_sum = np.zeros((R, m, d))
-    stat_outer = np.zeros((R, m * d, m * d))
+    rows = [[] for _ in range(K)]
+    stat_sum = np.zeros((K, R, m, d))
+    stat_outer = np.zeros((K, R, m * d, m * d))
     outer = np.empty_like(stat_outer)
     stat_count = 0
 
-    def record(t, P):
-        dist_opt, dist_det, cons, dis, client = _record_metrics(P, theta_star, det_data)
-        times.append(t)
-        rec["opt"].append(dist_opt)
-        rec["det"].append(dist_det)
-        rec["cons"].append(cons)
-        rec["dis"].append(dis)
-        rec["client"].append(client)
-
     for step_idx, Th in enumerate(chain):
-        current = combine(Th)
+        current = Th if combine is None else combine(Th)
         if step_idx > burn:
             stat_sum += current
-            flat = current.reshape(R, m * d)
-            stat_outer += np.multiply(flat[:, :, None], flat[:, None, :], out=outer)
+            flat = current.reshape(K, R, m * d)
+            stat_outer += np.multiply(flat[..., :, None], flat[..., None, :], out=outer)
             stat_count += 1
         if step_idx % stride == 0 or step_idx == T:
-            bad = ~np.isfinite(current).all(axis=(1, 2))
+            bad = ~np.isfinite(current).all(axis=(2, 3))
             if bad.any():
-                raise DivergenceError(
-                    f"iterate is not finite at step {step_idx} in replicate "
-                    f"{int(np.argmax(bad))}"
-                )
-            record(step_idx, current)
+                k, r = np.unravel_index(np.argmax(bad), bad.shape)
+                where = f"chain {k}, replicate {r}" if K > 1 else f"replicate {r}"
+                raise DivergenceError(f"iterate is not finite at step {step_idx} in {where}")
+            times.append(step_idx)
+            for k in range(K):
+                rows[k].append(_record_metrics(current[k], theta_star, dets[k]))
 
-    dist_det = None
-    if det_data is not None:
-        dist_det = np.stack(rec["det"])
-    return RunRecord(
-        config=config,
-        m=m,
-        d=d,
-        theta_star=theta_star.copy(),
-        theta_det=det_data.copy() if det_data is not None else None,
-        times=np.asarray(times, dtype=int),
-        dist_opt=np.stack(rec["opt"]),
-        dist_det=dist_det,
-        consensus_err=np.stack(rec["cons"]),
-        disagreement_norm=np.stack(rec["dis"]),
-        avg_client_dist=np.stack(rec["client"]),
-        final=current.copy(),
-        stat_count=stat_count,
-        stat_sum=stat_sum,
-        stat_outer=stat_outer,
-    )
+    # _record_metrics gives RunRecord's columns dist_opt to avg_client_dist
+    return [RunRecord(config, m, d, theta_star.copy(), None if det is None else det.copy(),
+                      np.asarray(times, dtype=int),
+                      *(None if col[0] is None else np.stack(col) for col in zip(*rows[k])),
+                      current[k].copy(), stat_count, stat_sum[k], stat_outer[k])
+            for k, (config, det) in enumerate(zip(configs, dets))]
 
 
 def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
@@ -599,6 +606,7 @@ def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
     """
     if noise is None:
         raise InvalidParamError("coupled_run couples stochastic chains; supply a noise model")
+    RunConfig(gamma=gamma, T=T, seed=seed, replicates=replicates)  # the run input checks
     _check_model(noise, obj)
     L = smoothness_constant(noise, obj)
     if not (gamma < 2.0 / L):
@@ -606,10 +614,7 @@ def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
             f"coupling requires gamma < 2/L = {2.0 / L:.6g}, got gamma = {gamma:.6g}"
         )
     _check_shapes(W, obj, Theta0_a, Theta0_b)
-    R = replicates
-    Th = _stack([Theta0_a, Theta0_b], R)
-    draws = _Draws(noise, obj, seed, [range(R)])
-    return np.array([
-        float(np.mean(np.sum((P[0] - P[1]) ** 2, axis=(1, 2))))
-        for P in _iterate(W, obj, noise, [gamma, gamma], Th, draws, T)
-    ])
+    draws = _Draws(noise, obj, seed, [range(replicates)])
+    chain = _iterate([W], obj, noise, [gamma, gamma], [Theta0_a, Theta0_b], replicates,
+                     draws, T)
+    return np.array([float(np.mean(np.sum((P[0] - P[1]) ** 2, axis=(1, 2)))) for P in chain])

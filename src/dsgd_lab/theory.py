@@ -317,8 +317,7 @@ def mean_third_contraction(obj: ObjectiveSet, theta, V: np.ndarray,
     return T
 
 
-def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float,
-                                m=None) -> np.ndarray:
+def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float) -> np.ndarray:
     """First-order shift of the stationary mean away from Theta_det.
 
     Evaluates -(gamma / 2m) Abar^{-1} T where T contracts the averaged third
@@ -326,7 +325,6 @@ def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float,
     this order; exactly zero for quadratic objectives.
     """
     _require_positive_step(gamma)
-    m_eff = _resolve_m(obj, m)
     if noise is None or obj.kind == "quadratic":
         return np.zeros(obj.d)
     Abar, V = _lyapunov_core(obj, noise)
@@ -340,18 +338,17 @@ def stochastic_bias_first_order(obj: ObjectiveSet, noise, gamma: float,
         raise SingularMatrixError(
             "mean Hessian at the optimum is singular"
         ) from exc
-    return -(gamma / (2.0 * m_eff)) * corr
+    return -(gamma / (2.0 * obj.m)) * corr
 
 
-def rr_bias_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float,
-                  m=None) -> float:
+def rr_bias_bound(obj: ObjectiveSet, W: CommMatrix, gamma: float) -> float:
     """Bound on the error of the extrapolated deterministic limit.
 
     gamma^2 (L^2/mu^2) Lambda^2 (K3 zeta*^2 / (mu sqrt(m)) + L zeta*): one
     order of gamma better than the single-step fixed point.
     """
     prof = _expansion_gate(W, obj, gamma)
-    return _second_order_constant(obj, prof.Lambda, gamma, _resolve_m(obj, m))
+    return _second_order_constant(obj, prof.Lambda, gamma, obj.m)
 
 
 def _tau_squares(obj: ObjectiveSet, noise) -> tuple:
@@ -468,8 +465,8 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
     )
 
 
-def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
-                       epsilon: float = 1e-2, variant: str = "dsgd"):
+def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, epsilon: float = 1e-2,
+                       variant: str = "dsgd"):
     """Step size and horizon reaching accuracy epsilon, up to absolute constants.
 
     ``variant`` selects plain averaging ("dsgd") or two-step-size
@@ -493,7 +490,6 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
         raise InvalidParamError(
             "schedule recommendation requires rho < 1"
         )
-    m_eff = _resolve_m(obj, m)
     tau2_sq, tau4_sq = _tau_squares(obj, noise)
 
     def div(a, b):
@@ -503,7 +499,7 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
     gam = min(
         1.0 / L,
         div(mu, L**2 * Lambda * zeta),
-        div(mu * m_eff * epsilon**2, tau2_sq),
+        div(mu * obj.m * epsilon**2, tau2_sq),
         div(mu * het_eps, L * Lambda * zeta),
     )
     B = _moment_bound(obj, Lambda, gam, tau4_sq)
@@ -517,7 +513,7 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, m=None,
     T_core = max(
         L / mu,
         L**2 * Lambda * zeta / mu**2,
-        div(tau2_sq, mu**2 * m_eff * epsilon**2),
+        div(tau2_sq, mu**2 * obj.m * epsilon**2),
         div(L * Lambda * zeta, mu**2 * het_eps),
         div(math.sqrt(tau2_sq), mu * epsilon) * math.sqrt(topo),
     )

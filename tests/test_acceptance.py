@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from dsgd_lab import cli
-from dsgd_lab.dynamics import RunConfig, coupled_run, fixed_point, run
+from dsgd_lab.dynamics import RunConfig, coupled_run, fixed_point, run, run_chains
 from dsgd_lab.matops import inverse_perturbation_bound, projected_pinv_expansion
 from dsgd_lab.noise import AdditiveGaussian, Minibatch, smoothness_constant
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
@@ -388,12 +388,15 @@ def test_ac08_stationary_variance_first_order(capsys):
     model = AdditiveGaussian.isotropic(4, 2, 1.0)
     pred = variance_first_order(obj, model, gamma_b)
     block_z = {}
-    for name, W in [("ring", build_ring(4, t=0.25)),
-                    ("full", build_fully_connected(4))]:
-        det = quad_exact_fixed_point(W, obj, gamma_b).theta_det
-        cfg = RunConfig(algorithm="dsgd", gamma=gamma_b, T=60000, seed=11,
-                        replicates=16, burn_in=6000, record_every=60000)
-        rec = run(W, obj, model, cfg, det, Theta_det=det)
+    graphs = {"ring": build_ring(4, t=0.25), "full": build_fully_connected(4)}
+    dets = [quad_exact_fixed_point(W, obj, gamma_b).theta_det
+            for W in graphs.values()]
+    cfg = RunConfig(algorithm="dsgd", gamma=gamma_b, T=60000, seed=11,
+                    replicates=16, burn_in=6000, record_every=60000)
+    # both graphs read the same draws, one chain each
+    recs = run_chains(list(graphs.values()), obj, model, [cfg, cfg], dets,
+                      Theta_dets=dets)
+    for name, det, rec in zip(graphs, dets, recs):
         mom = stationary_moments(rec, det)
         z = np.abs(mom.block_cov - pred[None, None]) / mom.cov_std_errors
         block_z[name] = float(z.max())
@@ -454,12 +457,15 @@ def test_ac10_stochastic_mean_shift_scaling(capsys):
     model = AdditiveGaussian.isotropic(1, 1, 1.0)
     failures = []
     biases = {}
-    for gamma in (0.1, 0.05):
-        det = fixed_point(W, obj, gamma).point
+    gammas = (0.1, 0.05)
+    dets = [fixed_point(W, obj, gamma).point for gamma in gammas]
+    cfgs = [RunConfig(algorithm="dsgd", gamma=gamma, T=250000, seed=21,
+                      replicates=128, burn_in=5000, record_every=250000)
+            for gamma in gammas]
+    # both step sizes read the same draws, one chain each
+    recs = run_chains([W, W], obj, model, cfgs, dets, Theta_dets=dets)
+    for gamma, det, rec in zip(gammas, dets, recs):
         pred = float(stochastic_bias_first_order(obj, model, gamma)[0])
-        cfg = RunConfig(algorithm="dsgd", gamma=gamma, T=250000, seed=21,
-                        replicates=128, burn_in=5000, record_every=250000)
-        rec = run(W, obj, model, cfg, det, Theta_det=det)
         mom = stationary_moments(rec, det)
         bias = float(mom.mean.data[0, 0] - det.data[0, 0])
         se = float(mom.std_errors[0, 0])

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
-from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run
+from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run, run_chains
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
@@ -345,6 +345,17 @@ def test_gaussian_run_at_the_half_ac10_step_is_pinned():
     assert dict(zip(names, map(_digest, _ac10_moments(0.05)))) == AC10_HALF_DIGESTS
 
 
+def test_both_ac10_step_sizes_as_chains_give_the_pinned_digests():
+    obj = generate_logistic_problem(m=1, n=25, d=1, heterogeneity_spread=1.2,
+                                    lambda_reg=0.1, seed=7)
+    cfgs = [RunConfig(algorithm="dsgd", gamma=gamma, T=1100, seed=21, replicates=128,
+                      burn_in=100, record_every=1100) for gamma in (0.1, 0.05)]
+    W = build_fully_connected(1)
+    recs = run_chains([W, W], obj, AdditiveGaussian.isotropic(1, 1, 1.0), cfgs,
+                      [obj.theta_star_stacked] * 2)
+    assert [_moment_digests(rec) for rec in recs] == [AC10_DIGESTS, AC10_HALF_DIGESTS]
+
+
 # Gaussian runs at the AC8(b) shape (m = 4, d = 2, R = 16, seed 11): isotropic
 # quadratics on a ring and on the full graph, each started at its own fixed
 # point, over three 512-step blocks
@@ -379,6 +390,14 @@ def test_gaussian_run_at_the_ac8_shape_is_pinned(graph):
     rec = run(graphs[graph], obj, model, cfg, starts[graph], Theta_det=starts[graph])
     assert rec.stat_count == 1000
     assert _moment_digests(rec) == AC8_DIGESTS[graph]
+
+
+def test_both_ac8_graphs_as_chains_give_the_pinned_digests():
+    obj, model, cfg, graphs, starts = _ac8_problem()
+    names = sorted(graphs)
+    recs = run_chains([graphs[name] for name in names], obj, model, [cfg, cfg],
+                      [starts[name] for name in names], [starts[name] for name in names])
+    assert [_moment_digests(rec) for rec in recs] == [AC8_DIGESTS[name] for name in names]
 
 
 def _on_threads(*calls):
@@ -752,3 +771,4 @@ SIMULATE_DIGESTS = {
 def test_simulate_files_are_pinned(case, tmp_path):
     assert main(["simulate", *SIMULATE_CASES[case], "--out", str(tmp_path)]) == 0
     assert _files_digest(tmp_path) == SIMULATE_DIGESTS[case]
+

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dsgd_lab import dynamics
 from dsgd_lab.cli import PRESETS, main, preset_config
 from dsgd_lab.config import REQUIRED, SCHEMA, ExperimentConfig
 from dsgd_lab.errors import ConfigError
@@ -533,6 +534,27 @@ class TestSweep:
         assert (out1 / "swp_sweep.csv").read_bytes() == (
             out2 / "swp_sweep.csv"
         ).read_bytes()
+
+    def test_noisy_sweep_needs_no_run_gamma(self, tmp_path):
+        # each gamma's cells run at that gamma, whatever run.gamma says
+        with_gamma = write_cfg(tmp_path, SWEEP_CFG)
+        without = write_cfg(tmp_path, SWEEP_CFG.replace("run.gamma = 0.01\n", ""),
+                            name="nogamma.cfg")
+        for cfg, out in ((with_gamma, tmp_path / "a"), (without, tmp_path / "b")):
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--set", "noise.variant=gaussian"]) == 0
+        assert (tmp_path / "a" / "swp_sweep.csv").read_bytes() == (
+            tmp_path / "b" / "swp_sweep.csv"
+        ).read_bytes()
+
+    def test_noise_free_sweep_builds_no_run_config(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a noise-free sweep built a RunConfig")
+
+        monkeypatch.setattr(dynamics.RunConfig, "__post_init__", refuse)
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "run.T=-1"]) == 0
 
     def test_empty_gamma_list_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SWEEP_CFG)

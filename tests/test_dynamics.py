@@ -12,6 +12,7 @@ from dsgd_lab.dynamics import (
     fixed_point,
     rr_run,
     run,
+    run_chains,
     solve_fixed_point,
 )
 from dsgd_lab.errors import (
@@ -424,6 +425,14 @@ class TestCoupledRun:
         with pytest.raises(InvalidStepError):
             coupled_run(W, obj, model, 2.1 / obj.L, 5, Theta0, Theta0)
 
+    @pytest.mark.parametrize("T, replicates", [(-1, 1), (5, 0), (5, -2)])
+    def test_rejects_negative_T_and_too_few_replicates(self, T, replicates):
+        obj, W = two_client_example()
+        model = AdditiveGaussian.isotropic(2, 1, 0.5)
+        Theta0 = StackedPoint.zeros(2, 1)
+        with pytest.raises(InvalidParamError):
+            coupled_run(W, obj, model, 0.1, T, Theta0, Theta0, replicates=replicates)
+
 
 class TestRRRun:
     def test_two_client_limit_extrapolation(self):
@@ -486,3 +495,56 @@ class TestRRRun:
         cfg = RunConfig(algorithm="rr_dgd", gamma=0.1, T=100, record_every=100)
         rec = run(W, obj, None, cfg, StackedPoint.zeros(2, 1))
         assert rec.config.algorithm == "rr_dgd"
+
+
+class TestRunChains:
+    BASE = dict(algorithm="dsgd", gamma=0.05, T=50, seed=3, replicates=2, burn_in=10,
+                record_every=10)
+
+    def _run(self, *configs):
+        obj, W = two_client_example()
+        model = AdditiveGaussian.isotropic(2, 1, 0.1)
+        starts = [StackedPoint.zeros(2, 1)] * len(configs)
+        return run_chains([W] * len(configs), obj, model, list(configs), starts)
+
+    @pytest.mark.parametrize("change", [dict(T=60), dict(seed=4), dict(replicates=3),
+                                        dict(record_every=5), dict(burn_in=7),
+                                        dict(algorithm="dgd")],
+                             ids=lambda change: next(iter(change)))
+    def test_mismatched_configs_rejected(self, change):
+        with pytest.raises(InvalidParamError, match="share"):
+            self._run(RunConfig(**self.BASE), RunConfig(**dict(self.BASE, **change)))
+
+    def test_default_burn_ins_must_resolve_equal(self):
+        # the default burn-in grows as 1/gamma, so these two resolve apart
+        auto = dict(self.BASE, burn_in=None, T=5000)
+        with pytest.raises(InvalidParamError, match="burn-in"):
+            self._run(RunConfig(**auto), RunConfig(**dict(auto, gamma=0.02)))
+
+    @pytest.mark.parametrize("algorithm", ["rr_dgd", "rr_dsgd"])
+    def test_rr_configs_rejected(self, algorithm):
+        cfg = RunConfig(**dict(self.BASE, algorithm=algorithm))
+        with pytest.raises(InvalidParamError, match="dgd or dsgd"):
+            self._run(cfg, cfg)
+
+    def test_one_W_start_and_Theta_det_per_config(self):
+        obj, W = two_client_example()
+        cfg = RunConfig(**dict(self.BASE, algorithm="dgd"))
+        start = StackedPoint.zeros(2, 1)
+        with pytest.raises(InvalidParamError, match="per config"):
+            run_chains([W], obj, None, [cfg, cfg], [start, start])
+        with pytest.raises(InvalidParamError, match="per config"):
+            run_chains([W, W], obj, None, [cfg, cfg], [start])
+        with pytest.raises(InvalidParamError, match="per config"):
+            run_chains([W, W], obj, None, [cfg, cfg], [start, start], [start])
+        with pytest.raises(InvalidParamError, match="per config"):
+            run_chains([], obj, None, [], [])
+
+    def test_divergence_names_the_chain(self):
+        obj, W = two_client_example()
+        cfgs = [RunConfig(algorithm="dgd", gamma=gamma, T=2000, replicates=2,
+                          record_every=2000, burn_in=0) for gamma in (0.1, 5.0)]
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 2000 in chain 1, replicate 0"):
+                run_chains([W, W], obj, None, cfgs, [StackedPoint.zeros(2, 1)] * 2)

@@ -3,17 +3,20 @@ re-keyed Philox against a new one, the Newton solve for Theta_det against
 the Picard oracle, the shared Newton loop on theta*, the sigmoid against its
 mask-based reference, the minibatch drift against the full per-sample
 gradient formula, every topology builder's W against the block average,
-and the expansion's residual bound against the rr bound."""
+the expansion's residual bound against the rr bound, and each chain of a
+batched run against a lone run."""
 
 import io
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.random import Philox
 
-from dsgd_lab.dynamics import _drift, _Draws, fixed_point, solve_fixed_point
+from dsgd_lab.dynamics import (RunConfig, _drift, _Draws, fixed_point, rr_run, run,
+                               run_chains, solve_fixed_point)
 from dsgd_lab.matops import damped_newton
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _words,
                              sample_noise)
@@ -327,3 +330,49 @@ def test_expansion_residual_bound_is_bitwise_half_the_rr_bound(kind, clusters, k
     gamma = frac / (obj.L * max(W.spectral.Lambda, 1.0))
     residual = det_bias_expansion(W, obj, gamma).residual_bound
     assert residual == 0.5 * rr_bias_bound(obj, W, gamma)
+
+
+# a 6-client logistic problem on the three graph families, with both noise
+# lanes and none
+CHAIN_OBJ = generate_logistic_problem(m=6, n=5, d=2, seed=8)
+CHAIN_GRAPHS = {"ring": build_ring(6, 0.3), "full": build_fully_connected(6),
+                "clusters": build_clusters(6, 2, 0.2)}
+CHAIN_NOISE = {"gaussian": AdditiveGaussian.isotropic(6, 2, 0.5), "minibatch": Minibatch(2),
+               "none": None}
+_RECORD_FIELDS = ("times", "dist_opt", "dist_det", "consensus_err", "disagreement_norm",
+                  "avg_client_dist", "final", "stat_count", "stat_sum", "stat_outer")
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs=st.lists(st.sampled_from(sorted(CHAIN_GRAPHS)), min_size=1, max_size=4),
+       fracs=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       R=st.integers(1, 5), lane=st.sampled_from(sorted(CHAIN_NOISE)),
+       seed=st.integers(0, 2**32 - 1), with_det=st.booleans())
+def test_each_chain_of_run_chains_is_a_lone_run(graphs, fracs, R, lane, seed, with_det):
+    # C = len(graphs) chains, each with its own gamma, W and start, on one
+    # set of draws; repeated graphs mix with one W, mixed ones with a stack.
+    # T = 530 crosses the first 512-step block boundary
+    obj, noise, C = CHAIN_OBJ, CHAIN_NOISE[lane], len(graphs)
+    rng = np.random.default_rng(seed)
+    starts = [StackedPoint(6, 2, rng.standard_normal((6, 2))) for _ in range(C)]
+    dets = starts if with_det else None
+    configs = [RunConfig(algorithm="dgd" if noise is None else "dsgd", gamma=frac / obj.L,
+                         T=530, seed=seed, replicates=R, burn_in=20, record_every=100)
+               for frac in fracs[:C]]
+    Ws = [CHAIN_GRAPHS[name] for name in graphs]
+    chains = run_chains(Ws, obj, noise, configs, starts, dets)
+    for c, got in enumerate(chains):
+        lone = run(Ws[c], obj, noise, configs[c], starts[c], starts[c] if with_det else None)
+        assert got.config == configs[c]
+        for name in _RECORD_FIELDS:
+            want = getattr(lone, name)
+            assert (getattr(got, name) is None) == (want is None), name
+            assert want is None or np.array_equal(getattr(got, name), want), name
+    if noise is not None:
+        # the extrapolated run steps the same gamma and gamma/2 chains
+        rr_cfg = RunConfig(algorithm="rr_dsgd", gamma=configs[0].gamma, T=530, seed=seed,
+                           replicates=R, burn_in=20, record_every=100)
+        half = replace(configs[0], gamma=configs[0].gamma / 2.0)
+        pair = run_chains([Ws[0]] * 2, obj, noise, [configs[0], half], [starts[0]] * 2)
+        rec = rr_run(Ws[0], obj, noise, rr_cfg, starts[0])
+        assert np.array_equal(rec.final, 2.0 * pair[1].final - pair[0].final)
