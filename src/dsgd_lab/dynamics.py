@@ -20,6 +20,7 @@ or on any thread scheduling.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -187,11 +188,15 @@ def _check_step(gamma: float, L: float) -> None:
     if not (gamma > 0.0):
         raise InvalidStepError(f"gamma must be positive, got {gamma}")
     if gamma > 1.0 / L:
+        # attribute the warning to the first caller outside this module
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"step size gamma={gamma:.3g} exceeds 1/L={1.0 / L:.3g}; "
             "monotone contraction to the fixed point is not guaranteed",
             UserWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -205,12 +210,12 @@ def _check_shapes(W: CommMatrix, obj: ObjectiveSet, *points: StackedPoint) -> No
         raise ShapeMismatchError(f"W has m={W.m}, objective has m={obj.m}")
 
 
-def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray,
+def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
           Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
     """One Adapt-then-Combine step of a (C, R, m, d) stack of chains.
 
     gammas holds the chains' step sizes, shaped (C, 1, 1, 1) so that they
-    broadcast over the stack. draw is None for noiseless
+    broadcast over the stack, or one float. draw is None for noiseless
     chains; otherwise it holds the step's draws for each replicate, shaped
     (1, R, width) when all C chains share them and (C, R, width) when each
     chain has its own. Shared draws are turned once, into noise or into
@@ -295,8 +300,7 @@ def dgd_step(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     """One deterministic Adapt-then-Combine update."""
     _check_step(gamma, obj.L)
     _check_shapes(W, obj, Theta)
-    Th = _step(W.entries, obj, None, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
-               None)
+    Th = _step(W.entries, obj, None, gamma, Theta.data[None, None], None)
     return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 
@@ -310,8 +314,7 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
     draw = stream._at(*_lane(noise, obj), t)
-    Th = _step(W.entries, obj, noise, np.full((1, 1, 1, 1), gamma), Theta.data[None, None],
-               draw[None, None])
+    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw[None, None])
     return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 
@@ -339,17 +342,17 @@ def fixed_point(W: CommMatrix, obj: ObjectiveSet, gamma: float,
     rate = gamma * obj.mu
     if max_iter is None:
         max_iter = max(1000, int(math.ceil(45.0 / min(rate, 1.0))))
-    W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
+    W_entries = W.entries
     Th = start.data[None, None]
     thresh = tol * rate
     for it in range(1, max_iter + 1):
-        nxt = _step(W_entries, obj, None, gammas, Th, None)
+        nxt = _step(W_entries, obj, None, gamma, Th, None)
         delta = float(np.linalg.norm(nxt - Th))
         if not math.isfinite(delta):
             raise DivergenceError(f"fixed-point iterate is not finite at iteration {it}")
         Th = nxt
         if delta <= thresh:
-            residual = float(np.linalg.norm(Th - _step(W_entries, obj, None, gammas, Th, None)))
+            residual = float(np.linalg.norm(Th - _step(W_entries, obj, None, gamma, Th, None)))
             return FixedPointResult(
                 point=StackedPoint(obj.m, obj.d, Th[0, 0]), residual=residual, iterations=it
             )
@@ -403,11 +406,11 @@ def _newton_point(W: CommMatrix, obj: ObjectiveSet, gamma: float) -> np.ndarray 
     it (Yuan, Ling & Yin 2016); otherwise, and on a non-finite iterate,
     None. A singular Jacobian or a non-finite M raises LinAlgError.
     """
-    W_entries, gammas = W.entries, np.full((1, 1, 1, 1), gamma)
+    W_entries = W.entries
     eye = np.eye(obj.m * obj.d)
 
     def residual(Th):
-        return Th - _step(W_entries, obj, None, gammas, Th[None, None], None)[0, 0]
+        return Th - _step(W_entries, obj, None, gamma, Th[None, None], None)[0, 0]
 
     def jacobian(Th):
         return eye - _linearised_map(W_entries, obj, gamma, Th)
@@ -463,8 +466,7 @@ def _record_metrics(P: np.ndarray, theta_star: np.ndarray,
 
 
 def _checked_noise(Ws, obj: ObjectiveSet, noise, configs, starts):
-    """The noise model the chains step with, after the input checks that
-    run_chains and rr_run share."""
+    """The noise model the chains step with, after the input checks of every run."""
     alg = configs[0].algorithm
     if not alg.endswith("dsgd"):
         noise = None
@@ -497,11 +499,10 @@ def run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
 
 def run_chains(Ws, obj: ObjectiveSet, noise, configs, starts,
                Theta_dets=None) -> list[RunRecord]:
-    """Run configs[c] on Ws[c] from starts[c], every chain on the draws
-    that a lone run reads, so chain c equals run(Ws[c], obj, noise,
-    configs[c], starts[c], Theta_dets[c]) bit for bit. The configs differ
-    only in gamma: the algorithm (dgd or dsgd), T, seed, replicates,
-    record_every and the resolved burn-in are shared."""
+    """Run configs[c] on Ws[c] from starts[c], all on the draws of a lone run, so chain
+    c equals run(Ws[c], obj, noise, configs[c], starts[c], Theta_dets[c]) bit for bit.
+    The configs differ only in gamma: they share the algorithm (dgd or dsgd), T,
+    seed, replicates, record_every and the resolved burn-in."""
     Theta_dets = Theta_dets or [None] * len(configs)
     if not 0 < len(configs) == len(Ws) == len(starts) == len(Theta_dets):
         raise InvalidParamError("run_chains needs one W, start and Theta_det per config")

@@ -348,6 +348,21 @@ class TestRun:
         assert rec.dist_opt.shape[1] == 2
         assert np.all(np.isfinite(rec.dist_opt))
 
+    def test_step_size_warning_names_the_caller(self):
+        obj, W = two_client_example()
+        start = StackedPoint.zeros(2, 1)
+        calls = [
+            lambda: run(W, obj, None, RunConfig(algorithm="dgd", gamma=1.5, T=3), start),
+            lambda: rr_run(W, obj, None, RunConfig(algorithm="rr_dgd", gamma=1.5, T=3), start),
+            lambda: run_chains([W], obj, None, [RunConfig(algorithm="dgd", gamma=1.5, T=3)],
+                               [start]),
+            lambda: solve_fixed_point(W, obj, 1.5),
+        ]
+        for call in calls:
+            with pytest.warns(UserWarning, match="exceeds 1/L") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_divergence_names_step_and_replicate(self):
         obj, W = two_client_example()
         cfg = RunConfig(algorithm="dgd", gamma=5.0, T=2000, replicates=2, record_every=2000)
