@@ -505,18 +505,18 @@ GRID_SHAPES = {("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3),
 GRID_IDS = {"1x7": [range(7)], "2x5": [range(0, 10, 2), range(1, 10, 2)]}
 
 GRID_DIGESTS = {
-    ("gaussian", 1, "1x7"): "7a141d8f05f8280bfe1151f56cc4d5fa29dd696ec53c1d7a30c2fbb7f1ed4077",
-    ("gaussian", 1, "2x5"): "3355a63c86b16f9207aac7ba55327158ddc8fbda996ad2060d922310b3997d66",
-    ("gaussian", 3, "1x7"): "0cb0153a0ced7e4de42cafee6dfc8e090695c88ce09cda7e29cb7c20de0e000a",
-    ("gaussian", 3, "2x5"): "00a27b2520ecd0177ee9b9991b904fe7dab950afd95375cc8a940be43132acd2",
-    ("gaussian", 36, "1x7"): "6ff927a55c4179b80a7626019633a0027cd579b75fb735eb122e5170ef0e7b79",
-    ("gaussian", 36, "2x5"): "0494f05cda44a8e5116b26b80bf998ab416e2a4edb65da512be8d51d86bb1b36",
-    ("minibatch", 1, "1x7"): "d9bb10de8755f83fdc8babc64731f962a661675a8d08323ea00ba21bc8ebe975",
-    ("minibatch", 1, "2x5"): "a83fb0e69df7698991ea171b65d8d49a8b72504fb6606171ad7a85ecd2cf8c8b",
-    ("minibatch", 3, "1x7"): "30c27ba7f0472c1847fe57fcbff09f06600d834063bc14ac1412138b4707efd6",
-    ("minibatch", 3, "2x5"): "770a96e1adf8738b9e96b51489ace189a7c2c3452c61c6e59dab72645453c59e",
-    ("minibatch", 36, "1x7"): "95cd8c65b23aca11cc99a293d03b37259d085d37d3d07b4366154427b724f52d",
-    ("minibatch", 36, "2x5"): "85a9faad026b499cc974c170cd4bdbedad59feaa5db7f697ec32b292d9fc2d4b",
+    ("gaussian", 1, "1x7"): "8f0cf2bba69720525532650aec33a0497c0830fde73e06d25dea27feda5fd27b",
+    ("gaussian", 1, "2x5"): "3f7370a2ca72c1a5526f35ef515bcf54f27c9eca65b2505a5d14bf5cfd538890",
+    ("gaussian", 3, "1x7"): "a3e5a1f1cea484e012fc3796b5c1d62c0fb0fa418f9d17636bea0508c219e35d",
+    ("gaussian", 3, "2x5"): "b767fc67d45aba74b5b6500b2850c954d5131950527cebe5b3336a2c5a145c86",
+    ("gaussian", 36, "1x7"): "5081e2f3be813dcf20a3b07cd30f42f09f82369ca7c3e8808e91feb91c75744d",
+    ("gaussian", 36, "2x5"): "58d07ce4b14c57d01f0eef71713dcbed88a19d2ebc361c226a1293a41ec257f8",
+    ("minibatch", 1, "1x7"): "5ba5f7d1868e928fcee558ea9b61402ce1fe445006bb5c5faf7928a2a6f533c2",
+    ("minibatch", 1, "2x5"): "47d721ad02f8fc30742415506cb4e25a9e04dd8addf1989eabdf2ba6d1767ba4",
+    ("minibatch", 3, "1x7"): "6bb5f4503d1fed5a5a3056843096a9a5d3cdec22d6d71efa6d05524b0811f76e",
+    ("minibatch", 3, "2x5"): "32c7ee8aca48a7bf1128fa9a9a40aa89e355234d9cc604258cd8e54923f94cf1",
+    ("minibatch", 36, "1x7"): "4d51c3cc05d322a94b2da800d4eb4daa70c9b892437f6c05e3bf2771cecde680",
+    ("minibatch", 36, "2x5"): "8d33080431ba48e2e4c9daf472dce6cef1271a1d6109dec9aa2e63749e84102e",
 }
 
 
@@ -528,7 +528,8 @@ def test_draw_grid_is_pinned(shape, ids):
     obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
     model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
     draws = _Draws(model, obj, 41, GRID_IDS[ids])
-    grid = np.stack([draws.at(t) for t in range(3 * 512)])
+    # at returns a view of a buffer that the next block overwrites
+    grid = np.stack([draws.at(t).copy() for t in range(3 * 512)])
     assert grid.shape == (3 * 512, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), width)
     assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
 
