@@ -40,8 +40,8 @@ from .noise import (
     NoiseStream,
     _check_model,
     _draw_blocks,
+    _pick_index,
     _pick_mean,
-    _picked,
     smoothness_constant,
 )
 from .objectives import ObjectiveSet, _sigmoid
@@ -74,7 +74,10 @@ def default_burn_in(gamma: float, mu: float, T: int) -> int:
     if rate >= 1.0:
         burn = 1
     else:
-        burn = int(math.ceil(math.log(1e-6) / math.log(1.0 - rate)))
+        # log1p(-rate) stays non-zero where log(1 - rate) rounds to 0, below
+        # rates of about 1e-16; a rate that underflows to 0 never settles
+        steps = math.log(1e-6) / math.log1p(-rate) if rate > 0.0 else math.inf
+        burn = math.ceil(min(steps, T))
     return min(burn, max(T - 1, 0))
 
 
@@ -231,10 +234,16 @@ def _drift(obj: ObjectiveSet, noise, Th: np.ndarray, draw: np.ndarray | None) ->
     if isinstance(noise, Minibatch):
         # the subsample mean is the gradient plus the noise, so the full
         # data gradient is never needed, and only the b picked samples'
-        # sigmoids are: Xb is (b, 1 or C, R, m, d) and s (b, C, R, m)
-        Xb = _picked(obj.data, draw.reshape(-1, R, m, obj.n), noise.batch_size)
-        s = _sigmoid(np.einsum("...kd,...kd->...k", Th, Xb))
-        return _pick_mean(s[..., None] * Xb) + obj.lambda_reg * Th
+        # sigmoids are. The picks come from the coordinate-major data: Xb is
+        # (d, b, 1 or C, R, m), so theta.x sums the coordinates in index
+        # order and s.x is one multiply over contiguous (R, m) rows
+        idx = _pick_index(draw.reshape(-1, R, m, obj.n), noise.batch_size)
+        Xb = np.take(obj.data_by_coord, idx, axis=1)
+        z = Xb[0] * Th[..., 0]
+        for j in range(1, d):
+            z += Xb[j] * Th[..., j]
+        grad = _pick_mean(np.multiply(_sigmoid(z), Xb).swapaxes(0, 1))
+        return grad.transpose(1, 2, 3, 0) + obj.lambda_reg * Th
     drift = obj._grad_batch(Th)
     if noise is not None:
         z = draw.reshape(-1, R, m, d)
@@ -465,7 +474,7 @@ def _record_metrics(P: np.ndarray, theta_star: np.ndarray,
     return dist_opt, dist_det, consensus, disagree, client_avg
 
 
-def _checked_noise(Ws, obj: ObjectiveSet, noise, configs, starts):
+def _checked_noise(Ws, obj: ObjectiveSet, noise, configs, starts, Theta_dets):
     """The noise model the chains step with, after the input checks of every run."""
     alg = configs[0].algorithm
     if not alg.endswith("dsgd"):
@@ -476,8 +485,9 @@ def _checked_noise(Ws, obj: ObjectiveSet, noise, configs, starts):
         )
     else:
         _check_model(noise, obj)
+    dets = [P for P in Theta_dets if P is not None]
     for W in Ws:
-        _check_shapes(W, obj, *starts)
+        _check_shapes(W, obj, *starts, *dets)
     for config in configs:
         _check_step(config.gamma, obj.L)
     return noise
@@ -518,7 +528,7 @@ def run_chains(Ws, obj: ObjectiveSet, noise, configs, starts,
             "run_chains needs dgd or dsgd chains that share the algorithm, T, seed, "
             "replicates, record_every and burn-in"
         )
-    noise = _checked_noise(Ws, obj, noise, configs, starts)
+    noise = _checked_noise(Ws, obj, noise, configs, starts, Theta_dets)
     R = first.replicates
     draws = None if noise is None else _Draws(noise, obj, first.seed, [range(R)])
     gammas = [config.gamma for config in configs]
@@ -536,7 +546,7 @@ def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
     """
     if config.algorithm in ("dgd", "dsgd"):
         raise InvalidParamError("rr_run requires an rr_dgd or rr_dsgd configuration")
-    noise = _checked_noise([W], obj, noise, [config], [Theta0])
+    noise = _checked_noise([W], obj, noise, [config], [Theta0], [Theta_det])
     R = config.replicates
     if config.coupling == "shared":
         ids = [range(R)]

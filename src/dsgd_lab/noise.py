@@ -294,26 +294,31 @@ def _persample_grads(obj: LogisticObjectives, Theta: np.ndarray) -> np.ndarray:
     return _sigmoid(np.matmul(X, Theta[:, :, None])[..., 0])[..., None] * X
 
 
-def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
-    """The rows of the b samples per client that the selection words pick.
+def _pick_index(keys: np.ndarray, b: int) -> np.ndarray:
+    """The flat sample indices k*n + i that the selection words pick.
 
-    rows is (m, n, ...) and keys (..., m, n). Each row of n words picks the
-    samples holding its b smallest words, in increasing order of the words:
-    a uniform draw of b out of n without replacement. Returns (b, ..., m,
-    ...), the pick axis first, so that each pick is one contiguous block
-    for _pick_mean; a leading axis of length 1 in keys gives one selection
-    that broadcasts over every chain stacked along it.
+    keys is (..., m, n). Each row of n words picks the samples holding its
+    b smallest words, in increasing order of the words: a uniform draw of b
+    out of n without replacement. Returns (b, ..., m), the pick axis first,
+    so that each pick is one contiguous block for _pick_mean; a leading
+    axis of length 1 in keys gives one selection that broadcasts over every
+    chain stacked along it.
     """
-    m, n = rows.shape[:2]
+    m, n = keys.shape[-2:]
     idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
     # the pick axis to the front: the same view as np.moveaxis, at a fraction
     # of its per-call cost, which small single draws pay
-    idx = idx.transpose(idx.ndim - 1, *range(idx.ndim - 1))
-    return np.take(rows.reshape((m * n,) + rows.shape[2:]), idx, axis=0)
+    return idx.transpose(idx.ndim - 1, *range(idx.ndim - 1))
+
+
+def _picked(rows: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
+    """The (b, ..., m, ...) rows of the picks of _pick_index, from rows (m, n, ...)."""
+    m, n = rows.shape[:2]
+    return np.take(rows.reshape((m * n,) + rows.shape[2:]), _pick_index(keys, b), axis=0)
 
 
 def _pick_mean(picked: np.ndarray) -> np.ndarray:
-    """The mean over the leading pick axis of _picked's rows.
+    """The mean over the leading pick axis of picked rows.
 
     The b rows are summed in pick order, then divided by b. numpy's own
     reductions choose their order from the memory layout (pairwise over a

@@ -47,10 +47,19 @@ SIGMOID_THIRD_BOUND = 1.0 / (6.0 * np.sqrt(3.0))
 
 
 def _sigmoid(z):
-    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
-    overflows; one exp of -|z| serves both branches without masks."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """1/(1 + exp(min(-z, 709))) of the array z, one exp computed in place.
+
+    For z >= 0 this is 1/(1 + exp(-z)) bit for bit. Below 0 it stays within
+    3 ulp of the exact value on [-700, 700], as the two-branch form
+    exp(z)/(1 + exp(z)) does (2.3 and 2.2 ulp at worst over 220,000 random
+    z). The clamp keeps exp finite, so no input overflows: -inf maps to
+    about 1.2e-308, +inf to 1 and NaN to NaN.
+    """
+    e = np.negative(z)
+    np.minimum(e, 709.0, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 class ObjectiveSet:
@@ -208,6 +217,14 @@ class LogisticObjectives(ObjectiveSet):
         norms = np.linalg.norm(data, axis=2)
         self.K3 = float(SIGMOID_THIRD_BOUND * np.max(norms) ** 3)
 
+    @cached_property
+    def data_by_coord(self) -> np.ndarray:
+        """The data coordinate-major, (d, m*n): column k*n + i is sample i of
+        client k, so a gather of samples reads each coordinate contiguously."""
+        X = np.ascontiguousarray(self.data.transpose(2, 0, 1)).reshape(self.d, -1)
+        X.setflags(write=False)
+        return X
+
     def grad_local(self, k: int, theta) -> np.ndarray:
         self._check_client(k)
         theta = np.asarray(theta, dtype=float)
@@ -289,6 +306,8 @@ def generate_logistic_problem(
         raise InvalidParamError(f"need m, n, d >= 1, got m={m}, n={n}, d={d}")
     if not (lambda_reg > 0.0):
         raise InvalidParamError(f"lambda_reg must be positive, got {lambda_reg}")
+    if seed < 0:
+        raise InvalidParamError(f"seed must be >= 0, got {seed}")
     if not np.isfinite(heterogeneity_spread) or heterogeneity_spread < 0.0:
         raise InvalidParamError(
             f"heterogeneity_spread must be finite and >= 0, got {heterogeneity_spread}"

@@ -98,19 +98,19 @@ CASES = [(noise, m, d) for noise in ("gaussian", "minibatch")
 
 MOMENT_DIGESTS = {
     ("gaussian", 1, 1): {
-        "stat_sum": "9d0b7cd52f7119606145d3cb133c8e2a4b07166b1cc46088d89699082bf1bc9a",
+        "stat_sum": "4ce23fc8c84759af0314af986c07db832f1744848a737e6a92d7bb042a35e368",
         "stat_outer": "5c40c497686b084470aa380810b2665df1a9e6f1844c159df1d2d6fb2d0feb50",
         "final": "120049e7b423d0045c5bc0a0de40e3e7f8cdbf2eb836de348ae739fdf52094fc",
     },
     ("gaussian", 2, 3): {
-        "stat_sum": "c6a1d97bf3fe149ef347d87d58732b9035b46c0011d1543515a826eb2f8d819a",
-        "stat_outer": "600b1adae05ee5c4947f9afad06a425811747042cc18acafbbf68263570ac8ec",
-        "final": "4d8d8c0f17150ae1fa130738f1f1ef921627ad2e2a79beba007af04f7491a866",
+        "stat_sum": "8784b6194c5b857a51969a4dce1fb61791ec693f4d3de8833ab394f2d4787cd7",
+        "stat_outer": "2e51b6591304e8196ec0947a79ac5efcaf1126a21cfd1b77541139f56809bbbe",
+        "final": "0c0e3b9a4eb0068f12d9ee7cfeb817d188944da8707f8396f938c68cbfd7a0de",
     },
     ("gaussian", 5, 2): {
-        "stat_sum": "4c575bab2627be6e80795c3ea2e0809ba1154afe5a548b702816dc724d44ae4f",
-        "stat_outer": "2eaae41d67f0e8e10cfb1ffde12444cf235e09ec953c0839d83c2dfd00cd7338",
-        "final": "94d0063633e47a7ae5e182386fc4711848b0f842f971575a842d4ce839548f8c",
+        "stat_sum": "ee4a39bfd064c1b8d2ea36422f77e551dd82e4a223f717d9ed5921654e6b6afd",
+        "stat_outer": "c312232663927861cff58d179592afaf0d62efad781069fba9df6713d2e3d1e9",
+        "final": "c069ee6537a395780f0f35eab1843a66e81af177936cfc8f05737ced1c92804d",
     },
     ("minibatch", 1, 1): {
         "stat_sum": "f9a5a13714453fb5a0fa6ea927830de1993b7fe5617574e95518f8ab79fc8bb1",
@@ -118,14 +118,14 @@ MOMENT_DIGESTS = {
         "final": "9f8fdef8cfcb4294b2d71f52ee30215d6807567a077b2984fa279a2cfb13c0da",
     },
     ("minibatch", 2, 3): {
-        "stat_sum": "f93c20a602dfdd0f964b32a037ec9ec83f6c899f2be7ff79aa29d3ab3bab52bd",
-        "stat_outer": "f4df35c5c16553d3ad6f08950ab61bd497ffebf559230816c57a20e361300fa5",
-        "final": "b4fccd50d8d6b7288498cf06ae540d96d94e93d0b7ed2493dd26a698635952fe",
+        "stat_sum": "f23a6e4580319aa60ee1efe879159194d7c5523d5989753333c83689c6413a4b",
+        "stat_outer": "02779ac27899e83fe9fac1a688f9357f522d58ec305694d1cf48e4a4e0c68aa3",
+        "final": "ff29ea22e4e13e104899009af091d574a89860b1f38ec7a32c7d72e1ebdff78e",
     },
     ("minibatch", 5, 2): {
-        "stat_sum": "14a7087584ca9703d4c295a5cecf49aeee00fdf0edc3cfff5cf3f34ef932b0f7",
-        "stat_outer": "1451bc2fc86a543562df527983fd13e2cfd3b76f756910c746797db4bbca1f09",
-        "final": "cd7cfa2f53fe512d7c935aa922e52d7625c8a3c8b84a21b80a6bd8b4d93d627c",
+        "stat_sum": "cdd49c19d5c36d1fa3342687c5da25eb674dda3ab95c318c47c12548a6eb5d7c",
+        "stat_outer": "38514e034044e827f3cd0f445c696c7d636264fa64539970002523070ae623a9",
+        "final": "20903bebb8f54cdc600384e5cbf386a790ea834f5b67edd4b7b7789e7172b1c3",
     },
 }
 
@@ -158,34 +158,34 @@ RR_CASES = [("shared", 3, 2, 3), ("independent", 3, 2, 3), ("shared", 2, 3, 1),
 
 RR_DIGESTS = {
     ("shared", 3, 2, 3): {
-        "stat_sum": "a49693a9db1d9c2e38f9f95ac7e4aed77b3ad1f349d5b9295a8a80d60dce0484",
-        "stat_outer": "4b65f1b865069ec1d57ff6e44cf67d87d50ec0656e5b6806da68d529f7df5209",
-        "final": "f4ad0c395a5ae4b2b5682e52689abf646b5c30d4b55a27d2cef6f8e21d82bcfc",
+        "stat_sum": "2f1ac4fd4ed0e430b7cd3ff1bfd0056883bbceaa21c11a0b46c2d773287eac9f",
+        "stat_outer": "6e9216a03ee9a53b32ddbde6116d275ab5a32701e4f80fea8a0bded63c29f164",
+        "final": "0b9a53fae4775be1137ae2bbf61ce93b98587d5b28ddb1813d34f1a3dc9332d6",
     },
     ("independent", 3, 2, 3): {
-        "stat_sum": "f52b377fe9fd1ffcf9a67c5b7ec93cc549ce4d7b8f6054b63c1f6fdcc7f5d0b8",
-        "stat_outer": "ee949611c779df10679748cc4e1612c3fe2c9263117ee45cf5e58c81bb6fb3a0",
-        "final": "fb6b282ca2b1b2143623b37804d422bcd539c768489ffe7fdcddf94052332f72",
+        "stat_sum": "be6aa3ebcee6ceec0599dfcab41aa55e4a1a7453b11fef446fff90f26d17ef45",
+        "stat_outer": "323c0f1a2018094ed56b95737fb84f175af1e39c3f40520d7c6cf7f514933112",
+        "final": "4a4eac0ac0ee08c2e87f9a7f3a5c74bc8d51b50f038bbefd7ae545d580a34c7a",
     },
     ("shared", 2, 3, 1): {
-        "stat_sum": "ee6de99793cc778374632e6794054a507875cb426ddf5d953530cad0849a021a",
-        "stat_outer": "e29988d6cd84839eaa5406312b9fcd7ec81e82680fe8317b914b5ac35ccc0f78",
-        "final": "833a853633202ac7b45a010d840d2e176d1cc65110eb2c5e1148e9155d30d2cd",
+        "stat_sum": "d274283b26dc6a97b730e47bc6b64a8f3c0cddc104050accd8e33d7185c1a4dc",
+        "stat_outer": "104a72b34521dec76ca7d21f317d9f8d6ad4d81a6047be36872b904463fbede3",
+        "final": "591b7f2a933a7555243cd364cd79dfb17dda81de470d3ce50d44cac5642551a1",
     },
     ("independent", 2, 3, 8): {
-        "stat_sum": "f6c27e85e346ffd7afddc7c90850c5c385421196c3f04b519147129c1c7e4fb2",
-        "stat_outer": "abcf515f9e758717e8fa0c19a68e49e10201a041f00f19f73f5e63fd9f108a04",
-        "final": "d44bec73e414ba83c36bd290ad8d39e583cbfe80b7d4e9e53fcf3e55e2b31d00",
+        "stat_sum": "d2880ebefd735baba37c2c3401f9ff15e0d728fc9fa779d896febd2af4f82335",
+        "stat_outer": "9872a29c4395aab32fce1e61b7c30125d228784ab8b34efe7e8e8f075e7e87bc",
+        "final": "2ffc553b606ae8ed8f0c2314fe396dbd0adcf1686ae4253db53cad8027480c65",
     },
     ("shared", 4, 5, 8): {
-        "stat_sum": "bfe967e6b854c8cca16ef1dd85f2dbc4adce6559ec08a10b9c059cc394d17bb7",
-        "stat_outer": "49d7e84b28d95f1b03d841130e3b2e4f640011dc71cde66efa47c630ba6e51c5",
-        "final": "c3c94b66a3cf19c9230932ebd4409b4b7f1cb1e498852e219135c5297528c109",
+        "stat_sum": "b1f2e6b644c07409cbb849ccd6223600e174fdb4e25ef4178a20dffa95adf6fa",
+        "stat_outer": "a48ba0875a3170df6e749c2773a10d866bc188bfccf7b1fec02bbafab8155450",
+        "final": "86efb4b470163cae0b18c22225885ed40f744310b698c58271406a7e9028e183",
     },
     ("independent", 1, 4, 1): {
-        "stat_sum": "29f6093cc36f07aeec77c0df8a7eb438967dc21e99b7d647e36c66a0d3fde585",
-        "stat_outer": "d1b9136b44e29844f0787a30e78004395171ae1d576276aea489816abffa4dff",
-        "final": "58d8549d24ac09bb3a35e8746fa8e14fbab1e288aea774489b30157a4129cfdd",
+        "stat_sum": "34e7382f85b645938447ceae42139862e2565b0189c23efefb64e2e0be74cd55",
+        "stat_outer": "9c587241e6038469806547184600502252e95caf38f34a70dbede1a9192644ef",
+        "final": "fa6f594fa730a94eacd544218eae3a2adcc83fdda2904552f472fc8c9c38e70d",
     },
 }
 
@@ -215,13 +215,13 @@ OPTIMUM_CASES = [("preset", name) for name in
 OPTIMUM_CASES += [("fig2-heterogeneous-seed", seed) for seed in (8, 20, 39)]
 
 OPTIMUM_DIGESTS = {
-    ("preset", "fig1-rr-det"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
-    ("preset", "fig1-rr-sto"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
-    ("preset", "fig2-heterogeneous"): "c7f8c3a188e94504d7e259e5a85a3a34659049a6d8171fac7a631762aaff42cf",
-    ("preset", "fig2-homogeneous"): "7b75ae5d002610fbac354920c6ea43822c4f3e417f13753343afb4baf6624c52",
-    ("fig2-heterogeneous-seed", 8): "4b438308e26a36e1c27b30494d4e66f456dfc2ad02f6f4b8086c7c37f07ad204",
-    ("fig2-heterogeneous-seed", 20): "369b37725fc0e52efa89a23e01103817df51b36e2ce5d5b8e64f19b7d92ae90e",
-    ("fig2-heterogeneous-seed", 39): "d52fc6e6aa90206b20a2a2ab7dcdd2584e18f37e42ce62d29588ad8e75a03775",
+    ("preset", "fig1-rr-det"): "fce6da90bc4c886c5131b2d64baef14e868712b4f86abaf5cf2038f5a6e900e9",
+    ("preset", "fig1-rr-sto"): "fce6da90bc4c886c5131b2d64baef14e868712b4f86abaf5cf2038f5a6e900e9",
+    ("preset", "fig2-heterogeneous"): "fce6da90bc4c886c5131b2d64baef14e868712b4f86abaf5cf2038f5a6e900e9",
+    ("preset", "fig2-homogeneous"): "41883f44e835b6a008cfe443377eb9cc2f4ca13a6b9164178610b2ea52984674",
+    ("fig2-heterogeneous-seed", 8): "29eb53cb4ba42b15e874080a1bf1db4482310fff0c2fd0917e0f92b5886e7187",
+    ("fig2-heterogeneous-seed", 20): "00c7b1c50483c1d6cc625bb45ece441e8e525254927d2dc4139fd785e3856be2",
+    ("fig2-heterogeneous-seed", 39): "54cab6581cc50bfe9823850630f8026733a4db30b90234ad20b39995ab467fb8",
 }
 
 
@@ -248,11 +248,11 @@ TAU_CASES = [("fig2-heterogeneous", 20_000), ("d3-b8", 1_300)]
 TAU_DIGESTS = {
     "fig2-heterogeneous": {
         "tau_squares": "6cb83f4baf3ec7c30e125f7cceac9e61fd7527166c730d6b85a0708c0e10d1f8",
-        "sq_norms": "f01b81dade59bbc0ce85214f4535d67c9c1906240238ed430841160b7cc611d8",
+        "sq_norms": "a5518d4ca447d8cb79262848293e807a84b0d6c6dcb4668f4e3488d057d3eb7e",
     },
     "d3-b8": {
         "tau_squares": "69842fb19e4363776f51e1b1b187f2d45bf77892b730c70356bc0ce634ad6fb3",
-        "sq_norms": "95479a0fe17b93f326665773bad7a3368e436a5777bbbc8c697cf3368dee6f80",
+        "sq_norms": "5d8413879c64c75e5061f0daf89ae830d2b93f0d3b4ff44a434a52448ea7bb3a",
     },
 }
 
@@ -279,12 +279,12 @@ def test_tau_pass_is_pinned(case):
 SAMPLE_CASES = [(d, b) for d in (2, 3) for b in (1, 8, 12)]
 
 SAMPLE_DIGESTS = {
-    (2, 1): "efb0a0498ed6f4abf90e1ca41cbdc11b4cfa5f4e4f0f5f442505a6a11f9590df",
-    (2, 8): "4b0d83168d5ba795244a82d55dd6983ca4806654262c1b29ca9beb58b9398260",
-    (2, 12): "298a492726cb6c8dee95c7182b4e20633f49a48f203bdca03945f3a8f8694b7e",
-    (3, 1): "6b20e2ad19a7896e78a048167505d071b29d0322cb0030d5d977ff74d9f5a074",
-    (3, 8): "4ca9d89cd6ef3aae2d61eb10fb083e7b2844b69f5918b56862f41027f4219f12",
-    (3, 12): "76cf474908901b814dc4d0634c973dc9798f4074fa6ff3811896add5ffa45442",
+    (2, 1): "44e127c4abc1d6f6ec5d2b5865208780b44996729490e8af4b0583bf965faf9b",
+    (2, 8): "faf452cf4cfef3d00dcf06e19aac1d8b8e084d4519b89f30ab93916c6fc22105",
+    (2, 12): "82bc5670a2542d78a2b8cd9d1791cbe2ea028764d086dd111232a15e90eff80a",
+    (3, 1): "8688a1c04ea747d9974c30ae305482e2c80bf0d4cc64b95ae52c8fa53062c5a7",
+    (3, 8): "a6c1e5629f22a73032bb7fd4e18e2b27f760acf99e386e3b4ce4f91c7ae5fdda",
+    (3, 12): "4355bb97f140508eaf606017463f6fec407df52d795f58baae6f4259d45cd5f4",
 }
 
 
@@ -303,17 +303,17 @@ def test_minibatch_sample_noise_is_pinned(case):
 # Gaussian run at the AC10 shape (m = d = 1, n = 25, R = 128) over three
 # 512-step blocks
 AC10_DIGESTS = {
-    "stat_sum": "269d405132f9e3220e921dd41cd88d5310c1ca90c6498195b89478cc94c9b489",
-    "stat_outer": "b16613b75794ed77b7a037dafffc1597eb9e1e9e0adbde9b7fa02a92ed1232ee",
-    "final": "18e17f43892ca9a6fccf743e1af9f2ac8864abc4cc8bc8741730957a8b6bf807",
+    "stat_sum": "7fc5d61c62d0520592e13d395e7d029fefbb42a62e33b33e36ae2e3ca1e46291",
+    "stat_outer": "8896d8ae21150b2f29344a00fa500c86f777f946921fa38a9fc29e097d0f82ae",
+    "final": "644db13d791957ba3ce77166822e0cd7021cd748f23814581f02167d7d9c1782",
 }
 
 
 # the same run at AC10's second step size
 AC10_HALF_DIGESTS = {
-    "stat_sum": "acd9478eea90d78b666613705bf2b821a0bc4c7ec6c63fb003d98924476c4198",
-    "stat_outer": "21a1fa1bc7e33387d5bf89c390c69459b890c119bafb1fe5979e25323bcd2654",
-    "final": "cbb29d31a03ad1fe0779efb30ea86964411f99e82cad1118db3b7bcdbd781425",
+    "stat_sum": "92197c65cba8a17ddafd6981e397664fa72d343917dc7826ffb85ccb2c44a59a",
+    "stat_outer": "149d62a1bc55d440d3d86691ea76de2ce72cf3fcc0dfbc09be88776605043f6d",
+    "final": "130da672e4d31459215ea4c0f7f5885bfa25fb0686d6228f7edd6656785d05df",
 }
 
 
@@ -444,24 +444,24 @@ GAUSS_RR_CASES = [("shared", 3, 2), ("independent", 3, 2), ("shared", 1, 1),
 
 GAUSS_RR_DIGESTS = {
     ("shared", 3, 2): {
-        "stat_sum": "144f3abcef5cc355bf68724a456c7bff2cf20db65a6662e2088d475be17be301",
-        "stat_outer": "294e84df9d6b858f9c0fe9cc28108999cd8d6f2b6ceb665901237891ad018077",
-        "final": "1b0212d81495f12d13d5d4eda10ebb276c03c5b107d903e97e0fb0d4b48ba90a",
+        "stat_sum": "413572cdc3f451fa2d3c14dd197aad66b1d1685ca713af817dd07359f814786b",
+        "stat_outer": "a747985d6478b17254ffa9be5a69f31088e8009272b5790de8558c074c862d0a",
+        "final": "10feb2b1d8688f19c002ff2f944bee21f6306a8dd551cbf5e8a0879e59a85331",
     },
     ("independent", 3, 2): {
-        "stat_sum": "dc8d63b45528a48ae5fc202caa434a374cc65289906d7d07f61c71cf1de375f9",
-        "stat_outer": "cf8305027ea4a3c5333ae81ec28e301662769d973e4b6dbed6911a4680054bbb",
-        "final": "8c2b40d18548aedf3ba2236f4ce37b88fe9778148b075b28ea6f88b61811ee1c",
+        "stat_sum": "1eaca261808c461bf999ec5b3f1a2813f0d2e97440ff82b2fa040ef0890cb998",
+        "stat_outer": "0bc73484c755220010b3bb9d1cffe8fde5e83e9adb3e41be37060b00f149c66e",
+        "final": "b7e760aa741d0536188ed9d240a6a2d74f323026a0f21cf4dc14f7c2d06773f8",
     },
     ("shared", 1, 1): {
         "stat_sum": "f53ef57336612a1583650e542fdc47ee1561e10158c1088a0d696e153a1db13a",
-        "stat_outer": "4d9f866fe8353941f23a75afa9f3fd448b06751a7097a8165aa9a5ccac609cbf",
-        "final": "ee9562fed15c3eda7d5234480792ce2bf8cd8a5e6cbfec35e51ac47b8c3d7baf",
+        "stat_outer": "9e4237b7253b5c3c3f7cb40d45d310101fc8aab9d9ff1ff9eeee7a081d787d66",
+        "final": "4f539365bd1ba975407c24c0d5f05fb2391073607e126e1b4ea0f47d731fe719",
     },
     ("independent", 2, 3): {
-        "stat_sum": "9145e5c6f1166d0bad31b8d8e988924dbe7ae85129e346dee5d94cd06647d172",
-        "stat_outer": "5298033e2471ed0fecc4d2a86db76ba7c2684f7c3f57a4b27061c07717319c9c",
-        "final": "c5b7b1ae045c8133e5849583b7a434e533de188f02b6c66802c8711f29abc9c6",
+        "stat_sum": "075573c085140044f9ff51087a542dcba2c8fc4e85fcdce91a9a87ef9118204c",
+        "stat_outer": "5e544a3b2e8935d8d8c8caf27708b5894a0809f1415552f7a3a6dfd66d34311c",
+        "final": "c54987b2039871da07fc021bb8a1823ad1106ad57a06c432d8faa4a931d2a50c",
     },
 }
 
@@ -481,7 +481,7 @@ def test_gaussian_rr_run_moments_are_pinned(case):
 
 
 # Gaussian coupled_run: two starts, one set of draws, over two blocks
-COUPLED_DIGEST = "5c6866faaa6b254fe059e7057845e324565565bfb757d01bf070e52e9f16f087"
+COUPLED_DIGEST = "f202bab42d0dda54553e7483d2d901e9fcecec114d214607389da5384f084443"
 
 
 def test_gaussian_coupled_run_is_pinned():
@@ -574,11 +574,11 @@ def _rows_digest(rows):
 
 
 REPORT_DIGESTS = {
-    "fig2-heterogeneous": "f6b0294fc005b6249949f9d7f00f2672c70dec9adf4f34968551ce62505be1c6",
-    "logistic-gauss-ring": "fabae943dd0ea7fa54741d303747f4883ef43407f6750b558dc0e0518e3f1553",
+    "fig2-heterogeneous": "f5b1460d3084134aaa8d4954ffaa20f85495468e80a61ae12c7c4c13bffda14f",
+    "logistic-gauss-ring": "bf487c6da04e6a5f1f41014c634b80a994737e1422167a4002d5949bc6e2e70e",
     "quadratic-gauss-clusters": "03fc5432cc932e1395cc18f3b52f23f1c0a0c9617d7ec002e5dfc0c78b5ccd32",
-    "logistic-full": "7b39c7aa9f6880ebe533b366807727f5e199506131db102db54403a07e4e7b25",
-    "logistic-ring-nan-diag": "f8535fc1ef01e7c71359cf68928a33747f9542723cea0c9026b5cd5945822ff7",
+    "logistic-full": "dc018919bfdba988635576ce775c86db5081c3bbd860967bc96887c96cfacddb",
+    "logistic-ring-nan-diag": "487d88f7cd8be091b84ec37835851ce212692566ef4e368732b6534c273980b8",
 }
 
 
@@ -591,12 +591,12 @@ def test_theory_report_rows_are_pinned(name):
 
 EXPANSION_DIGESTS = {
     "fig2-heterogeneous": {
-        "prediction": "8b9fb5115fd369a5b35e6dc1ca7cc847c902e654d1dfed072fe835ef81f76a05",
+        "prediction": "e8fe1d0963888db0634afda038d95421ddaf4bcff6173d5a2efe6e3f11b0edbc",
         "residual_bound": "dd5ae27fd75554bcb5a7eaf22bd7ba14e42b3c8f251aaaa4e421fdc2e1be50ed",
         "rr_bias_bound": "396cdd9a18fe7c3b483d1c85781c68c8c81e7b75f6f6accaed63bcb8150753fd",
     },
     "logistic-gauss-ring": {
-        "prediction": "a2fd1dfda981a52108092204f2ffb2491e57f5c4879495e4274accdce0194ffa",
+        "prediction": "36e21dccd2ca6c0f31569cfdf10da81e8a9371e3d50c0b734b18387291c7519e",
         "residual_bound": "94aae85181cb23ebd675de68cac39c117a9aa051502df3d689f561a451748b5a",
         "rr_bias_bound": "121ed314bfe728df22f761be8b8519a8f5c445e3fdeb4dc62e6a9027edc22af4",
     },
@@ -606,12 +606,12 @@ EXPANSION_DIGESTS = {
         "rr_bias_bound": "cdfbc6b3426139ca90a73bd9633647d2a13441d9095604b5cf80e465789dad2f",
     },
     "logistic-full": {
-        "prediction": "817e2ae2512b5b8788eb867d601c48d412690e7d8e965e3e04adb9ff629a55ac",
+        "prediction": "136295dcdc23651e0c4db6b448f435996e8cbdb603911a43514c0cb46b4bc84c",
         "residual_bound": "746e75607f7ce3478b54dd31aa809ce25c0435996ce87be6a05d52790547d949",
         "rr_bias_bound": "746e75607f7ce3478b54dd31aa809ce25c0435996ce87be6a05d52790547d949",
     },
     "logistic-ring-nan-diag": {
-        "prediction": "a58d0737afba0a10244250defe50c68d090a59d4c8b3524d08d4debb549ac432",
+        "prediction": "ca5e8a0a73aa2521526f0ea7cd36f7fdf722ab015992c747eda21a09f9279707",
         "residual_bound": "851d22445345d81a47a1a88916d9201ecc4c9fbd9c3f8f17311449299bc24945",
         "rr_bias_bound": "8a442f3d88ebc934e7a982991783bb8bdaf7c6b58450b0a14b8700869d08828e",
     },
@@ -696,7 +696,7 @@ SWEEP_NOISE = {"gaussian": ["--set", "noise.variant=gaussian"],
 
 SWEEP_DIGESTS = {
     "gaussian": "41d9e93037542ebb3794354d637154b7756e5b0e96742e4f0edb32974ef8efc2",
-    "minibatch": "d79decafe16e3c82f5fbbed9a2889413ebb6954d13abd39945ceb3c241724b41",
+    "minibatch": "c3c4ef46f02e34bb84854517632fce360a542fa77ed507a0d7a7f294a5898768",
 }
 
 
@@ -730,40 +730,40 @@ SIMULATE_CASES = {
 
 SIMULATE_DIGESTS = {
     "fig2-heterogeneous": {
-        "simulate_aggregate.csv": "79b5355379095c2285f7e8695759e993bec89c73bb24ddcf2bc4e06fdfdeada6",
-        "simulate_replicate000.csv": "44c5383a39d70e98cecdb08be40e75f96300f021498425d1588c1ca2f6253084",
-        "simulate_replicate001.csv": "63b667310d35853532756cbfff4282773590ddec241adfa5ef4ac054e05f0805",
-        "simulate_replicate002.csv": "72e9eb782483dbd1813f1de990f09105732592dc4fb6beda348372057867dfba",
+        "simulate_aggregate.csv": "854b49793ccb4ba8b26b7f359136f96d62207f30bcd3886dc344a5b848a56860",
+        "simulate_replicate000.csv": "904f4e191951e1a4a254352885a79ae6a121e1a00c5802bcf18b171efc3f6c88",
+        "simulate_replicate001.csv": "717427f9fa2f64707d9fa635cea687689a3765bd8eb83da2cb05f04053a63150",
+        "simulate_replicate002.csv": "67239a29ee81f7487c04c8671f1594a0c017cb42db1cd621b58f85d39cd6dc86",
     },
     "fig2-homogeneous": {
-        "simulate_aggregate.csv": "a2098adeffdb8962d4dd67b9b7e5b645074c9ad87ca364df11061364925a24b7",
-        "simulate_replicate000.csv": "9b0aaa811c7b1724f4016238f5f5752657c15fdfbc7088ce595da931e24bf4db",
-        "simulate_replicate001.csv": "74ee3efb266af585af79522b62345065201c9ca9db301eb660b6775b675396e0",
-        "simulate_replicate002.csv": "28535c3e454c0351e7b306af0c4d91ba9329916e37f4f38309dec5d2bb99a97a",
+        "simulate_aggregate.csv": "d365779411b37d2c9815fe79a62aa509af41fa333b818796c6964cfc8591d034",
+        "simulate_replicate000.csv": "16a58dd26811a53d51e8cbb638decd126f9a73db0e26d187e9c00f96b68ac984",
+        "simulate_replicate001.csv": "3b479c65d22199afe0807c84b5f000b7095fc2509e90d99aa31c4843f245b974",
+        "simulate_replicate002.csv": "b30225e4dc4f54a81fdabfec4881bd74f8cba917636b2279e95cd0bbe85ac3c5",
     },
     "fig1-rr-det": {
-        "simulate_aggregate.csv": "4e0b59d44ba393d59245bd0e4423da74ff83e4c85dcfe4783aafeb700919aaad",
-        "simulate_replicate000.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
-        "simulate_replicate001.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
-        "simulate_replicate002.csv": "6363ee960a8831455ec629adad84c89a1ceb3f9ee3cd08a14472cd57e40f5eee",
+        "simulate_aggregate.csv": "c34ffd14978e5f36a44618304a8040ec09e3de664053d5d5a27a4f8ee3d79451",
+        "simulate_replicate000.csv": "e8c022ae5b40e9b3d0984f0886e865af90a4781258a2d98511b6b7f9724b95ab",
+        "simulate_replicate001.csv": "e8c022ae5b40e9b3d0984f0886e865af90a4781258a2d98511b6b7f9724b95ab",
+        "simulate_replicate002.csv": "e8c022ae5b40e9b3d0984f0886e865af90a4781258a2d98511b6b7f9724b95ab",
     },
     "fig1-rr-sto": {
-        "simulate_aggregate.csv": "2ddbabb86edac2ac0a4bc2ed2a0f2995bdbe5040e94ed95e87518ae85f0cb469",
-        "simulate_replicate000.csv": "068dff98a0ee6391a1c6b7caa138728808ab93614a64ee108c80f823698cf983",
-        "simulate_replicate001.csv": "12071a435f4ac1566d53a1d37a687cc00d7b79834e02c74b16609d672d584f37",
-        "simulate_replicate002.csv": "1ba42aa7c8d90dc851601eb00649e06d6d00ae2979a8ea156b93efda63257f04",
+        "simulate_aggregate.csv": "f1ed2c08c9a63054470afe91d71551080f2070dd7130f8eb7b9941f0f3d55e89",
+        "simulate_replicate000.csv": "4b0ffc3e702c64f1d1155c126dd2b5610fc96e15f6e2b876f5a643a6a5278a22",
+        "simulate_replicate001.csv": "5fa13d78ca7f31ce419855a9726d328e07a2ce2e34b785341dec9ee81af4bc56",
+        "simulate_replicate002.csv": "6722099894bc9722b5f922a0aa25dbdcaf38f2703706418a1a6c8e38f8b1fce0",
     },
     "fig2-gaussian": {
-        "simulate_aggregate.csv": "31afe3153bb87794edd2a59ef630cfe0e11de895bd0ad874c5a6c28924694518",
-        "simulate_replicate000.csv": "b59cdfa69677fd28efe23c2d28aff31655bd549747e6792991fb4a77d1de5394",
-        "simulate_replicate001.csv": "0204d3d7854c2fd1b9831aa7d7dec29b493bfb708d6a51e9c19717c7dca2fdd2",
-        "simulate_replicate002.csv": "774db85d541a42503c457cd3a44f68ae430da9b937aad348b8c6896097864ffc",
+        "simulate_aggregate.csv": "f440d2122eeceecd097d1bbbe51abc5b73da35a101b61201198bd0c7b221e3f1",
+        "simulate_replicate000.csv": "864ace1d3fb836a93e554daa30e2692e1cfea68e63b6c26c6111f5253a08ee80",
+        "simulate_replicate001.csv": "12f80aaf930b56d94aa0cc9a5eb5e1efecd274515fb7bb026e6ac87a2f4baf97",
+        "simulate_replicate002.csv": "828e32b0d30a4d9a6516189c9bcbf245f55859b23eb5ef7b51ff40b3411c3db5",
     },
     "fig1-independent": {
-        "simulate_aggregate.csv": "3e4c7e7b7def9e907b7c657e0d2739ed586694c1310a1189f0ff11edd0288af3",
-        "simulate_replicate000.csv": "0096fff0e61265996b1a2d0c79cf924dd86f10f6006bbdd2b1bda9077bb62883",
-        "simulate_replicate001.csv": "07e0610596efa8859ed24327739ff937dd161f7ce0366e571da55cc253e0bcad",
-        "simulate_replicate002.csv": "fc983f5f5c162aa43c3c2943da1742a26ca1e36c79540a7c1ce74659c29a5056",
+        "simulate_aggregate.csv": "f102190a8958bba751335172cbccfeb67d5ee251ae2df6a1eccf6b12d728d8f9",
+        "simulate_replicate000.csv": "a76ca1ccf6af8dffda86897b6017d95b3148500defc78d07d3f28353cf7e8e98",
+        "simulate_replicate001.csv": "e4f7e1073aa890e73bb7b9767e693651e54dc898d6ec9f5fb244881af3e95b6f",
+        "simulate_replicate002.csv": "cfe18584f187d2ce6a662c606b3bed1d6b300066e6069224be4bed9f798e8337",
     },
 }
 

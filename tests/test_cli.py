@@ -612,6 +612,22 @@ class TestEntryPoint:
         assert rc == 1
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_negative_data_seed_exits_1(self, tmp_path, capsys):
+        rc = main(["predict", "--preset", "fig2-heterogeneous", "--set", "objective.seed=-3",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_vanishing_ridge_weight_runs(self, tmp_path):
+        # gamma mu = 1e-303 once made the default burn-in divide by log(1) = 0
+        rc = main(["simulate", "--preset", "fig2-heterogeneous",
+                   "--set", "objective.lambda_reg=1e-300", "--set", "run.T=50",
+                   "--set", "run.replicates=2", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "simulate_aggregate.csv").read_text().splitlines()
+        assert rows[0] == "t,mean_dist,std_dist" and len(rows) > 1
+
 
 
 class TestNonFinite:

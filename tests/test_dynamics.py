@@ -384,6 +384,27 @@ class TestRun:
             RunConfig(algorithm="dgd", gamma=0.1, T=0, burn_in=3)
         assert default_burn_in(0.1, 1.0, 10**9) == 132
 
+    def test_burn_in_at_a_vanishing_rate_is_capped_by_T(self):
+        # at gamma mu = 1e-303, log(1 - gamma mu) is 0; log1p(-gamma mu) is not
+        assert default_burn_in(1e-3, 1e-300, 50) == 49
+        # gamma mu underflows to 0: the transient never decays
+        assert default_burn_in(1e-300, 1e-300, 50) == 49
+
+    @pytest.mark.parametrize("engine", ["run", "run_chains", "rr_run"])
+    def test_theta_det_of_the_wrong_shape_is_rejected(self, engine):
+        obj, W = two_client_example()
+        model = AdditiveGaussian.isotropic(2, 1, 0.1)
+        start, wrong = StackedPoint.zeros(2, 1), StackedPoint.zeros(3, 1)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.05, T=5)
+        calls = {
+            "run": lambda: run(W, obj, model, cfg, start, Theta_det=wrong),
+            "run_chains": lambda: run_chains([W], obj, model, [cfg], [start], [wrong]),
+            "rr_run": lambda: rr_run(W, obj, model, RunConfig(algorithm="rr_dsgd", gamma=0.05, T=5),
+                                     start, wrong),
+        }
+        with pytest.raises(ShapeMismatchError, match=r"\(3,1\)"):
+            calls[engine]()
+
     def test_stationary_sums_accumulate(self):
         obj, W = two_client_example()
         model = AdditiveGaussian.isotropic(2, 1, 0.1)

@@ -229,6 +229,10 @@ class TestGenerator:
             narrow += generate_logistic_problem(4, 30, 2, 0.0, 0.1, seed).heterogeneity()
         assert wide > narrow
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(InvalidParamError, match="seed must be >= 0, got -3"):
+            generate_logistic_problem(2, 10, 2, seed=-3)
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParamError):
             generate_logistic_problem(0, 10, 2)

@@ -1,11 +1,12 @@
 """Property tests: the block-wise draw reader against single streams, a
 re-keyed Philox against a new one, the Newton solve for Theta_det against
-the Picard oracle, the shared Newton loop on theta*, the sigmoid against its
-mask-based reference, the minibatch drift against the full per-sample
-gradient formula, every topology builder's W against the block average,
+the Picard oracle, the shared Newton loop on theta*, the sigmoid against the
+masked formula and an exact decimal reference, the minibatch drift against
+the full per-sample gradient formula, every topology builder's W against the block average,
 the expansion's residual bound against the rr bound, and each chain of a
 batched run against a lone run."""
 
+import decimal
 import io
 import inspect
 import math
@@ -160,7 +161,7 @@ def test_newton_finds_theta_star(m, n, d, lam, spread, seed):
 
 
 def _sigmoid_masked(z):
-    """The reference: each branch evaluated on its own boolean mask."""
+    """The two-branch formula, each branch evaluated on its own boolean mask."""
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -169,23 +170,73 @@ def _sigmoid_masked(z):
     return out
 
 
+def _ulps_from_exact(z: float, got: float) -> float:
+    """|got - sigma(z)| in ulps of sigma(z), with sigma(z) to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = 1 / (1 + (-decimal.Decimal(z)).exp())
+        return float(abs(decimal.Decimal(got) - exact) / decimal.Decimal(math.ulp(float(exact))))
+
+
 # hypothesis floats include NaN, +-inf, +-0 and subnormals; the edges are
-# added explicitly, with |z| > 745 where exp(-|z|) underflows to 0
+# added explicitly, with |z| > 745 where exp(-|z|) underflows to 0 and
+# |z| > 709 where the clamp of exp's argument acts
 EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
-         745.2, -745.2, 800.0, -800.0, 1e308, -1e308, 36.7, -36.7]
+         745.2, -745.2, 800.0, -800.0, 1e308, -1e308, 36.7, -36.7, 709.0, -709.0, 709.5,
+         -709.5]
 SIGMOID_INPUTS = st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)),
                           min_size=1, max_size=64)
+# the range on which every value is a normal number and no step underflows
+SIGMOID_RANGE = st.lists(st.one_of(st.floats(-700.0, 700.0),
+                                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7,
+                                                    700.0, -700.0])),
+                         min_size=1, max_size=64)
 
 
 @settings(max_examples=300, deadline=None)
 @given(values=SIGMOID_INPUTS)
-def test_sigmoid_is_bitwise_the_masked_formula(values):
-    z = np.array(values, dtype=float)
+def test_sigmoid_at_nonnegative_z_is_bitwise_the_masked_formula(values):
+    z = np.abs(np.array(values, dtype=float))
     with np.errstate(invalid="ignore"):
         got, ref = _sigmoid(z), _sigmoid_masked(z)
     nan = np.isnan(z)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=SIGMOID_RANGE)
+def test_sigmoid_is_within_3_ulp_of_the_exact_value(values):
+    z = np.array(values, dtype=float)
+    got = _sigmoid(z)
+    assert max(_ulps_from_exact(zi, gi) for zi, gi in zip(z.tolist(), got.tolist())) <= 3.0
+
+
+def test_sigmoid_maps_nan_and_the_infinities():
+    got = _sigmoid(np.array([np.nan, np.inf, -np.inf]))
+    assert np.isnan(got[0]) and got[1] == 1.0
+    assert 0.0 <= got[2] <= 1.3e-308
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=SIGMOID_INPUTS, x=st.floats(-750.0, 750.0))
+def test_sigmoid_is_monotone(values, x):
+    z = np.sort(np.array(values, dtype=float))
+    assert np.all(np.diff(_sigmoid(z[~np.isnan(z)])) >= 0.0)
+    # and over neighbouring floats, whose values often round to one
+    near = x + abs(np.spacing(x)) * np.arange(-32, 33)
+    assert np.all(np.diff(_sigmoid(near)) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=SIGMOID_RANGE, anywhere=SIGMOID_INPUTS)
+def test_sigmoid_raises_no_floating_point_error(values, anywhere):
+    # on [-700, 700], NaN and +inf no flag at all is raised, underflow included
+    with np.errstate(all="raise"):
+        _sigmoid(np.array(values + [np.nan, np.inf], dtype=float))
+    # anywhere, -inf and 1e308 included, nothing overflows or is invalid
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _sigmoid(np.array(anywhere, dtype=float))
 
 
 def _picked_rows(persample, keys, b):
@@ -205,13 +256,18 @@ def _subset_mean(persample, keys, b):
     return total / b
 
 
-@settings(max_examples=200, deadline=None)
-@given(C=st.integers(1, 2), shared=st.booleans(), R=st.integers(1, 4), m=st.integers(1, 5),
-       n=st.integers(1, 50), d=st.integers(1, 5), tied=st.booleans(),
-       scale=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_minibatch_drift_is_bitwise_the_full_gradient_formula(C, shared, R, m, n, d, tied,
-                                                             scale, seed, data):
-    b = data.draw(st.integers(1, n), label="b")
+def _dot_in_coordinate_order(Th, X):
+    """theta_k . x_ki of every sample, (..., m, n), the d products added in
+    index order."""
+    z = Th[..., None, 0] * X[..., 0]
+    for j in range(1, X.shape[-1]):
+        z = z + Th[..., None, j] * X[..., j]
+    return z
+
+
+def _drift_case(C, shared, R, m, n, d, tied, scale, seed, b):
+    """_drift at a random stack and random words, and the per-sample data
+    and words it reads."""
     obj = generate_logistic_problem(m=m, n=n, d=d, seed=seed)
     rng = np.random.default_rng(seed)
     Th = scale * rng.standard_normal((C, R, m, d))
@@ -220,10 +276,37 @@ def test_minibatch_drift_is_bitwise_the_full_gradient_formula(C, shared, R, m, n
     high = 3 if tied else 2**64
     draw = rng.integers(0, high, size=(1 if shared else C, R, m * n), dtype=np.uint64)
     got = _drift(obj, Minibatch(b), Th, draw)
+    assert got.shape == (C, R, m, d)
+    return got, obj, Th, draw.reshape(-1, R, m, n)
+
+
+DRIFT_CASE = dict(C=st.integers(1, 2), shared=st.booleans(), R=st.integers(1, 4),
+                  m=st.integers(1, 5), n=st.integers(1, 50), tied=st.booleans(),
+                  scale=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 5), **DRIFT_CASE)
+def test_minibatch_drift_is_bitwise_the_full_gradient_formula(C, shared, R, m, n, d, tied,
+                                                             scale, seed, data):
+    b = data.draw(st.integers(1, n), label="b")
+    got, obj, Th, keys = _drift_case(C, shared, R, m, n, d, tied, scale, seed, b)
+    X = obj.data
+    persample = _sigmoid(_dot_in_coordinate_order(Th, X))[..., None] * X
+    want = _subset_mean(persample, keys, b) + obj.lambda_reg * Th
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 2), **DRIFT_CASE)
+def test_minibatch_drift_at_d2_is_bitwise_the_einsum_formula(C, shared, R, m, n, d, tied,
+                                                            scale, seed, data):
+    # at d <= 2 einsum sums theta.x in index order too
+    b = data.draw(st.integers(1, n), label="b")
+    got, obj, Th, keys = _drift_case(C, shared, R, m, n, d, tied, scale, seed, b)
     X = obj.data
     persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
-    want = _subset_mean(persample, draw.reshape(-1, R, m, n), b) + obj.lambda_reg * Th
-    assert got.shape == want.shape == (C, R, m, d)
+    want = _subset_mean(persample, keys, b) + obj.lambda_reg * Th
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
