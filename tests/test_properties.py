@@ -2,9 +2,9 @@
 re-keyed Philox against a new one, the Newton solve for Theta_det against
 the Picard oracle, the shared Newton loop on theta*, the sigmoid against the
 masked formula and an exact decimal reference, the minibatch drift against
-the full per-sample gradient formula, every topology builder's W against the block average,
-the expansion's residual bound against the rr bound, and each chain of a
-batched run against a lone run."""
+the full per-sample gradient formula, every topology builder's W against
+the block average, the expansion's residual bound against the rr bound, and
+each chain of a batched run against a lone run."""
 
 import decimal
 import io
@@ -266,8 +266,8 @@ def _dot_in_coordinate_order(Th, X):
 
 
 def _drift_case(C, shared, R, m, n, d, tied, scale, seed, b):
-    """_drift at a random stack and random words, and the per-sample data
-    and words it reads."""
+    """_drift at a random stack and random words, with the objective, the
+    stack and the words, shaped (1 or C, R, m, n), that it read."""
     obj = generate_logistic_problem(m=m, n=n, d=d, seed=seed)
     rng = np.random.default_rng(seed)
     Th = scale * rng.standard_normal((C, R, m, d))
