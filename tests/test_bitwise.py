@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
-from dsgd_lab.dynamics import RunConfig, _Draws, coupled_run, rr_run, run, run_chains
+from dsgd_lab.dynamics import (RunConfig, _Draws, coupled_run, dsgd_step, rr_run, run,
+                               run_chains)
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
@@ -299,6 +300,107 @@ def test_minibatch_sample_noise_is_pinned(case):
                     for t in range(0, 700, 9)])
     assert _digest(eps) == SAMPLE_DIGESTS[case]
 
+
+
+def _gaussian_model(m, d, seed):
+    """Additive Gaussian noise with random full covariances, so that every
+    factor S_k mixes all d coordinates."""
+    A = np.random.default_rng(seed).standard_normal((m, d, d))
+    C = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    return AdditiveGaussian(C=0.5 * (C + C.transpose(0, 2, 1)))
+
+
+# Gaussian sample_noise over steps that cross a block boundary
+GAUSS_SAMPLE_CASES = [(m, d) for m in (1, 3) for d in (1, 2, 3, 5)]
+
+GAUSS_SAMPLE_DIGESTS = {
+    (1, 1): "4a5bf9ab7f99b24a4fbb4fc277f48d01b31d6bc48a59e92a6582645cbed10c6a",
+    (1, 2): "bd7d073c9c27738baf4653b7aee87fcae075f778f4a17e2815807d4af05e8b7b",
+    (1, 3): "fbefb61b810b28898c5e7032214527cc78571ad16d7502caa2bd21da8975958e",
+    (1, 5): "431f829b87601beb76790b14ab1df15b969a85d2da9c24915ce1179f5f1e5558",
+    (3, 1): "7301b47d3d035a0add02cd72a296b54bd5c036b3247781650374e024f3612443",
+    (3, 2): "cc7baf3b955d755ce86f1331e9014eb96cb35213dd84e234454a2ea812602979",
+    (3, 3): "716f30d81d1de61139e835a03a3303d18ae2627058064a7bb813e82e8337b1c4",
+    (3, 5): "9b036949bfe15eb3a0bf33d4004e1b94a84b32c0534291621558124277c1d9e7",
+}
+
+
+@pytest.mark.parametrize("case", GAUSS_SAMPLE_CASES, ids=lambda case: "m{}-d{}".format(*case))
+def test_gaussian_sample_noise_is_pinned(case):
+    m, d = case
+    obj = generate_logistic_problem(m=m, n=4, d=d, seed=19)
+    model = _gaussian_model(m, d, 5)
+    stream = NoiseStream(seed=29, replicate=2)
+    eps = np.stack([sample_noise(model, obj, obj.theta_star_stacked, stream, t).data
+                    for t in range(0, 700, 9)])
+    assert _digest(eps) == GAUSS_SAMPLE_DIGESTS[case]
+
+
+# the Gaussian tau pass (estimate_tau's per-draw squared norms); the last
+# block is partial at 1,300 and 1,100 draws. (m, d, n_draws)
+GAUSS_TAU_CASES = [(1, 1, 600), (3, 2, 1_300), (4, 5, 1_100)]
+
+GAUSS_TAU_DIGESTS = {
+    (1, 1, 600): "8aa361063155721785bd8a346e057311ec90c6ecad24b6dd1c0c5847395ca1af",
+    (3, 2, 1300): "6bd3b695a41d53c8f72033275a266cfe06f1e0b8f57388ab78db0db695860ff1",
+    (4, 5, 1100): "b74cacf54547123a06411015793c54a38fe11070c8b2c41ff3c6c6743e497ba1",
+}
+
+
+@pytest.mark.parametrize("case", GAUSS_TAU_CASES, ids=lambda case: "m{}-d{}-{}".format(*case))
+def test_gaussian_tau_pass_is_pinned(case):
+    m, d, n_draws = case
+    obj = generate_logistic_problem(m=m, n=4, d=d, seed=17)
+    sq_norms = _tau_sq_norms(_gaussian_model(m, d, 11), obj, obj.theta_star_stacked,
+                             n_draws, seed=3)
+    assert _digest(sq_norms) == GAUSS_TAU_DIGESTS[case]
+
+
+# dsgd_step from a point away from theta*, 30 steps across a block boundary:
+# Gaussian noise on a quadratic and on a logistic objective, minibatch noise
+# on a logistic one. (noise, objective, d)
+STEP_CASES = [(noise, kind, d) for noise, kind in (("gaussian", "quadratic"),
+                                                   ("gaussian", "logistic"),
+                                                   ("minibatch", "logistic"))
+              for d in (1, 2, 3, 5)]
+
+STEP_DIGESTS = {
+    ("gaussian", "quadratic", 1): "a6daf9fc59836f6f764dd27074d9e1a087fbcb08bd496553f74911b77648b2c4",
+    ("gaussian", "quadratic", 2): "529f916d17a6014e5a8d1013d3d62f92c2057e91766b1a34d17d6d5ae694cdef",
+    ("gaussian", "quadratic", 3): "2803bd285c258f7fad252b47754c89a89654517d20de919666c50b661fe55131",
+    ("gaussian", "quadratic", 5): "1a45639ba5c127a9ef01a84bd3abd30ed6747332efe2822ae8b8fb9db9b7cdbb",
+    ("gaussian", "logistic", 1): "c8ef8164625309b25ac38cbf2460d1c3a139968f71e990cbc6af34cb7376e4b2",
+    ("gaussian", "logistic", 2): "5e9b62a5d68f174f4d945acb2619ef622bc847810622ed37aa7ed53c8d863a94",
+    ("gaussian", "logistic", 3): "27b6e69562c3198c649910bd72c4a147bbce18fbd43198bbc136c9c7396b0fee",
+    ("gaussian", "logistic", 5): "0a0e5c5fd7123d3479031f6cdfb0f5edcb4d6adc92ff078e7a2a23b3b22e7315",
+    ("minibatch", "logistic", 1): "a9e627aeaac095f94ff57a3f512e085e1a20a1ca9a4f5f535cbc893e3be63b69",
+    ("minibatch", "logistic", 2): "40ea64589563953198180e16bd0f789987e3dfacfa7389d73a0ba1487669fb99",
+    ("minibatch", "logistic", 3): "46e456ab406fc714ce5715b2f669b70a1ded4a5fe2808f7ce501a23ee022b752",
+    ("minibatch", "logistic", 5): "1a93c2cafab48830f4c3fe8e95270f1fee645866be5d864e794642e83b624213",
+}
+
+
+def _step_problem(kind, d):
+    if kind == "logistic":
+        return generate_logistic_problem(m=3, n=10, d=d, seed=37)
+    rng = np.random.default_rng(37)
+    A = rng.standard_normal((3, d, d))
+    A = A @ A.transpose(0, 2, 1) + np.eye(d)
+    return QuadraticObjectives(0.5 * (A + A.transpose(0, 2, 1)), rng.standard_normal((3, d)))
+
+
+@pytest.mark.parametrize("case", STEP_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_dsgd_step_is_pinned(case):
+    noise, kind, d = case
+    obj = _step_problem(kind, d)
+    model = _gaussian_model(3, d, 7) if noise == "gaussian" else Minibatch(4)
+    W = build_ring(3, 0.3)
+    start = obj.theta_star_stacked.data + np.random.default_rng(41).standard_normal((3, d))
+    Theta, stream, path = StackedPoint(3, d, start), NoiseStream(seed=43, replicate=1), []
+    for t in range(500, 530):
+        Theta = dsgd_step(W, obj, model, 0.5 / obj.L, Theta, stream, t)
+        path.append(Theta.data)
+    assert _digest(np.stack(path)) == STEP_DIGESTS[case]
 
 # Gaussian run at the AC10 shape (m = d = 1, n = 25, R = 128) over three
 # 512-step blocks
