@@ -11,10 +11,12 @@ own step size, W and start, times R replicates, and W acts blockwise
 through batched matmul. A plain run is C = 1 of run_chains, the extrapolated
 run is C = 2 (gamma and gamma/2), a coupled pair is C = 2 (two starts), and
 the single steps and the fixed-point iteration are C = R = 1.
-All randomness flows through keyed NoiseStream objects, so a run is a pure
-function of its configuration and seed: the trajectory of replicate r does
-not depend on how many other replicates or chains are batched alongside it
-or on any thread scheduling.
+The noise module reads a run's draws and turns them into the stochastic
+gradients; this module steps, iterates, records and solves. All randomness
+flows through keyed NoiseStream objects, so a run is a pure function of its
+configuration and seed: the trajectory of replicate r does not depend on
+how many other replicates or chains are batched alongside it or on any
+thread scheduling.
 """
 
 from __future__ import annotations
@@ -34,17 +36,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matops import damped_newton
-from .noise import (
-    AdditiveGaussian,
-    Minibatch,
-    NoiseStream,
-    _check_model,
-    _draw_blocks,
-    _pick_index,
-    _pick_mean,
-    smoothness_constant,
-)
-from .objectives import ObjectiveSet, _sigmoid
+from .noise import NoiseStream, _check_model, _Draws, _drift, _lane, smoothness_constant
+from .objectives import ObjectiveSet
 from .stacked import StackedPoint
 from .topology import CommMatrix
 
@@ -226,67 +219,6 @@ def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
     chains.
     """
     return np.matmul(W, Th - gammas * _drift(obj, noise, Th, draw))
-
-
-def _drift(obj: ObjectiveSet, noise, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
-    """The stack's (C, R, m, d) stochastic gradients at _step's draws."""
-    _, R, m, d = Th.shape
-    if isinstance(noise, Minibatch):
-        # the subsample mean is the gradient plus the noise, so the full
-        # data gradient is never needed, and only the b picked samples'
-        # sigmoids are. The picks come from the coordinate-major data: Xb is
-        # (d, b, 1 or C, R, m), so theta.x sums the coordinates in index
-        # order and s.x is one multiply over contiguous (R, m) rows
-        idx = _pick_index(draw.reshape(-1, R, m, obj.n), noise.batch_size)
-        Xb = np.take(obj.data_by_coord, idx, axis=1)
-        z = Xb[0] * Th[..., 0]
-        for j in range(1, d):
-            z += Xb[j] * Th[..., j]
-        grad = _pick_mean(np.multiply(_sigmoid(z), Xb).swapaxes(0, 1))
-        return grad.transpose(1, 2, 3, 0) + obj.lambda_reg * Th
-    drift = obj._grad_batch(Th)
-    if noise is not None:
-        z = draw.reshape(-1, R, m, d)
-        drift = drift + np.einsum("kij,...kj->...ki", noise.factors, z)
-    return drift
-
-
-def _lane(noise, obj: ObjectiveSet):
-    """The NoiseStream purpose a noise model draws from, and its width."""
-    if isinstance(noise, AdditiveGaussian):
-        return NoiseStream.PURPOSE_GAUSS, obj.m * obj.d
-    return NoiseStream.PURPOSE_SUBSET, obj.m * obj.n
-
-
-class _Draws:
-    """Per-step draws of a (C, R) grid of streams, read a block at a time.
-
-    ids[c][r] is the stream replicate id behind chain c and replicate r; C
-    is 1 when every chain shares the replicates' streams. Gaussian noise
-    reads standard normals, minibatch noise subset-selection words.
-    """
-
-    def __init__(self, noise, obj: ObjectiveSet, seed: int, ids):
-        self.streams = [NoiseStream(seed, r) for row in ids for r in row]
-        self.shape = (len(ids), len(ids[0]))
-        self.purpose, self.width = _lane(noise, obj)
-        self.block_size = self.streams[0].block_size
-        self.block = -1
-        self.buf = None
-
-    def at(self, t: int) -> np.ndarray:
-        """(C, R, width) draws of step t.
-
-        The result is a view of a buffer that the next block overwrites, so
-        it is valid only until a step in another block is read.
-        """
-        b, row = divmod(t, self.block_size)
-        if b != self.block:
-            # one (C * R, block_size, width) buffer, filled in place per block
-            self.buf = _draw_blocks(self.streams, self.purpose, b, self.width, self.buf)
-            self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
-            self.block = b
-        return self.grid[:, :, row]
 
 
 def _iterate(Ws, obj: ObjectiveSet, noise, gammas, starts, R: int,

@@ -7,6 +7,11 @@ Two models:
   subsample of size b minus the full local gradient (logistic objectives
   only; the ridge term cancels).
 
+This module is the one that knows how draws become noise. _lane names the
+lane and width a model reads, _noise turns (..., width) draws into (..., m, d)
+noise, and _drift turns a step's draws into the stochastic gradients of a
+stack of chains; sample_noise, the tau pass and every engine's step use them.
+
 Randomness is keyed, not stateful: the draw consumed at step t by client k
 of replicate r is a pure function of (seed, replicate, t, k). Streams are
 backed by the Philox counter-based generator keyed from those coordinates,
@@ -121,6 +126,12 @@ class NoiseStream:
         """(block_size, width) standard normals for the Gaussian lane."""
         return _draw_blocks([self], self.PURPOSE_GAUSS, block, width)[0]
 
+    def _block(self, purpose: int, block: int, width: int) -> np.ndarray:
+        """Block ``block`` of the purpose's lane: normals_block for
+        PURPOSE_GAUSS, raw_block for PURPOSE_SUBSET."""
+        reader = self.normals_block if purpose == self.PURPOSE_GAUSS else self.raw_block
+        return reader(block, width)
+
     def _at(self, purpose: int, width: int, t: int) -> np.ndarray:
         """Row t of the purpose's blocks, keeping that one block for the
         next step."""
@@ -129,8 +140,7 @@ class NoiseStream:
         block, row = divmod(t, self.block_size)
         key = (purpose, width, block)
         if key != self._read[0]:
-            reader = self.normals_block if purpose == self.PURPOSE_GAUSS else self.raw_block
-            self._read = (key, reader(block, width))
+            self._read = (key, self._block(purpose, block, width))
         return self._read[1][row]
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
@@ -287,6 +297,44 @@ def _check_model(model, obj: ObjectiveSet) -> None:
         raise UnsupportedCombinationError(f"unknown noise model {type(model).__name__}")
 
 
+def _lane(model, obj: ObjectiveSet):
+    """The NoiseStream purpose a noise model draws from, and its width."""
+    if isinstance(model, AdditiveGaussian):
+        return NoiseStream.PURPOSE_GAUSS, obj.m * obj.d
+    return NoiseStream.PURPOSE_SUBSET, obj.m * obj.n
+
+
+class _Draws:
+    """Per-step draws of a (C, R) grid of streams, read a block at a time.
+
+    ids[c][r] is the stream replicate id behind chain c and replicate r; C
+    is 1 when every chain shares the replicates' streams. Gaussian noise
+    reads standard normals, minibatch noise subset-selection words.
+    """
+
+    def __init__(self, model, obj: ObjectiveSet, seed: int, ids):
+        self.streams = [NoiseStream(seed, r) for row in ids for r in row]
+        self.shape = (len(ids), len(ids[0]))
+        self.purpose, self.width = _lane(model, obj)
+        self.block_size = self.streams[0].block_size
+        self.block = -1
+        self.buf = None
+
+    def at(self, t: int) -> np.ndarray:
+        """(C, R, width) draws of step t.
+
+        The result is a view of a buffer that the next block overwrites, so
+        it is valid only until a step in another block is read.
+        """
+        b, row = divmod(t, self.block_size)
+        if b != self.block:
+            # one (C * R, block_size, width) buffer, filled in place per block
+            self.buf = _draw_blocks(self.streams, self.purpose, b, self.width, self.buf)
+            self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
+            self.block = b
+        return self.grid[:, :, row]
+
+
 def _persample_grads(obj: LogisticObjectives, Theta: np.ndarray) -> np.ndarray:
     """Per-sample gradients of the data term, sigma(<theta_k, x_i>) x_i, of
     every client k at its block of the (m, d) point: (m, n, d)."""
@@ -331,6 +379,43 @@ def _pick_mean(picked: np.ndarray) -> np.ndarray:
     return total / len(picked)
 
 
+def _noise(model, obj: ObjectiveSet, Theta: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The (..., m, d) noise that (..., width) draws of the model's lane give.
+
+    Gaussian noise is S_k z_k, whatever Theta. Minibatch noise is the mean
+    gradient of the samples the words pick minus the full local gradient,
+    both at the (m, d) point Theta.
+    """
+    lead = draws.shape[:-1]
+    if isinstance(model, AdditiveGaussian):
+        return np.einsum("kij,...kj->...ki", model.factors, draws.reshape(lead + (obj.m, obj.d)))
+    keys = draws.reshape(lead + (obj.m, obj.n))
+    persample = _persample_grads(obj, Theta)
+    return (_pick_mean(_picked(persample, keys, model.batch_size))
+            - np.add.reduce(persample, axis=1) / obj.n)
+
+
+def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
+    """The (C, R, m, d) stochastic gradients of a stack of chains at a
+    step's (1 or C, R, width) draws; model None gives the gradients."""
+    if not isinstance(model, Minibatch):
+        drift = obj._grad_batch(Th)
+        return drift if model is None else drift + _noise(model, obj, Th, draw)
+    # the subsample mean is the gradient plus the noise, so the full data
+    # gradient is never needed, and only the b picked samples' sigmoids
+    # are. The picks come from the coordinate-major data: Xb is (d, b, 1 or
+    # C, R, m), so theta.x sums the coordinates in index order and s.x is
+    # one multiply over contiguous (R, m) rows
+    _, R, m, d = Th.shape
+    idx = _pick_index(draw.reshape(-1, R, m, obj.n), model.batch_size)
+    Xb = np.take(obj.data_by_coord, idx, axis=1)
+    z = Xb[0] * Th[..., 0]
+    for j in range(1, d):
+        z += Xb[j] * Th[..., j]
+    grad = _pick_mean(np.multiply(_sigmoid(z), Xb).swapaxes(0, 1))
+    return grad.transpose(1, 2, 3, 0) + obj.lambda_reg * Th
+
+
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
                  stream: NoiseStream, t: int) -> StackedPoint:
     """One draw of the stacked noise E(Theta) at step t of the stream.
@@ -344,14 +429,7 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
             f"stacked point ({Theta.m},{Theta.d}) does not match objective "
             f"({obj.m},{obj.d})"
         )
-    if isinstance(model, AdditiveGaussian):
-        z = stream.normals_at(t, obj.m * obj.d).reshape(obj.m, obj.d)
-        eps = np.einsum("kij,kj->ki", model.factors, z)
-    else:
-        keys = stream.raw_at(t, obj.m * obj.n).reshape(obj.m, obj.n)
-        persample = _persample_grads(obj, Theta.data)
-        eps = (_pick_mean(_picked(persample, keys, model.batch_size))
-               - np.add.reduce(persample, axis=1) / obj.n)
+    eps = _noise(model, obj, Theta.data, stream._at(*_lane(model, obj), t))
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -430,29 +508,14 @@ def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
 def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
                   n_draws: int, seed: int) -> np.ndarray:
     """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0)."""
-    m, d = obj.m, obj.d
     stream = NoiseStream(seed=seed, replicate=0)
+    lane, size = _lane(model, obj), stream.block_size
     sq_norms = np.empty(n_draws)
-    if isinstance(model, AdditiveGaussian):
-        width = m * d
-        factors = model.factors
-        for start in range(0, n_draws, stream.block_size):
-            stop = min(start + stream.block_size, n_draws)
-            blk = stream.normals_block(start // stream.block_size, width)
-            z = blk[: stop - start].reshape(-1, m, d)
-            eps = np.einsum("kij,rkj->rki", factors, z)
-            sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
-    else:
-        b, n = model.batch_size, obj.n
-        width = m * n
-        persample = _persample_grads(obj, Theta_star.data)
-        full = np.add.reduce(persample, axis=1) / n
-        for start in range(0, n_draws, stream.block_size):
-            stop = min(start + stream.block_size, n_draws)
-            blk = stream.raw_block(start // stream.block_size, width)
-            keys = blk[: stop - start].reshape(-1, m, n)
-            eps = _pick_mean(_picked(persample, keys, b)) - full
-            sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
+    for start in range(0, n_draws, size):
+        stop = min(start + size, n_draws)
+        draws = stream._block(lane[0], start // size, lane[1])[: stop - start]
+        eps = _noise(model, obj, Theta_star.data, draws)
+        sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     return sq_norms
 
 
