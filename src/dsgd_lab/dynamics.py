@@ -102,6 +102,8 @@ class RunConfig:
             )
         if not (self.gamma > 0.0):
             raise InvalidStepError(f"gamma must be positive, got {self.gamma}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParamError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.T < 0:
             raise InvalidParamError(f"T must be >= 0, got {self.T}")
         if self.replicates < 1:
@@ -198,10 +200,7 @@ def _check_step(gamma: float, L: float) -> None:
 
 def _check_shapes(W: CommMatrix, obj: ObjectiveSet, *points: StackedPoint) -> None:
     for P in points:
-        if P.m != obj.m or P.d != obj.d:
-            raise ShapeMismatchError(
-                f"stacked point is ({P.m},{P.d}), objective needs ({obj.m},{obj.d})"
-            )
+        obj._check_point(P)
     if W.m != obj.m:
         raise ShapeMismatchError(f"W has m={W.m}, objective has m={obj.m}")
 
@@ -550,7 +549,6 @@ def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
     if noise is None:
         raise InvalidParamError("coupled_run couples stochastic chains; supply a noise model")
     RunConfig(gamma=gamma, T=T, seed=seed, replicates=replicates)  # the run input checks
-    _check_model(noise, obj)
     L = smoothness_constant(noise, obj)
     if not (gamma < 2.0 / L):
         raise InvalidStepError(

@@ -110,11 +110,16 @@ class NoiseStream:
     def __init__(self, seed: int, replicate: int = 0):
         self.seed = int(seed)
         self.replicate = int(replicate)
+        # a key word holds 64 bits, so a value outside them would read the
+        # streams of the value it wraps to
+        for name, value in (("seed", self.seed), ("replicate", self.replicate)):
+            if not 0 <= value <= _MASK:
+                raise InvalidParamError(f"{name} must be in [0, 2**64), got {value}")
         self._read = (None, None)  # ((purpose, width, block), block) of the last _at
         # chain the coordinates through the finalizer instead of xor-folding
         # them: xor is commutative, and (seed, replicate) pairs must not
         # collide under transposition
-        self._key0 = _mix64(_mix64(_mix64(self.seed & _MASK)) ^ _mix64(self.replicate & _MASK))
+        self._key0 = _mix64(_mix64(_mix64(self.seed)) ^ _mix64(self.replicate))
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
@@ -424,11 +429,7 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
     evaluates the same noise realization at two different points.
     """
     _check_model(model, obj)
-    if Theta.m != obj.m or Theta.d != obj.d:
-        raise ShapeMismatchError(
-            f"stacked point ({Theta.m},{Theta.d}) does not match objective "
-            f"({obj.m},{obj.d})"
-        )
+    obj._check_point(Theta)
     eps = _noise(model, obj, Theta.data, stream._at(*_lane(model, obj), t))
     return StackedPoint(obj.m, obj.d, eps)
 

@@ -83,13 +83,15 @@ class ObjectiveSet:
         if not (0 <= k < self.m):
             raise IndexError(f"client index {k} out of range [0, {self.m})")
 
-    def grad_stacked(self, Theta: StackedPoint) -> StackedPoint:
-        """Stacked gradient: block k is grad f_k(theta_k)."""
+    def _check_point(self, Theta: StackedPoint) -> None:
         if Theta.m != self.m or Theta.d != self.d:
             raise ShapeMismatchError(
-                f"stacked point ({Theta.m},{Theta.d}) does not match objective "
-                f"({self.m},{self.d})"
+                f"stacked point is ({Theta.m},{Theta.d}), objective needs ({self.m},{self.d})"
             )
+
+    def grad_stacked(self, Theta: StackedPoint) -> StackedPoint:
+        """Stacked gradient: block k is grad f_k(theta_k)."""
+        self._check_point(Theta)
         G = self._grad_batch(Theta.data[None, :, :])[0]
         return StackedPoint(self.m, self.d, G)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .dynamics import RunConfig, RunRecord, run, solve_fixed_point
 from .errors import (
+    DivergenceError,
     InsufficientSamplesError,
     InvalidParamError,
     NonPositiveError,
@@ -85,7 +86,9 @@ def stationary_moments(records, Theta_det: StackedPoint) -> StationaryMoments:
     typically different seeds).  The covariance is centered at the supplied
     deterministic fixed point, not the empirical mean.  Replicates are
     weighted by their sample counts; standard errors come from the
-    across-replicate scatter of per-replicate averages.
+    across-replicate scatter of per-replicate averages. Raises
+    DivergenceError when two or more replicates gave a mean, covariance or
+    standard error that is not finite (their scatter overflowed).
     """
     if isinstance(records, RunRecord):
         records = [records]
@@ -131,10 +134,17 @@ def stationary_moments(records, Theta_det: StackedPoint) -> StationaryMoments:
     means = np.asarray(means)
     covs = np.asarray(covs)
     weights = np.asarray(counts, dtype=float) / n_effective
-    mean = np.tensordot(weights, means, axes=(0, 0))
-    cov = np.tensordot(weights, covs, axes=(0, 0))
-    mean_se = _weighted_se(means, weights, mean)
-    cov_se = _weighted_se(covs, weights, cov)
+    # an overflow shows as a non-finite result, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.tensordot(weights, means, axes=(0, 0))
+        cov = np.tensordot(weights, covs, axes=(0, 0))
+        mean_se = _weighted_se(means, weights, mean)
+        cov_se = _weighted_se(covs, weights, cov)
+    if len(counts) > 1 and not all(np.isfinite(a).all() for a in (mean, cov, mean_se, cov_se)):
+        raise DivergenceError(
+            f"stationary moments of {len(counts)} replicates are not finite: "
+            "their mean, covariance or scatter overflowed"
+        )
     grid = cov.reshape(m, d, m, d).transpose(0, 2, 1, 3)
     grid_se = cov_se.reshape(m, d, m, d).transpose(0, 2, 1, 3)
     return StationaryMoments(

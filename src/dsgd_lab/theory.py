@@ -20,7 +20,8 @@ gamma <= min(1/(Lambda L), 1/L) for the expansion, `lemma3_bound` and
 `_lyapunov_core` gives (Abar, J C-bar) at theta* to the first-order variance
 and stochastic bias; `_BlockOps` holds the gossip operator and the consensus
 solve; `_moment_bound` and `_psi0` give B and psi0 to the diagnostics and the
-schedule.
+schedule; `_mu_squared` gives every bound its mu^2, and rejects a mu whose
+square is 0.
 """
 
 import math
@@ -210,6 +211,17 @@ def quad_exact_fixed_point(W: CommMatrix, quad, gamma: float) -> QuadFixedPoint:
     )
 
 
+def _mu_squared(obj: ObjectiveSet) -> float:
+    """mu^2, which the bounds divide by; InvalidParamError where it
+    underflows to 0."""
+    mu_sq = obj.mu**2
+    if mu_sq == 0.0:
+        raise InvalidParamError(
+            f"strong convexity mu = {obj.mu:.3g} is too small for the bounds: mu^2 is 0"
+        )
+    return mu_sq
+
+
 class BiasExpansion(NamedTuple):
     prediction: StackedPoint
     residual_bound: float
@@ -220,7 +232,7 @@ def _second_order_constant(obj: ObjectiveSet, Lambda: float, gamma: float,
     """gamma^2 (L^2/mu^2) Lambda^2 (K3 zeta*^2 / (mu sqrt(m)) + L zeta*)."""
     zeta = obj.zeta_star
     return float(
-        gamma**2 * (obj.L**2 / obj.mu**2) * Lambda**2
+        gamma**2 * (obj.L**2 / _mu_squared(obj)) * Lambda**2
         * (obj.K3 * zeta**2 / (obj.mu * math.sqrt(m)) + obj.L * zeta)
     )
 
@@ -362,7 +374,7 @@ def _moment_bound(obj: ObjectiveSet, Lambda: float, gamma: float,
                   tau4_sq: float) -> float:
     """B = (tau4^2 + gamma^2 (L^4/mu^2) Lambda^2 zeta*^2) / mu."""
     return (
-        tau4_sq + gamma**2 * (obj.L**4 / obj.mu**2) * Lambda**2
+        tau4_sq + gamma**2 * (obj.L**4 / _mu_squared(obj)) * Lambda**2
         * obj.zeta_star**2
     ) / obj.mu
 
@@ -370,13 +382,13 @@ def _moment_bound(obj: ObjectiveSet, Lambda: float, gamma: float,
 def _psi0(obj: ObjectiveSet, Lambda: float, gamma: float,
           tau2_sq: float) -> float:
     """Initial-condition constant of the convergence bound, from the origin."""
-    L, mu = obj.L, obj.mu
+    L, mu, mu_sq = obj.L, obj.mu, _mu_squared(obj)
     lam2, zeta = Lambda**2, obj.zeta_star
     return (
         float(np.sum(obj.theta_star**2))
-        + gamma**2 * (L**2 / mu**2) * lam2 * zeta**2
+        + gamma**2 * (L**2 / mu_sq) * lam2 * zeta**2
         + (gamma / mu)
-        * (tau2_sq + gamma**2 * (4.0 * L**4 / mu**2) * lam2 * zeta**2)
+        * (tau2_sq + gamma**2 * (4.0 * L**4 / mu_sq) * lam2 * zeta**2)
     )
 
 
@@ -453,7 +465,7 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
         term_gamma=gamma * tau2_sq / (mu * m_eff),
         term_gamma_3_2=gamma**1.5 * K3 * B**1.5 / (mu * m_eff),
         term_gamma_2=gamma**2 * (
-            (L**2 / mu**2) * lam2 * zeta**2
+            (L**2 / _mu_squared(obj)) * lam2 * zeta**2
             + _scaled(topo, L * B) + _scaled(topo, tau2_sq)
         ),
         term_gamma_5_2=gamma**2.5 * _scaled(
@@ -483,7 +495,7 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, epsilon: float =
     if not (epsilon > 0.0):
         raise InvalidParamError(f"epsilon must be positive, got {epsilon!r}")
     prof = W.spectral
-    L, mu = obj.L, obj.mu
+    L, mu, mu_sq = obj.L, obj.mu, _mu_squared(obj)
     zeta = obj.zeta_star
     Lambda, rho = prof.Lambda, prof.rho
     if rho >= 1.0:
@@ -512,9 +524,9 @@ def recommend_schedule(obj: ObjectiveSet, W: CommMatrix, noise, epsilon: float =
         )
     T_core = max(
         L / mu,
-        L**2 * Lambda * zeta / mu**2,
-        div(tau2_sq, mu**2 * obj.m * epsilon**2),
-        div(L * Lambda * zeta, mu**2 * het_eps),
+        L**2 * Lambda * zeta / mu_sq,
+        div(tau2_sq, mu_sq * obj.m * epsilon**2),
+        div(L * Lambda * zeta, mu_sq * het_eps),
         div(math.sqrt(tau2_sq), mu * epsilon) * math.sqrt(topo),
     )
     psi0 = _psi0(obj, Lambda, gam, tau2_sq)

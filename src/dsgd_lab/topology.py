@@ -196,8 +196,6 @@ def build_clusters(m: int, k: int, t: float, bridge_weight: float = 1.0) -> Comm
     if k >= 2:
         bridges = {(c, (c + 1) % k) for c in range(k)}
         for c, nxt in bridges:
-            if c == nxt:
-                continue
             i = c * size + size - 1
             j = nxt * size
             A[i, j] = A[j, i] = max(A[i, j], bridge_weight)

@@ -427,6 +427,19 @@ class TestCompare:
         assert abs(float(table["BIAS_ORDER1"][2]) - 1.0) <= 0.05
         assert abs(float(table["RR_ORDER2"][2]) - 2.0) <= 0.2
 
+    def test_overflowed_statistics_exit_2(self, tmp_path, capsys):
+        # the replicates' squared deviations overflow to inf, whose z-scores
+        # of 0 once passed PROP3_MEAN and PROP4_BLOCK
+        cfg = write_cfg(tmp_path, COMPARE_CFG)
+        rc = main(["compare", "--config", cfg, "--out", str(tmp_path),
+                   "--set", "noise.sigma2=1e300", "--set", "run.replicates=2",
+                   "--set", "run.T=400"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "diverged: stationary moments of 2 replicates are not finite: "
+            "their mean, covariance or scatter overflowed\n")
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_deterministic_subset_without_noise(self, tmp_path):
         cfg = write_cfg(tmp_path, COMPARE_CFG)
         rc = main(["compare", "--config", cfg, "--out", str(tmp_path),
@@ -556,6 +569,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
                      "--set", "run.T=-1"]) == 0
 
+    def test_overflowed_statistics_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--set", "noise.variant=gaussian", "--set", "noise.sigma2=1e300",
+                   "--set", "run.algorithm=dsgd", "--set", "sweep.m_list=4"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("diverged: stationary moments of 2 replicates")
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_empty_gamma_list_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path),
@@ -627,6 +649,32 @@ class TestEntryPoint:
         assert rc == 0
         rows = (tmp_path / "simulate_aggregate.csv").read_text().splitlines()
         assert rows[0] == "t,mean_dist,std_dist" and len(rows) > 1
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--preset", "fig2-heterogeneous"],
+        ["sweep", "--preset", "fig2-heterogeneous", "--set", "noise.variant=none",
+         "--set", "sweep.m_list=4", "--set", "sweep.topologies=ring",
+         "--set", "sweep.gammas=0.01"],
+    ], ids=["predict", "sweep"])
+    def test_vanishing_ridge_weight_exits_1_in_the_bounds(self, tmp_path, capsys, command):
+        # mu^2 = 1e-600 underflows to 0, and the bounds divide by it
+        rc = main([*command, "--set", "objective.lambda_reg=1e-300", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: strong convexity mu = 1e-300 is too small for the bounds: mu^2 is 0\n")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("where", ["set", "env"])
+    def test_negative_run_seed_exits_1(self, tmp_path, monkeypatch, capsys, where):
+        # seed -1 would read the streams of seed 2**64 - 1
+        args = ["simulate", "--preset", "fig1-rr-sto", "--set", "run.T=10", "--out", str(tmp_path)]
+        if where == "set":
+            args += ["--set", "run.seed=-1"]
+        else:
+            monkeypatch.setenv("DSGD_LAB_SEED", "-1")
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: seed must be in [0, 2**64), got -1\n"
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 

@@ -377,6 +377,11 @@ class TestRun:
         with pytest.raises(InvalidParamError):
             run(W, obj, None, cfg, StackedPoint.zeros(2, 1))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidParamError, match=r"seed must be in \[0, 2\*\*64\)"):
+            RunConfig(algorithm="dsgd", gamma=0.1, T=10, seed=seed)
+
     def test_burn_in_validation(self):
         with pytest.raises(InvalidParamError):
             RunConfig(algorithm="dgd", gamma=0.1, T=10, burn_in=10)

@@ -73,6 +73,17 @@ class TestStream:
         _ = s.normals_at(0, 4)
         assert np.array_equal(s.raw_at(0, 4), r1)
 
+    @pytest.mark.parametrize("seed, replicate", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rejects_seed_or_replicate_outside_64_bits(self, seed, replicate):
+        # -1 would read the streams of 2**64 - 1, and 2**64 those of 0
+        with pytest.raises(InvalidParamError, match=r"must be in \[0, 2\*\*64\)"):
+            NoiseStream(seed, replicate)
+
+    def test_accepts_the_largest_64_bit_seed(self):
+        top = 2**64 - 1
+        assert not np.array_equal(NoiseStream(top, top).normals_block(0, 2),
+                                  NoiseStream(0, 0).normals_block(0, 2))
+
     @pytest.mark.parametrize("reader", ["normals_at", "raw_at"])
     def test_rejects_negative_step(self, reader):
         # t = -1 would read the last row of block -1

@@ -5,6 +5,7 @@ import pytest
 
 from dsgd_lab.dynamics import RunConfig, coupled_run, fixed_point, run
 from dsgd_lab.errors import (
+    DivergenceError,
     InsufficientSamplesError,
     InvalidParamError,
     NonPositiveError,
@@ -135,6 +136,26 @@ class TestStationaryMoments:
         rec = run(W, obj, model, cfg, det)
         with pytest.raises(InsufficientSamplesError):
             stationary_moments(rec, det)
+
+    def test_overflowed_scatter_raises(self):
+        # the squared deviations of the replicates overflow to inf
+        obj, W = two_client_example()
+        det = fixed_point(W, obj, 0.1).point
+        model = AdditiveGaussian.isotropic(2, 1, 1e300)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=300, replicates=2, burn_in=50,
+                        record_every=300)
+        rec = run(W, obj, model, cfg, det)
+        with pytest.raises(DivergenceError, match="2 replicates are not finite"):
+            stationary_moments(rec, det)
+
+    def test_one_replicate_has_infinite_standard_errors(self):
+        obj, W = two_client_example()
+        det = fixed_point(W, obj, 0.1).point
+        model = AdditiveGaussian.isotropic(2, 1, 1e300)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=300, burn_in=50, record_every=300)
+        mom = stationary_moments(run(W, obj, model, cfg, det), det)
+        assert np.isposinf(mom.std_errors).all() and np.isposinf(mom.cov_std_errors).all()
+        assert np.isfinite(mom.block_cov).all()
 
     def test_stderr_shrinks_with_replicates(self):
         obj, W = two_client_example()
