@@ -510,11 +510,12 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
                   n_draws: int, seed: int) -> np.ndarray:
     """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0)."""
     stream = NoiseStream(seed=seed, replicate=0)
-    lane, size = _lane(model, obj), stream.block_size
+    purpose, width = _lane(model, obj)
+    size = stream.block_size
     sq_norms = np.empty(n_draws)
     for start in range(0, n_draws, size):
         stop = min(start + size, n_draws)
-        draws = stream._block(lane[0], start // size, lane[1])[: stop - start]
+        draws = stream._block(purpose, start // size, width)[: stop - start]
         eps = _noise(model, obj, Theta_star.data, draws)
         sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     return sq_norms
