@@ -22,11 +22,12 @@ import pytest
 
 from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
 from dsgd_lab.dynamics import (RunConfig, _Draws, coupled_run, dsgd_step, rr_run, run,
-                               run_chains)
+                               run_chains, solve_fixed_point)
 from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
                              sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
+from dsgd_lab.stats import stationary_moments
 from dsgd_lab.theory import (bound_diagnostics, det_bias_expansion, quad_exact_fixed_point,
                              recommend_schedule, rr_bias_bound, stochastic_bias_first_order,
                              theory_report)
@@ -594,6 +595,59 @@ def test_gaussian_coupled_run_is_pinned():
                        0.5 / obj.L, 700, start, other, seed=9, replicates=3)
     assert dist.shape == (701,)
     assert _digest(dist) == COUPLED_DIGEST
+
+
+# stationary_moments of a dsgd run (centred at its fixed point) and of an
+# rr_dsgd run (centred at theta*), over 200 stationary steps:
+# (noise, algorithm, m, d, R) -> one digest of the mean, block_cov,
+# std_errors, cov_std_errors and n_effective. R = 1 gives inf standard errors.
+STATIONARY_CASES = [(noise, algorithm, m, d, R) for noise in ("gaussian", "minibatch")
+                    for algorithm in ("dsgd", "rr_dsgd")
+                    for m, d, R in ((1, 1, 1), (1, 1, 16), (3, 2, 4), (4, 3, 5))]
+
+STATIONARY_DIGESTS = {
+    ("gaussian", "dsgd", 1, 1, 1): "e8062f4c34aee8ba322bd7bf9903843b6aa839c14a613a9e73108ed2368dd935",
+    ("gaussian", "dsgd", 1, 1, 16): "5f03a80d8fccfd41715fc0f2031df29eda0d6e9ad49a73818149a64325871e88",
+    ("gaussian", "dsgd", 3, 2, 4): "53362ed21574af82f0d9ef758779ca6216b226cc69df9da3f31ee0570aa73cad",
+    ("gaussian", "dsgd", 4, 3, 5): "813828ececd13ed9a64454771ef986c2730d0865d99e87f505bc5e432e7b9e4d",
+    ("gaussian", "rr_dsgd", 1, 1, 1): "d12e93c7cea967e9e1b091a3345f299f357f89029d9bfcb8cdd6b396e1018684",
+    ("gaussian", "rr_dsgd", 1, 1, 16): "5fe50013a4b1bd42d38e791b4f50f14a664b37b3ac45a45a383280c5e9bb229b",
+    ("gaussian", "rr_dsgd", 3, 2, 4): "ba0548d1a5a651db903ff21803dc0a6d4a7da086cf1b66abfda00e6eaf6634e9",
+    ("gaussian", "rr_dsgd", 4, 3, 5): "b040fd51ac9b23608b6c4f72b13c160585694a91355a3483c6fd1a7c8573bd56",
+    ("minibatch", "dsgd", 1, 1, 1): "aa2ce72edbccf9b8d74f552b05df011856a6f668063a6a1e8238a5a47164247c",
+    ("minibatch", "dsgd", 1, 1, 16): "3c7ea34c7bf36e487499bab17528a9aec093b6643787a4d2d301ee4be82f873e",
+    ("minibatch", "dsgd", 3, 2, 4): "105af8e2b92c73b91b0cbb85d622219aecb0d308db4b60893d47fdd074f19423",
+    ("minibatch", "dsgd", 4, 3, 5): "310a21cb805ead227418319b3ee570143e9a7fc939e584b65854195d58f9f1bb",
+    ("minibatch", "rr_dsgd", 1, 1, 1): "e7d524583fabef1ef66c08aedbffb9e9ed05a7d2ff07cd78820adc0a41cb8bea",
+    ("minibatch", "rr_dsgd", 1, 1, 16): "6b6d7b99f976a38d9cf56036674f259d90c290ce6c22ab060ef5c648ce993f18",
+    ("minibatch", "rr_dsgd", 3, 2, 4): "321515dd4005921f7bf58f55c7c2911958852376325f2fcf111f996697dd225a",
+    ("minibatch", "rr_dsgd", 4, 3, 5): "52b1a717cf187fb08ac902ab9272a7dfb860745cff60e1b0fc1aa4565c5e0cba",
+}
+
+
+def _stationary_moments(noise, algorithm, m, d, R):
+    obj = generate_logistic_problem(m=m, n=8, d=d, seed=17)
+    W = build_ring(m, 0.3) if m >= 3 else build_fully_connected(m)
+    model = AdditiveGaussian.isotropic(m, d, 0.5) if noise == "gaussian" else Minibatch(3)
+    cfg = RunConfig(algorithm=algorithm, gamma=0.5 / obj.L, T=300, seed=3, replicates=R,
+                    burn_in=100, record_every=300)
+    if algorithm == "dsgd":
+        center = solve_fixed_point(W, obj, cfg.gamma).point
+        rec = run(W, obj, model, cfg, center)
+    else:
+        center = obj.theta_star_stacked
+        rec = rr_run(W, obj, model, cfg, center)
+    return stationary_moments(rec, center)
+
+
+@pytest.mark.parametrize("case", STATIONARY_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_stationary_moments_are_pinned(case):
+    mom = _stationary_moments(*case)
+    assert mom.n_effective == 200 * case[-1]
+    assert np.isposinf(mom.std_errors).all() == (case[-1] == 1)
+    got = _digest(mom.mean.data, mom.block_cov, mom.std_errors, mom.cov_std_errors,
+                  np.array(mom.n_effective))
+    assert got == STATIONARY_DIGESTS[case]
 
 
 # the (C, R, width) grid that _Draws.at reads for a run, every step of the

@@ -137,6 +137,17 @@ class TestStationaryMoments:
         with pytest.raises(InsufficientSamplesError):
             stationary_moments(rec, det)
 
+    def test_no_stationary_samples(self):
+        # T = 0 is the only run that accumulates no stationary sample
+        obj, W = two_client_example()
+        det = fixed_point(W, obj, 0.1).point
+        model = AdditiveGaussian.isotropic(2, 1, 0.2)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=0, replicates=3)
+        rec = run(W, obj, model, cfg, det)
+        assert rec.stat_count == 0
+        with pytest.raises(InsufficientSamplesError, match="no stationary samples"):
+            stationary_moments(rec, det)
+
     def test_overflowed_scatter_raises(self):
         # the squared deviations of the replicates overflow to inf
         obj, W = two_client_example()
