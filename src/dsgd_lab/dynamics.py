@@ -143,8 +143,6 @@ class RunRecord:
     config: RunConfig
     m: int
     d: int
-    theta_star: np.ndarray
-    theta_det: np.ndarray | None
     times: np.ndarray
     dist_opt: np.ndarray
     dist_det: np.ndarray | None
@@ -159,18 +157,6 @@ class RunRecord:
     @property
     def replicates(self) -> int:
         return self.final.shape[0]
-
-    def replicate_means(self) -> np.ndarray:
-        """(R, m, d) per-replicate time averages past burn-in."""
-        if self.stat_count == 0:
-            raise InvalidParamError("no stationary samples accumulated (T <= burn_in)")
-        return self.stat_sum / self.stat_count
-
-    def replicate_second_moments(self) -> np.ndarray:
-        """(R, m*d, m*d) per-replicate time-averaged outer products."""
-        if self.stat_count == 0:
-            raise InvalidParamError("no stationary samples accumulated (T <= burn_in)")
-        return self.stat_outer / self.stat_count
 
 
 @dataclass(frozen=True)
@@ -529,11 +515,10 @@ def _drive(chain, obj: ObjectiveSet, configs, Theta_dets, combine=None) -> list[
                 rows[k].append(_record_metrics(current[k], theta_star, dets[k]))
 
     # _record_metrics gives RunRecord's columns dist_opt to avg_client_dist
-    return [RunRecord(config, m, d, theta_star.copy(), None if det is None else det.copy(),
-                      np.asarray(times, dtype=int),
+    return [RunRecord(config, m, d, np.asarray(times, dtype=int),
                       *(None if col[0] is None else np.stack(col) for col in zip(*rows[k])),
                       current[k].copy(), stat_count, stat_sum[k], stat_outer[k])
-            for k, (config, det) in enumerate(zip(configs, dets))]
+            for k, config in enumerate(configs)]
 
 
 def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,

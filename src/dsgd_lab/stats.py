@@ -47,14 +47,6 @@ class StationaryMoments:
     std_errors: np.ndarray
     cov_std_errors: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.mean.m
-
-    @property
-    def d(self) -> int:
-        return self.mean.d
-
     def diag_trace_average(self) -> float:
         """(1/m) sum_k tr block_cov[k, k]."""
         return float(
@@ -79,70 +71,55 @@ def _weighted_se(values: np.ndarray, weights: np.ndarray,
     return np.sqrt(var)
 
 
-def stationary_moments(records, Theta_det: StackedPoint) -> StationaryMoments:
-    """Merge run records into stationary moment estimates.
+def stationary_moments(record: RunRecord, Theta_det: StackedPoint) -> StationaryMoments:
+    """Stationary moment estimates from one run record.
 
-    ``records`` is one RunRecord or an iterable of them (same problem,
-    typically different seeds).  The covariance is centered at the supplied
-    deterministic fixed point, not the empirical mean.  Replicates are
-    weighted by their sample counts; standard errors come from the
+    The covariance is centered at the supplied deterministic fixed point, not
+    the empirical mean. Every replicate holds the same number of stationary
+    samples, so the replicates weigh equally; standard errors come from the
     across-replicate scatter of per-replicate averages. Raises
-    DivergenceError when two or more replicates gave a mean, covariance or
-    standard error that is not finite (their scatter overflowed).
+    InsufficientSamplesError when the record has no stationary sample or
+    fewer than MIN_EFFECTIVE_SAMPLES over all replicates, and DivergenceError
+    when two or more replicates gave a mean, covariance or standard error
+    that is not finite (their scatter overflowed).
     """
-    if isinstance(records, RunRecord):
-        records = [records]
-    records = list(records)
-    if not records:
-        raise InvalidParamError("at least one run record is required")
-    m, d = records[0].m, records[0].d
+    if not isinstance(record, RunRecord):
+        raise InvalidParamError(
+            f"stationary_moments takes one RunRecord, got {type(record).__name__}"
+        )
+    m, d, R, count = record.m, record.d, record.replicates, record.stat_count
     if Theta_det.m != m or Theta_det.d != d:
         raise ShapeMismatchError(
             f"fixed point shape ({Theta_det.m},{Theta_det.d}) does not match "
-            f"records ({m},{d})"
+            f"record ({m},{d})"
         )
-    det_flat = Theta_det.flat()
-    means = []
-    covs = []
-    counts = []
-    for rec in records:
-        if rec.m != m or rec.d != d:
-            raise ShapeMismatchError("records have inconsistent shapes")
-        if rec.stat_count == 0:
-            continue
-        mu_r = rec.replicate_means()
-        m2_r = rec.replicate_second_moments()
-        for r in range(rec.replicates):
-            mu_flat = mu_r[r].reshape(-1)
-            # E[(x - det)(x - det)^T] = E[xx^T] - mu det^T - det mu^T
-            #                           + det det^T, exactly symmetric
-            cross = np.outer(mu_flat, det_flat)
-            cov = m2_r[r] - cross - cross.T + np.outer(det_flat, det_flat)
-            means.append(mu_r[r])
-            covs.append(cov)
-            counts.append(rec.stat_count)
-    if not counts:
+    if count == 0:
         raise InsufficientSamplesError(
-            "no stationary samples accumulated (all records have T <= burn_in)"
+            "no stationary samples accumulated (T <= burn_in)"
         )
-    n_effective = int(sum(counts))
+    n_effective = count * R
     if n_effective < MIN_EFFECTIVE_SAMPLES:
         raise InsufficientSamplesError(
             f"effective sample count {n_effective} is below the minimum "
             f"{MIN_EFFECTIVE_SAMPLES}"
         )
-    means = np.asarray(means)
-    covs = np.asarray(covs)
-    weights = np.asarray(counts, dtype=float) / n_effective
+    det_flat = Theta_det.flat()
+    means = record.stat_sum / count
+    # E[(x - det)(x - det)^T] = E[xx^T] - mu det^T - det mu^T + det det^T,
+    # exactly symmetric; cross[r] = outer(mu_r, det)
+    cross = means.reshape(R, m * d, 1) * det_flat
+    covs = (record.stat_outer / count - cross - cross.transpose(0, 2, 1)
+            + np.outer(det_flat, det_flat))
+    weights = np.full(R, 1.0 / R)
     # an overflow shows as a non-finite result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.tensordot(weights, means, axes=(0, 0))
         cov = np.tensordot(weights, covs, axes=(0, 0))
         mean_se = _weighted_se(means, weights, mean)
         cov_se = _weighted_se(covs, weights, cov)
-    if len(counts) > 1 and not all(np.isfinite(a).all() for a in (mean, cov, mean_se, cov_se)):
+    if R > 1 and not np.isfinite(np.concatenate([mean, cov, mean_se, cov_se], axis=None)).all():
         raise DivergenceError(
-            f"stationary moments of {len(counts)} replicates are not finite: "
+            f"stationary moments of {R} replicates are not finite: "
             "their mean, covariance or scatter overflowed"
         )
     grid = cov.reshape(m, d, m, d).transpose(0, 2, 1, 3)

@@ -417,9 +417,9 @@ class TestRun:
                         burn_in=100, record_every=100)
         rec = run(W, obj, model, cfg, StackedPoint.zeros(2, 1))
         assert rec.stat_count == 400
-        means = rec.replicate_means()
+        means = rec.stat_sum / rec.stat_count
         assert means.shape == (2, 2, 1)
-        sm = rec.replicate_second_moments()
+        sm = rec.stat_outer / rec.stat_count
         assert sm.shape == (2, 2, 2)
         # second moment minus mean outer product is a valid covariance (PSD-ish)
         cov = sm[0] - np.outer(means[0].ravel(), means[0].ravel())

@@ -112,20 +112,15 @@ class TestStationaryMoments:
             slack = 3.0 * np.max(mom.cov_std_errors[k, k])
             assert np.min(np.linalg.eigvalsh(block)) >= -slack
 
-    def test_merging_records(self):
+    def test_a_list_of_records_is_rejected(self):
         obj, W = two_client_example()
-        gamma = 0.1
-        det = fixed_point(W, obj, gamma).point
+        det = fixed_point(W, obj, 0.1).point
         model = AdditiveGaussian.isotropic(2, 1, 0.2)
-        recs = []
-        for seed in (0, 1):
-            cfg = RunConfig(algorithm="dsgd", gamma=gamma, T=400, seed=seed,
-                            replicates=2, burn_in=100, record_every=400)
-            recs.append(run(W, obj, model, cfg, det))
-        merged = stationary_moments(recs, det)
-        single = stationary_moments(recs[0], det)
-        assert merged.n_effective == 2 * single.n_effective
-        assert not np.array_equal(merged.mean.data, single.mean.data)
+        cfg = RunConfig(algorithm="dsgd", gamma=0.1, T=400, replicates=2, burn_in=100,
+                        record_every=400)
+        rec = run(W, obj, model, cfg, det)
+        with pytest.raises(InvalidParamError, match="takes one RunRecord"):
+            stationary_moments([rec, rec], det)
 
     def test_insufficient_samples(self):
         obj, W = two_client_example()
