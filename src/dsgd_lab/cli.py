@@ -340,10 +340,6 @@ def _max_z(diff: np.ndarray, se: np.ndarray) -> float:
     return float(np.max(z)) if z.size else 0.0
 
 
-def _stacked_dist(A: StackedPoint, B: StackedPoint) -> float:
-    return float(np.linalg.norm(A.data - B.data))
-
-
 def _stationary_config(rc, obj):
     """DSGD config for stationary statistics of a chain started at the fixed point.
 
@@ -380,7 +376,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         )
 
     fp = dynamics.solve_fixed_point(W, obj, gamma)
-    bias_norm = _stacked_dist(fp.point, obj.theta_star_stacked)
+    bias_norm = (fp.point - obj.theta_star_stacked).norm()
     bound = theory.lemma3_bound(obj, W, gamma)
     add("LEMMA3", bound, bias_norm, 0.0, bias_norm <= bound + 1e-12)
 
@@ -398,9 +394,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         points = {}
         for g in sorted(set(grid) | {g / 2.0 for g in grid}):
             points[g] = dynamics.solve_fixed_point(W, obj, g).point
-        biases = [
-            _stacked_dist(points[g], obj.theta_star_stacked) for g in grid
-        ]
+        biases = [(points[g] - obj.theta_star_stacked).norm() for g in grid]
         fit1 = stats.order_fit(grid, biases)
         add(
             "BIAS_ORDER1",
@@ -478,7 +472,7 @@ def _sweep_m(cfg: ExperimentConfig, m: int, topologies, gammas) -> dict:
         points = [dynamics.solve_fixed_point(W, obj, gamma).point for W in Ws]
         for kind, W, point in zip(topologies, Ws, points):
             expansion = theory.det_bias_expansion(W, obj, gamma).prediction
-            values[kind, gamma] = [_stacked_dist(point, star), _stacked_dist(expansion, star),
+            values[kind, gamma] = [(point - star).norm(), (expansion - star).norm(),
                                    0.0, 0.0]
         if noise_model is not None:
             m_cfg.set("run", "gamma", gamma)
@@ -492,21 +486,19 @@ def _sweep_m(cfg: ExperimentConfig, m: int, topologies, gammas) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    m_list = cfg.get("sweep", "m_list")
-    topologies = cfg.get("sweep", "topologies")
-    gammas = cfg.get("sweep", "gammas")
-    if not m_list:
-        raise ConfigError("sweep.m_list is empty")
-    if not topologies:
-        raise ConfigError("sweep.topologies is empty")
-    if not gammas:
-        raise ConfigError("sweep.gammas is empty")
+    lists = {key: cfg.get("sweep", key) for key in ("m_list", "topologies", "gammas")}
+    for key, values in lists.items():
+        if not values:
+            raise ConfigError(f"sweep.{key} is empty")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep.{key} repeats a value: {', '.join(map(str, values))}")
+    m_list, topologies, gammas = lists.values()
     cells = list(itertools.product(m_list, topologies, gammas))
     if len(cells) > MAX_SWEEP_CELLS:
         raise BudgetExceededError(
             f"sweep has {len(cells)} cells; the limit is {MAX_SWEEP_CELLS}"
         )
-    results = {m: _sweep_m(cfg, m, topologies, gammas) for m in dict.fromkeys(m_list)}
+    results = {m: _sweep_m(cfg, m, topologies, gammas) for m in m_list}
     out_dir, prefix = _resolve_output(cfg, args, "sweep")
     path = os.path.join(out_dir, f"{prefix}_sweep.csv")
     rows = ([m, topo_kind, gamma, metric, value] for m, topo_kind, gamma in cells

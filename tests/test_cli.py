@@ -585,6 +585,19 @@ class TestSweep:
         assert rc == 1
         assert "sweep.gammas is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, values", [("m_list", "4,4"), ("topologies", "ring,ring"),
+                                             ("gammas", "0.01,0.01")])
+    def test_repeated_value_exits_1(self, tmp_path, capsys, key, values):
+        # a repeated value would write every cell it spans twice
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--set", f"sweep.{key}={values}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.{key} repeats a value")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_budget_guard(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         gammas = ",".join(str(0.001 * (i + 1)) for i in range(51))
