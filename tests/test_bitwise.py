@@ -929,3 +929,25 @@ def test_simulate_files_are_pinned(case, tmp_path):
     assert main(["simulate", *SIMULATE_CASES[case], "--out", str(tmp_path)]) == 0
     assert _files_digest(tmp_path) == SIMULATE_DIGESTS[case]
 
+
+
+# ring and cluster gossip matrices W = I - t L, every entry including the
+# zeros' signs, over sizes, steps and bridge weights that all build
+GOSSIP_DIGESTS = {
+    "ring": "6cdc045c5282d91ad8669d00f4ab7b4f16492d5f6c6ceed75086a39398fbb09f",
+    "clusters": "5ce021cd8516d2fcab8ad073b8bd08add4783cded67c3ef37a1d9af162356719",
+}
+
+
+def _gossip_matrices(kind):
+    if kind == "ring":
+        return [build_ring(m, t).entries
+                for m in range(3, 41) for t in (1.0 / 3.0, 0.5, 0.25, 0.1, 1e-3)]
+    return [build_clusters(m, k, t, bridge).entries
+            for m, k in ((4, 1), (4, 2), (6, 1), (6, 3), (8, 2), (12, 3), (12, 4), (20, 5))
+            for t in (0.05, 0.1, 0.2) for bridge in (0.2, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("kind", sorted(GOSSIP_DIGESTS))
+def test_gossip_matrices_are_pinned(kind):
+    assert _digest(*_gossip_matrices(kind)) == GOSSIP_DIGESTS[kind]
