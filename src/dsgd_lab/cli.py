@@ -116,11 +116,7 @@ def preset_config(name: str) -> ExperimentConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    cfg = ExperimentConfig()
-    for dotted, value in entries.items():
-        section, _, key = dotted.partition(".")
-        cfg.set(section, key, value)
-    return cfg
+    return ExperimentConfig(dict(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,36 @@ SCHEMA = {
 }
 
 
+# ConfigError texts of _split for a config file line and a command-line
+# override: no '=', no '.' in the key, an empty section or key
+_LINE_ERRORS = (
+    "line {where}: expected 'section.key = value', got {text!r}",
+    "line {where}: key {lhs!r} must be section.key",
+    "line {where}: empty section or key in {text!r}",
+)
+_OVERRIDE_ERRORS = (
+    "override {text!r} must look like section.key=value",
+    "override key {lhs!r} must be section.key",
+    "override {text!r} has an empty part",
+)
+
+
+def _split(text: str, errors, where=None) -> tuple:
+    """("section.key", value) of one `section.key = value` assignment, with
+    the section, key and value stripped."""
+    lhs, eq, rhs = text.partition("=")
+    lhs = lhs.strip()
+    section, dot, key = (part.strip() for part in lhs.partition("."))
+    for failed, message in zip((not eq, not dot, not (section and key)), errors):
+        if failed:
+            raise ConfigError(message.format(where=where, text=text, lhs=lhs))
+    return f"{section}.{key}", rhs.strip()
+
+
 @dataclass
 class ExperimentConfig:
+    """Config entries as strings, keyed by their `section.key` name."""
+
     values: dict = field(default_factory=dict)
 
     @classmethod
@@ -101,26 +129,9 @@ class ExperimentConfig:
         cfg = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"line {lineno}: expected 'section.key = value', got "
-                    f"{raw!r}"
-                )
-            lhs, _, rhs = line.partition("=")
-            lhs = lhs.strip()
-            if "." not in lhs:
-                raise ConfigError(
-                    f"line {lineno}: key {lhs!r} must be section.key"
-                )
-            section, _, key = lhs.partition(".")
-            section, key = section.strip(), key.strip()
-            if not section or not key:
-                raise ConfigError(
-                    f"line {lineno}: empty section or key in {raw!r}"
-                )
-            cfg.set(section, key, rhs.strip())
+            if line and not line.startswith("#"):
+                name, value = _split(raw, _LINE_ERRORS, lineno)
+                cfg.values[name] = value
         return cfg
 
     @classmethod
@@ -133,45 +144,32 @@ class ExperimentConfig:
         return cls.parse(text)
 
     def set(self, section: str, key: str, value) -> None:
-        self.values.setdefault(section, {})[key] = str(value)
+        self.values[f"{section}.{key}"] = str(value)
 
     def update(self, other: "ExperimentConfig") -> None:
         """Overlay another config; its entries win."""
-        for section, entries in other.values.items():
-            for key, value in entries.items():
-                self.set(section, key, value)
+        self.values.update(other.values)
 
     def apply_assignment(self, assignment: str) -> None:
         """Apply one `section.key=value` override string."""
-        if "=" not in assignment:
-            raise ConfigError(
-                f"override {assignment!r} must look like section.key=value"
-            )
-        lhs, _, rhs = assignment.partition("=")
-        lhs = lhs.strip()
-        if "." not in lhs:
-            raise ConfigError(f"override key {lhs!r} must be section.key")
-        section, _, key = lhs.partition(".")
-        if not section.strip() or not key.strip():
-            raise ConfigError(f"override {assignment!r} has an empty part")
-        self.set(section.strip(), key.strip(), rhs.strip())
+        name, value = _split(assignment, _OVERRIDE_ERRORS)
+        self.values[name] = value
+
+    def _sorted_names(self) -> list:
+        # section then key: "a-b.k" sorts after "a.k", as section "a-b" does after "a"
+        return sorted(self.values, key=lambda name: name.partition("."))
 
     def dumps(self) -> str:
-        lines = []
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                lines.append(f"{section}.{key} = {self.values[section][key]}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{name} = {self.values[name]}\n" for name in self._sorted_names())
 
     def has(self, section: str, key: str) -> bool:
-        return key in self.values.get(section, {})
+        return f"{section}.{key}" in self.values
 
     def check_keys(self) -> None:
         """Raise ConfigError for the first key, in sorted order, not in SCHEMA."""
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                if f"{section}.{key}" not in SCHEMA:
-                    raise ConfigError(f"unknown config key {section}.{key}")
+        for name in self._sorted_names():
+            if name not in SCHEMA:
+                raise ConfigError(f"unknown config key {name}")
 
     def get(self, section: str, key: str):
         """The entry parsed with its declared type, else the declared default."""
@@ -180,7 +178,7 @@ class ExperimentConfig:
             parse, default, _ = SCHEMA[name]
         except KeyError:
             raise ConfigError(f"unknown config key {name}") from None
-        raw = self.values.get(section, {}).get(key, default)
+        raw = self.values.get(name, default)
         if raw is REQUIRED:
             raise ConfigError(f"missing required config entry {name}")
         return None if raw is None else parse(raw, name)

@@ -54,10 +54,8 @@ __all__ = [
     "NoiseStream",
     "AdditiveGaussian",
     "Minibatch",
-    "TauEstimate",
     "sample_noise",
     "covariance_at",
-    "estimate_tau",
     "tau_squares",
     "smoothness_constant",
 ]
@@ -456,44 +454,13 @@ def covariance_at(model, obj: ObjectiveSet, theta) -> np.ndarray:
     return out / obj.m
 
 
-@dataclass(frozen=True)
-class TauEstimate:
-    """Monte-Carlo estimate of a noise moment tau_p, with standard error.
-
-    ``exact`` is filled for the additive Gaussian model, where closed forms
-    exist; None otherwise.
-    """
-
-    p: int
-    value: float
-    std_error: float
-    exact: float | None = None
-
-
-def estimate_tau(model, obj: ObjectiveSet, Theta_star: StackedPoint, p: int,
-                 n_draws: int = 100_000, seed: int = 0) -> TauEstimate:
-    """Estimate tau_p = E[||E(Theta*)||^p]^(1/p) for p in {2, 4}.
-
-    The same seed gives the same draws for p=2 and p=4, so the estimated
-    pair always satisfies the Jensen ordering tau_2 <= tau_4. Standard
-    errors are delta-method transforms of the mean's standard error.
-    """
-    if p not in (2, 4):
-        raise InvalidParamError(f"p must be 2 or 4, got {p}")
-    # the standard error takes the draws' spread with ddof=1
-    if n_draws < 2:
-        raise InvalidParamError(f"n_draws must be >= 2, got {n_draws}")
-    _check_model(model, obj)
-    return _tau_estimate(model, _tau_sq_norms(model, obj, Theta_star, n_draws, seed), p)
-
-
 def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
                 n_draws: int = 100_000, seed: int = 0) -> tuple:
-    """(tau_2^2, tau_4^2) at Theta_star, the squares of what estimate_tau gives.
+    """(tau_2^2, tau_4^2) at Theta_star, tau_p = E[||E(Theta*)||^p]^(1/p).
 
-    Additive Gaussian noise uses the closed forms (estimate_tau's exact)
-    and draws nothing; any other model gets both moments from one pass
-    over the same n_draws draws (estimate_tau's value).
+    Additive Gaussian noise uses the closed forms and draws nothing; any
+    other model gets both moments from one pass over the same n_draws
+    draws, so the pair keeps the Jensen order tau_2 <= tau_4.
     """
     if n_draws < 1:
         raise InvalidParamError(f"n_draws must be >= 1, got {n_draws}")
@@ -519,20 +486,6 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
         eps = _noise(model, obj, Theta_star.data, draws)
         sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
     return sq_norms
-
-
-def _tau_estimate(model, sq_norms: np.ndarray, p: int) -> TauEstimate:
-    """The tau_p estimate from the draws' squared norms."""
-    moment = sq_norms if p == 2 else sq_norms**2
-    mean = float(np.mean(moment))
-    se_mean = float(np.std(moment, ddof=1) / np.sqrt(len(sq_norms)))
-    value = mean ** (1.0 / p)
-    if mean > 0.0:
-        std_error = se_mean / (p * mean ** (1.0 - 1.0 / p))
-    else:
-        std_error = 0.0
-    exact = _tau_exact(model, p) if isinstance(model, AdditiveGaussian) else None
-    return TauEstimate(p=p, value=value, std_error=std_error, exact=exact)
 
 
 def _tau_exact(model: AdditiveGaussian, p: int) -> float:

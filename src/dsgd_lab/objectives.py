@@ -180,10 +180,6 @@ class QuadraticObjectives(ObjectiveSet):
         self._check_client(k)
         return np.zeros(self.d)
 
-    def value_local(self, k: int, theta) -> float:
-        diff = np.asarray(theta, dtype=float) - self.theta_loc_star[k]
-        return 0.5 * float(diff @ self.A[k] @ diff)
-
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
         return np.einsum("kij,...kj->...ki", self.A, Th - self.theta_loc_star)
 
@@ -306,8 +302,6 @@ def generate_logistic_problem(
     """
     if m < 1 or n < 1 or d < 1:
         raise InvalidParamError(f"need m, n, d >= 1, got m={m}, n={n}, d={d}")
-    if not (lambda_reg > 0.0):
-        raise InvalidParamError(f"lambda_reg must be positive, got {lambda_reg}")
     if seed < 0:
         raise InvalidParamError(f"seed must be >= 0, got {seed}")
     if not np.isfinite(heterogeneity_spread) or heterogeneity_spread < 0.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import io
+import math
 
 import numpy as np
 
@@ -159,12 +160,11 @@ def build_ring(m: int, t: float = RING_DEFAULT_STEP) -> CommMatrix:
         raise InvalidSizeError(f"ring needs m >= 3, got m={m}")
     if not (0.0 < t <= 0.5):
         raise InvalidStepError(f"ring step must satisfy 0 < t <= 1/2, got t={t}")
-    W = np.zeros((m, m))
-    np.fill_diagonal(W, 1.0 - 2.0 * t)
+    L = 2.0 * np.eye(m)
     idx = np.arange(m)
-    W[idx, (idx + 1) % m] += t
-    W[idx, (idx - 1) % m] += t
-    return CommMatrix(m=m, entries=W)
+    L[idx, (idx + 1) % m] = -1.0
+    L[idx, (idx - 1) % m] = -1.0
+    return from_laplacian(L, t)
 
 
 def build_clusters(m: int, k: int, t: float, bridge_weight: float = 1.0) -> CommMatrix:
@@ -186,6 +186,8 @@ def build_clusters(m: int, k: int, t: float, bridge_weight: float = 1.0) -> Comm
         raise InvalidPartitionError(f"cluster size m/k = {size} must be >= 2")
     if t <= 0.0:
         raise InvalidStepError(f"Laplacian step must be positive, got {t}")
+    if not math.isfinite(bridge_weight):
+        raise InvalidStepError(f"bridge weight must be finite, got {bridge_weight}")
     if bridge_weight < 0.0:
         raise InvalidStepError(f"bridge weight must be nonnegative, got {bridge_weight}")
     A = np.zeros((m, m))
@@ -199,21 +201,17 @@ def build_clusters(m: int, k: int, t: float, bridge_weight: float = 1.0) -> Comm
             i = c * size + size - 1
             j = nxt * size
             A[i, j] = A[j, i] = max(A[i, j], bridge_weight)
-    L = np.diag(A.sum(axis=1)) - A
-    W = np.eye(m) - t * L
-    if np.min(W) < -STOCHASTIC_TOL:
-        raise InvalidStepError(
-            f"step t={t} makes W entries negative (min {np.min(W):.3e}); reduce t"
-        )
-    return CommMatrix(m=m, entries=W)
+    return from_laplacian(np.diag(A.sum(axis=1)) - A, t)
 
 
 def from_laplacian(L, t: float) -> CommMatrix:
     """W = I - t L for a weighted graph Laplacian L.
 
     L must be symmetric with zero row sums and nonpositive off-diagonal
-    entries. Raises InvalidStep if the step makes entries of W negative and
-    Disconnected if the graph has more than one component.
+    entries. Raises InvalidParam for a non-finite step, InvalidStep if the
+    step makes entries of W negative and Disconnected if the graph has more
+    than one component. The ring and cluster builders come through here, so
+    this is the one place that checks W >= 0.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -227,6 +225,8 @@ def from_laplacian(L, t: float) -> CommMatrix:
     off = L - np.diag(np.diag(L))
     if np.max(off) > 1e-9 * scale:
         raise NotLaplacianError("Laplacian off-diagonal entries must be <= 0")
+    if not math.isfinite(t):
+        raise InvalidParamError(f"step t={t} is non-finite")
     if t <= 0.0:
         raise InvalidStepError(f"step must be positive, got t={t}")
     W = np.eye(m) - t * L

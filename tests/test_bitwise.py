@@ -335,7 +335,7 @@ def test_gaussian_sample_noise_is_pinned(case):
     eps = np.stack([sample_noise(model, obj, obj.theta_star_stacked, stream, t).data
                     for t in range(0, 700, 9)])
     assert _digest(eps) == GAUSS_SAMPLE_DIGESTS[case]
-
+# the Gaussian tau pass (_tau_sq_norms' per-draw squared norms); the last
 
 # the Gaussian tau pass (estimate_tau's per-draw squared norms); the last
 # block is partial at 1,300 and 1,100 draws. (m, d, n_draws)

@@ -269,6 +269,31 @@ class TestSolveFixedPoint:
         with pytest.raises(InvalidStepError):
             solve_fixed_point(W, obj, 0.0)
 
+    def test_rejects_W_and_objective_of_different_m(self):
+        obj, _ = two_client_example()
+        with pytest.raises(ShapeMismatchError, match="W has m=3, objective has m=2"):
+            solve_fixed_point(build_ring(3), obj, 0.1)
+
+    @pytest.mark.parametrize("failure", ["no point", "singular Jacobian"])
+    def test_failed_newton_falls_back_to_picard(self, monkeypatch, failure):
+        obj, W = two_client_example()
+        gamma = 0.1
+        assert dynamics._newton_pays(obj, gamma)
+        calls = []
+
+        def failing_newton(*args, **kwargs):
+            calls.append(failure)
+            if failure == "singular Jacobian":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return None
+
+        monkeypatch.setattr(dynamics, "damped_newton", failing_newton)
+        res = solve_fixed_point(W, obj, gamma)
+        assert calls == [failure]
+        picard = fixed_point(W, obj, gamma)
+        assert res.iterations == picard.iterations > 1
+        assert np.array_equal(res.point.data, picard.point.data)
+
     def test_large_md_at_a_large_step_runs_picard_alone(self, monkeypatch):
         obj = random_quadratic(np.random.default_rng(4), 20, 10)
         W = build_ring(20, 0.3)
@@ -381,6 +406,19 @@ class TestRun:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(InvalidParamError, match=r"seed must be in \[0, 2\*\*64\)"):
             RunConfig(algorithm="dsgd", gamma=0.1, T=10, seed=seed)
+
+    @pytest.mark.parametrize("field, error, match", [
+        (dict(algorithm="adam"), InvalidParamError, "algorithm must be one of"),
+        (dict(coupling="crossed"), InvalidParamError, "coupling must be one of"),
+        (dict(gamma=0.0), InvalidStepError, "gamma must be positive"),
+        (dict(gamma=-0.1), InvalidStepError, "gamma must be positive"),
+        (dict(record_every=0), InvalidParamError, "record_every must be >= 1"),
+        (dict(burn_in=-1), InvalidParamError, "burn_in must be >= 0"),
+    ], ids=["algorithm", "coupling", "zero-gamma", "negative-gamma", "record_every",
+            "burn_in"])
+    def test_bad_field_rejected(self, field, error, match):
+        with pytest.raises(error, match=match):
+            RunConfig(**{"algorithm": "dgd", "gamma": 0.1, "T": 10, **field})
 
     def test_burn_in_validation(self):
         with pytest.raises(InvalidParamError):

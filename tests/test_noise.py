@@ -13,8 +13,8 @@ from dsgd_lab.noise import (
     AdditiveGaussian,
     Minibatch,
     NoiseStream,
+    _tau_sq_norms,
     covariance_at,
-    estimate_tau,
     sample_noise,
     smoothness_constant,
     tau_squares,
@@ -236,54 +236,48 @@ class TestTau:
     def test_zero_noise(self, quad_obj):
         model = AdditiveGaussian.isotropic(2, 1, 0.0)
         Theta = StackedPoint.zeros(2, 1)
-        est = estimate_tau(model, quad_obj, Theta, p=2, n_draws=1000)
-        assert est.value == 0.0 and est.exact == 0.0
+        assert tau_squares(model, quad_obj, Theta, n_draws=1000) == (0.0, 0.0)
+        assert not np.any(_tau_sq_norms(model, quad_obj, Theta, 1000, 0))
 
     def test_scalar_exact_chi2(self):
         obj = QuadraticObjectives(A=np.array([[[1.0]]]), theta_loc_star=np.array([[0.0]]))
         model = AdditiveGaussian.isotropic(1, 1, 1.0)
         Theta = StackedPoint.zeros(1, 1)
-        est = estimate_tau(model, obj, Theta, p=2, n_draws=50_000, seed=1)
-        assert est.exact == pytest.approx(1.0)
-        assert abs(est.value - est.exact) <= 3.0 * est.std_error
-        est4 = estimate_tau(model, obj, Theta, p=4, n_draws=50_000, seed=1)
-        # fourth moment of N(0,1) is 3
-        assert est4.exact == pytest.approx(3.0**0.25)
-        assert abs(est4.value - est4.exact) <= 3.0 * est4.std_error
+        assert tau_squares(model, obj, Theta) == pytest.approx((1.0, 3.0**0.5))
+        sq_norms = _tau_sq_norms(model, obj, Theta, 50_000, 1)
+        # second and fourth moments of N(0,1) are 1 and 3
+        for moment, exact in [(sq_norms, 1.0), (sq_norms**2, 3.0)]:
+            std_error = np.std(moment, ddof=1) / np.sqrt(moment.size)
+            assert abs(np.mean(moment) - exact) <= 3.0 * std_error
 
     def test_jensen_ordering(self, logit_obj):
         model = Minibatch(batch_size=1)
         Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
-        t2 = estimate_tau(model, logit_obj, Theta, p=2, n_draws=5000, seed=4)
-        t4 = estimate_tau(model, logit_obj, Theta, p=4, n_draws=5000, seed=4)
-        assert t2.value <= t4.value
-        assert t2.exact is None and t4.exact is None
+        tau2_sq, tau4_sq = tau_squares(model, logit_obj, Theta, n_draws=5000, seed=4)
+        assert tau2_sq <= tau4_sq
 
     def test_gaussian_tau_pair_exact_ordering(self, quad_obj):
         model = AdditiveGaussian(C=np.stack([0.5 * np.eye(1), 2.0 * np.eye(1)]))
         Theta = StackedPoint.zeros(2, 1)
-        t2 = estimate_tau(model, quad_obj, Theta, p=2, n_draws=20_000, seed=6)
-        t4 = estimate_tau(model, quad_obj, Theta, p=4, n_draws=20_000, seed=6)
-        assert t2.value <= t4.value
-        assert t2.exact <= t4.exact
-        assert t2.exact == pytest.approx(np.sqrt(2.5))
+        sq_norms = _tau_sq_norms(model, quad_obj, Theta, 20_000, 6)
+        assert np.mean(sq_norms) ** 0.5 <= np.mean(sq_norms**2) ** 0.25
+        tau2_sq, tau4_sq = tau_squares(model, quad_obj, Theta)
+        assert tau2_sq <= tau4_sq
+        assert tau2_sq == pytest.approx(2.5)
 
-    def test_invalid_p(self, quad_obj):
-        model = AdditiveGaussian.isotropic(2, 1, 1.0)
-        with pytest.raises(InvalidParamError):
-            estimate_tau(model, quad_obj, StackedPoint.zeros(2, 1), p=3)
-
-    @pytest.mark.parametrize("n_draws", [1, 0, -5])
-    def test_estimate_tau_needs_two_draws(self, quad_obj, logit_obj, n_draws):
-        # the standard error takes the draws' spread with ddof=1, which one
-        # draw does not have; no draw count below 2 may warn and return NaN
-        for model, obj in [(Minibatch(batch_size=2), logit_obj),
-                           (AdditiveGaussian.isotropic(2, 1, 1.0), quad_obj)]:
-            Theta = StackedPoint.zeros(obj.m, obj.d)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(InvalidParamError, match="n_draws"):
-                    estimate_tau(model, obj, Theta, p=2, n_draws=n_draws)
+    @pytest.mark.parametrize("m, n, d, b", [(4, 8, 3, 1), (5, 20, 1, 7)])
+    def test_minibatch_tau2_matches_the_exact_covariance_trace(self, m, n, d, b):
+        # E||E(Theta*)||^2 = m tr covariance_at(theta*); b < n, since at b = n
+        # the exact value is 0 and the pass gives rounding error
+        obj = generate_logistic_problem(m=m, n=n, d=d, heterogeneity_spread=1.0,
+                                        lambda_reg=0.1, seed=m)
+        model = Minibatch(batch_size=b)
+        Theta = StackedPoint.replicate(obj.theta_star, m)
+        tau2_sq, _ = tau_squares(model, obj, Theta, n_draws=20_000, seed=2)
+        sq_norms = _tau_sq_norms(model, obj, Theta, 20_000, 2)
+        std_error = np.std(sq_norms, ddof=1) / np.sqrt(sq_norms.size)
+        exact = m * np.trace(covariance_at(model, obj, obj.theta_star))
+        assert abs(tau2_sq - exact) <= 4.0 * std_error
 
     @pytest.mark.parametrize("n_draws", [0, -5])
     def test_tau_squares_needs_a_draw(self, quad_obj, logit_obj, n_draws):
@@ -301,21 +295,6 @@ class TestTau:
             warnings.simplefilter("error")
             tau2_sq, tau4_sq = tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1)
         assert np.isfinite(tau2_sq) and tau2_sq <= tau4_sq
-
-    def test_tau_squares_are_the_squares_of_estimate_tau(self, quad_obj, logit_obj):
-        cases = [
-            (Minibatch(batch_size=2), logit_obj,
-             StackedPoint.replicate(logit_obj.theta_star, logit_obj.m), "value"),
-            (AdditiveGaussian(C=np.stack([0.5 * np.eye(1), 2.0 * np.eye(1)])),
-             quad_obj, StackedPoint.zeros(2, 1), "exact"),
-        ]
-        for model, obj, Theta, field in cases:
-            got = tau_squares(model, obj, Theta, n_draws=3000, seed=7)
-            want = tuple(
-                getattr(estimate_tau(model, obj, Theta, p, n_draws=3000, seed=7), field) ** 2
-                for p in (2, 4)
-            )
-            assert got == want
 
 
 class TestSmoothness:

@@ -114,12 +114,28 @@ class TestClusters:
         with pytest.raises(InvalidStepError):
             build_clusters(12, 4, 0.9, bridge_weight=1.0)
 
+    def test_infinite_step_is_rejected(self):
+        # rejected before inf * 0 in I - t L can warn
+        with pytest.raises(InvalidParamError, match="non-finite"):
+            build_clusters(4, 2, np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bridge_weight_is_rejected(self, bad):
+        # max(0.0, nan) is 0.0, so a nan weight would drop every bridge
+        with pytest.raises(InvalidStepError, match="bridge weight must be finite"):
+            build_clusters(4, 2, 0.2, bridge_weight=bad)
+
 
 class TestFromLaplacian:
     def test_nan_step_is_rejected(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(InvalidParamError, match="non-finite"):
             from_laplacian(L, np.nan)
+
+    def test_infinite_step_is_rejected(self):
+        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(InvalidParamError, match="non-finite"):
+            from_laplacian(L, np.inf)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_comm_matrix_rejects_non_finite_entries(self, bad):
