@@ -266,6 +266,8 @@ def load_edge_list(source) -> np.ndarray:
                 raise InvalidParamError(f"edge list line {lineno}: negative node id")
             if i == j:
                 raise InvalidParamError(f"edge list line {lineno}: self-loop {i}-{j}")
+            if not math.isfinite(w):
+                raise InvalidParamError(f"edge list line {lineno}: non-finite weight {w}")
             if w < 0.0:
                 raise InvalidParamError(f"edge list line {lineno}: negative weight {w}")
             edges.append((i, j, w))

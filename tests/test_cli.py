@@ -139,6 +139,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.apply_assignment("run.gamma")
 
+    def test_lines_and_overrides_split_alike(self):
+        cfg = ExperimentConfig()
+        cfg.apply_assignment(" run . gamma = 0.5 ")
+        assert cfg.values == ExperimentConfig.parse("\trun .gamma=  0.5\n").values
+        cases = [("gamma", "line 1: expected 'section.key = value', got 'gamma'",
+                  "override 'gamma' must look like section.key=value"),
+                 ("gamma = 1", "line 1: key 'gamma' must be section.key",
+                  "override key 'gamma' must be section.key"),
+                 (" .k = 1", "line 1: empty section or key in ' .k = 1'",
+                  "override ' .k = 1' has an empty part")]
+        for text, line_error, override_error in cases:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.parse(text)
+            assert str(err.value) == line_error
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig().apply_assignment(text)
+            assert str(err.value) == override_error
+
     def test_presets_are_valid_configs(self):
         for name in PRESETS:
             cfg = preset_config(name)

@@ -211,6 +211,11 @@ class TestEdgeList:
         with pytest.raises(InvalidParamError):
             load_edge_list(io.StringIO("# only comments\n"))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_is_rejected(self, weight):
+        with pytest.raises(InvalidParamError, match="line 2: non-finite weight"):
+            load_edge_list(io.StringIO(f"0 1\n1 2 {weight}\n2 0\n"))
+
 
 class TestProjectors:
     def test_consensus_input(self):
