@@ -354,9 +354,31 @@ def _pick_index(keys: np.ndarray, b: int) -> np.ndarray:
     so that each pick is one contiguous block for _pick_mean; a leading
     axis of length 1 in keys gives one selection that broadcasts over every
     chain stacked along it.
+
+    The picks are argsort's, ties included, found by a value sort: each
+    word's low (m*n - 1).bit_length() bits are replaced by its flat sample
+    index, each row of packed words is sorted, and the picks are the low
+    bits of the first b. Where every two neighbours among the first b + 1
+    sorted words of a row differ above the index bits, the row's b
+    smallest words are strictly increasing and strictly below the rest, so
+    argsort must pick the same samples in the same order. Where two such
+    neighbours agree above the index bits in any row (random words do so
+    with a chance of about 1e-14 per row), argsort of the words decides
+    the whole call instead. The packed words take as much memory as
+    argsort's index array.
     """
     m, n = keys.shape[-2:]
-    idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
+    low = np.uint64((1 << (m * n - 1).bit_length()) - 1)
+    # rows of m*n words, so the flat indices k*n + i go in with one broadcast
+    words = keys.reshape(-1, m * n) & ~low
+    words |= np.arange(m * n, dtype=np.uint64)
+    words = words.reshape(keys.shape)
+    words.sort(axis=-1)
+    head = words[..., :b + 1]
+    if n > 1 and (head[..., 1:] ^ head[..., :-1]).min() <= low:
+        idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
+    else:
+        idx = (head[..., :b] & low).view(np.intp)
     # the pick axis to the front: the same view as np.moveaxis, at a fraction
     # of its per-call cost, which small single draws pay
     return idx.transpose(idx.ndim - 1, *range(idx.ndim - 1))

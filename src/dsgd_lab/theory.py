@@ -21,7 +21,7 @@ gamma <= min(1/(Lambda L), 1/L) for the expansion, `lemma3_bound` and
 and stochastic bias; `_BlockOps` holds the gossip operator and the consensus
 solve; `_moment_bound` and `_psi0` give B and psi0 to the diagnostics and the
 schedule; `_mu_squared` gives every bound its mu^2, and rejects a mu whose
-square is 0.
+square is 0 or subnormal.
 """
 
 import math
@@ -212,12 +212,14 @@ def quad_exact_fixed_point(W: CommMatrix, quad, gamma: float) -> QuadFixedPoint:
 
 
 def _mu_squared(obj: ObjectiveSet) -> float:
-    """mu^2, which the bounds divide by; InvalidParamError where it
-    underflows to 0."""
+    """mu^2, which the bounds divide by; InvalidParamError where it is
+    below the smallest normal float, 0 included, since a subnormal mu^2
+    makes the bounds inf or vacuous."""
     mu_sq = obj.mu**2
-    if mu_sq == 0.0:
+    if mu_sq < np.finfo(float).tiny:
         raise InvalidParamError(
-            f"strong convexity mu = {obj.mu:.3g} is too small for the bounds: mu^2 is 0"
+            f"strong convexity mu = {obj.mu:.3g} is too small for the bounds: "
+            f"mu^2 is {mu_sq:.3g}"
         )
     return mu_sq
 

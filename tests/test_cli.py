@@ -695,6 +695,16 @@ class TestEntryPoint:
             "error: strong convexity mu = 1e-300 is too small for the bounds: mu^2 is 0\n")
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("lam, mu_sq", [("1e-155", "1e-310"), ("1e-160", "1e-320")])
+    def test_subnormal_mu_squared_exits_1(self, tmp_path, capsys, lam, mu_sq):
+        # a subnormal mu^2 once wrote the bounds as inf and exited 0
+        rc = main(["predict", "--preset", "fig2-heterogeneous",
+                   "--set", f"objective.lambda_reg={lam}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: strong convexity mu = {lam} is too small for the bounds: mu^2 is {mu_sq}\n")
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("where", ["set", "env"])
     def test_negative_run_seed_exits_1(self, tmp_path, monkeypatch, capsys, where):
         # seed -1 would read the streams of seed 2**64 - 1

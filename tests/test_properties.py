@@ -1,10 +1,11 @@
 """Property tests: the block-wise draw reader against single streams, a
 re-keyed Philox against a new one, the Newton solve for Theta_det against
 the Picard oracle, the shared Newton loop on theta*, the sigmoid against the
-masked formula and an exact decimal reference, the minibatch drift against
-the full per-sample gradient formula, every topology builder's W against
-the block average, the expansion's residual bound against the rr bound, and
-each chain of a batched run against a lone run."""
+masked formula and an exact decimal reference, the packed-word selection
+against argsort, the minibatch drift against the full per-sample gradient
+formula, every topology builder's W against the block average, the
+expansion's residual bound against the rr bound, and each chain of a
+batched run against a lone run."""
 
 import decimal
 import io
@@ -19,8 +20,8 @@ from numpy.random import Philox
 from dsgd_lab.dynamics import (RunConfig, _drift, _Draws, fixed_point, rr_run, run,
                                run_chains, solve_fixed_point)
 from dsgd_lab.matops import damped_newton
-from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _words,
-                             sample_noise)
+from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _pick_index,
+                             _words, sample_noise)
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.theory import det_bias_expansion, rr_bias_bound
@@ -237,6 +238,47 @@ def test_sigmoid_raises_no_floating_point_error(values, anywhere):
     # anywhere, -inf and 1e308 included, nothing overflows or is invalid
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         _sigmoid(np.array(anywhere, dtype=float))
+
+
+# (m, n) with m*n a power of two (16, 32) and one above it (5, 9, 17, 33),
+# n = 1 included, besides any small pair
+PICK_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(1, 20)),
+    st.sampled_from([(1, 1), (3, 1), (1, 16), (2, 8), (4, 4), (4, 8), (1, 5), (3, 3),
+                     (1, 17), (3, 11), (1, 33)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=PICK_SHAPES, lead=st.sampled_from([(), (1, 1), (1, 3), (2, 1), (2, 3)]),
+       kind=st.sampled_from(["full", "narrow", "shared_high"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pick_index_is_the_argsort_rule(shape, lead, kind, seed, data):
+    m, n = shape
+    b = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="b")
+    rng = np.random.default_rng(seed)
+    size = lead + shape
+    if kind == "full":
+        keys = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+    elif kind == "narrow":
+        # exact ties, which argsort breaks its own way
+        keys = rng.integers(0, 3, size=size, dtype=np.uint64)
+    else:
+        # in every row the words of ranks at and at + 1 share their bits above
+        # the index bits and differ below them, in the opposite order to their
+        # indices: inside the first b + 1 sorted words when at < b, outside
+        # them otherwise
+        at = data.draw(st.integers(0, max(n - 2, 0)), label="at")
+        bits = (m * n - 1).bit_length()
+        ranks = rng.permuted(np.broadcast_to(np.arange(n), size), axis=-1)
+        ranks = np.where(ranks == at + 1, at, ranks).astype(np.uint64)
+        flat = np.arange(m * n, dtype=np.uint64).reshape(m, n)
+        offset = rng.integers(0, 2**32, dtype=np.uint64)
+        keys = ((ranks + offset) << np.uint64(bits)) | (np.uint64(2**bits - 1) - flat)
+    want = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
+    got = _pick_index(keys, b)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.moveaxis(want, -1, 0))
 
 
 def _picked_rows(persample, keys, b):
