@@ -532,7 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="accepted for compatibility; sweep cells always run in order, "
-        "so it changes neither the schedule nor the output",
+        "so it changes neither the schedule nor the output; it does not set "
+        "the minibatch tau pass's threads, one per usable CPU (at most 2)",
     )
     common.add_argument(
         "--topology",

@@ -26,15 +26,21 @@ of all its streams at once with `_draw_blocks`, into one shared grid: one
 generator, made for the call, is re-keyed for each stream instead of a new
 one built per stream and block, and the normals come from one Box-Muller
 pass per chunk of streams, so the temporaries stay small at any replicate
-count. No generator outlives the call that made it, so streams hold no
-generator state, and a stream read from several threads gives every block
-its own words. Only the per-step readers (`raw_at`, `normals_at`) keep the
-last block they read, so random access regenerates a block it has moved
-away from.
+count. `_draw_blocks` also reads a range of a block's rows alone, by
+starting Philox's counter at the range's first word, and gives bit for bit
+those rows of the whole block. No generator outlives the call that made
+it, so streams hold no generator state, and a stream read from several
+threads gives every block its own words. The minibatch tau pass relies on
+both: it reads its draws in quarter-block units and splits them over one
+thread per usable CPU (at most two), with the same bits at any count.
+Only the per-step readers (`raw_at`, `normals_at`) keep the last block they
+read, so random access regenerates a block it has moved away from.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,8 +99,8 @@ class NoiseStream:
     generator keyed on (seed, replicate, purpose, width, block_index). The
     (seed, replicate) word of that key is mixed once, when the stream is
     made. _draw_blocks makes a block for many streams at once, and
-    normals_block is its one-stream case; raw_block returns one stream's
-    words as the generator gives them, without the copy into a grid. Both
+    normals_block and raw_block are its one-stream cases; raw_block's words
+    come as the generator gives them, without a copy into a grid. Both
     generate a block on every call. The per-step readers keep the last
     block they read, so sequential access by step costs one generator call
     per block, while random access stays exact and pays one call per block
@@ -121,19 +127,11 @@ class NoiseStream:
 
     def raw_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) uint64 words for the subset-selection lane."""
-        lane = _lane_word(self.PURPOSE_SUBSET, width, block)
-        words = _words(Philox(0), self, lane, self.block_size * width)
-        return words.reshape(self.block_size, width)
+        return _draw_blocks([self], self.PURPOSE_SUBSET, block, width)[0]
 
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
         return _draw_blocks([self], self.PURPOSE_GAUSS, block, width)[0]
-
-    def _block(self, purpose: int, block: int, width: int) -> np.ndarray:
-        """Block ``block`` of the purpose's lane: normals_block for
-        PURPOSE_GAUSS, raw_block for PURPOSE_SUBSET."""
-        reader = self.normals_block if purpose == self.PURPOSE_GAUSS else self.raw_block
-        return reader(block, width)
 
     def _at(self, purpose: int, width: int, t: int) -> np.ndarray:
         """Row t of the purpose's blocks, keeping that one block for the
@@ -143,7 +141,7 @@ class NoiseStream:
         block, row = divmod(t, self.block_size)
         key = (purpose, width, block)
         if key != self._read[0]:
-            self._read = (key, self._block(purpose, block, width))
+            self._read = (key, _draw_blocks([self], purpose, block, width)[0])
         return self._read[1][row]
 
     def normals_at(self, t: int, width: int) -> np.ndarray:
@@ -153,57 +151,76 @@ class NoiseStream:
         return self._at(self.PURPOSE_SUBSET, width, t)
 
 
-def _words(philox: Philox, stream: NoiseStream, lane: int, n: int) -> np.ndarray:
-    """The first n words of Philox keyed on (the stream's key word, lane).
+def _words(philox: Philox, stream: NoiseStream, lane: int, n: int,
+           start: int = 0) -> np.ndarray:
+    """Words [start, start + n) of Philox keyed on (the stream's key word, lane).
 
     philox is re-keyed, whatever it served before: its state is set to the
-    key with counter zero and nothing buffered, which gives the words that
-    Philox(key=...) would, without the OS entropy that constructor draws
-    for a seed the key then overrides.
+    key with counter start // 4 and nothing buffered, which gives the words
+    that Philox(key=...) would from word 4 * (start // 4) on, without the
+    OS entropy that constructor draws for a seed the key then overrides.
+    The start % 4 words before start in that counter's output are drawn
+    and dropped. Philox is counter-based, so any range of words comes out
+    the same alone as inside a longer read.
     """
     philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4,
+        "state": {"counter": np.array([start // 4, 0, 0, 0], dtype=np.uint64),
                   "key": np.array([stream._key0, lane], dtype=np.uint64)},
         "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
+    if start % 4:
+        philox.random_raw(start % 4)
     return philox.random_raw(n)
 
 
 def _draw_blocks(streams, purpose: int, block: int, width: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Block ``block`` of every stream's purpose lane, at width, in out[i].
+                 out: np.ndarray | None = None, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of block ``block`` of every stream's purpose lane, at
+    width, in out[i]; the default range is the whole block.
 
-    out is (len(streams), block_size, width), and is made when not given:
+    out is (len(streams), hi - lo, width), and is made when not given:
     uint64 words for NoiseStream.PURPOSE_SUBSET, float standard normals for
     PURPOSE_GAUSS. The streams share one block_size, and one generator made
-    for the call is re-keyed for each of them. Normals come from one
-    Box-Muller pass per chunk of whole streams, at most _CHUNK_PAIRS pairs
-    of words unless one stream's block alone holds more, so the pass's
+    for the call is re-keyed for each of them. Each row reads its own run of
+    words (width words, or two per Box-Muller pair), so rows [lo, hi) read
+    alone are bit for bit those rows of the whole block. Normals come from
+    one Box-Muller pass per chunk of whole streams, at most _CHUNK_PAIRS
+    pairs of words unless one stream's rows alone hold more, so the pass's
     temporaries stay small however many streams a run reads.
     """
-    size = streams[0].block_size
+    if hi is None:
+        hi = streams[0].block_size
+    rows = hi - lo
     gauss = purpose == NoiseStream.PURPOSE_GAUSS
-    if out is None:
-        out = np.empty((len(streams), size, width), np.float64 if gauss else np.uint64)
     philox = Philox(0)
     lane = _lane_word(purpose, width, block)
+    if out is None:
+        if not gauss and len(streams) == 1:
+            # one stream's words are returned as drawn: copying them into a
+            # new grid took about 37 times the minor page faults in a
+            # 20,000-draw tau pass on two threads
+            words = _words(philox, streams[0], lane, rows * width, lo * width)
+            return words.reshape(1, rows, width)
+        out = np.empty((len(streams), rows, width), np.float64 if gauss else np.uint64)
     if not gauss:
         for s, dest in zip(streams, out):
             # words is freed only once the next stream's are made: freeing
             # each stream's words before the next were made kept about 2 MB
             # more resident over the benchmark's repeated rr-sto runs
-            words = _words(philox, s, lane, size * width)
-            dest[...] = words.reshape(size, width)
+            words = _words(philox, s, lane, rows * width, lo * width)
+            dest[...] = words.reshape(rows, width)
         return out
     pairs = (width + 1) // 2
-    chunk = max(1, _CHUNK_PAIRS // (size * pairs))
-    raw = np.empty((min(chunk, len(streams)), size, pairs, 2), np.uint64)
-    for lo in range(0, len(streams), chunk):
-        part = streams[lo:lo + chunk]
+    chunk = max(1, _CHUNK_PAIRS // (rows * pairs))
+    raw = np.empty((min(chunk, len(streams)), rows, pairs, 2), np.uint64)
+    for first in range(0, len(streams), chunk):
+        part = streams[first:first + chunk]
         for s, dest in zip(part, raw):
-            dest[...] = _words(philox, s, lane, 2 * size * pairs).reshape(size, pairs, 2)
-        words, z = raw[:len(part)], out[lo:lo + len(part)]
+            dest[...] = _words(philox, s, lane, 2 * rows * pairs,
+                               2 * lo * pairs).reshape(rows, pairs, 2)
+        words, z = raw[:len(part)], out[first:first + len(part)]
         # Box-Muller; u1 in (0, 1] so the log stays finite.
         u1 = ((words[..., 0] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
         u2 = (words[..., 1] >> np.uint64(11)) * _TWO_NEG53
@@ -482,7 +499,10 @@ def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
 
     Additive Gaussian noise uses the closed forms and draws nothing; any
     other model gets both moments from one pass over the same n_draws
-    draws, so the pair keeps the Jensen order tau_2 <= tau_4.
+    draws, so the pair keeps the Jensen order tau_2 <= tau_4. The pass runs
+    on one thread per usable CPU, at most two, whatever the CLI's
+    --threads says; its result is the same to the bit at any count, and an
+    error raised in any thread is raised here.
     """
     if n_draws < 1:
         raise InvalidParamError(f"n_draws must be >= 1, got {n_draws}")
@@ -495,18 +515,77 @@ def tau_squares(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     return tuple(float(t) ** 2 for t in taus)
 
 
+# steps per unit of the tau pass, a quarter of a block
+_TAU_UNIT = NoiseStream.block_size // 4
+# at most this many threads share the tau pass: each one keeps its own
+# unit's draws and temporaries resident, about 1.5 MB of peak RSS at
+# fig2-heterogeneous, and no count above two has been timed on as many cores
+_MAX_TAU_WORKERS = 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
                   n_draws: int, seed: int) -> np.ndarray:
-    """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0)."""
+    """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0).
+
+    The draws are read in units of _TAU_UNIT steps, a quarter of a block,
+    through _draw_blocks. Each usable CPU, up to _MAX_TAU_WORKERS and the
+    number of units, takes one contiguous span of units: the calling
+    thread runs the first, and one thread each the others, all joined
+    before this returns. A unit's draws and norms depend only on its steps,
+    and each span writes its own slice of the result, so every bit is the
+    same at any worker count. An exception in any span is raised here as
+    it was raised.
+    """
     stream = NoiseStream(seed=seed, replicate=0)
     purpose, width = _lane(model, obj)
     size = stream.block_size
     sq_norms = np.empty(n_draws)
-    for start in range(0, n_draws, size):
-        stop = min(start + size, n_draws)
-        draws = stream._block(purpose, start // size, width)[: stop - start]
-        eps = _noise(model, obj, Theta_star.data, draws)
-        sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
+
+    def run_span(starts: range) -> None:
+        # draws is rebound only once the next unit's are made, so that the
+        # allocator reuses the last unit's memory instead of faulting in
+        # fresh pages for each unit
+        for start in starts:
+            stop = min(start + _TAU_UNIT, n_draws)
+            block, row = divmod(start, size)
+            draws = _draw_blocks([stream], purpose, block, width,
+                                 lo=row, hi=row + stop - start)[0]
+            eps = _noise(model, obj, Theta_star.data, draws)
+            sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
+
+    units = range(0, n_draws, _TAU_UNIT)
+    workers = max(1, min(_usable_cpus(), _MAX_TAU_WORKERS, len(units)))
+    spans = [units[len(units) * i // workers:len(units) * (i + 1) // workers]
+             for i in range(workers)]
+    failures = []
+
+    def run_thread(starts: range) -> None:
+        try:
+            run_span(starts)
+        except BaseException as exc:  # raised by the caller once all have joined
+            failures.append(exc)
+
+    # plain threads rather than concurrent.futures, whose import (logging
+    # included) took 6 to 10 ms of every command's start-up
+    threads = []
+    try:
+        for starts in spans[1:]:
+            thread = threading.Thread(target=run_thread, args=(starts,))
+            thread.start()
+            threads.append(thread)
+        run_span(spans[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return sq_norms
 
 

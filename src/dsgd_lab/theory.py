@@ -25,7 +25,7 @@ square is 0 or subnormal.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -423,9 +423,16 @@ class BoundDiagnostics:
     term_gamma_5_2: float
     var_leading: float
     var_topology: float
+    # the rows that bound_diagnostics sets to inf by its own branch, at
+    # tau_2^2 = 0 and at rho >= 1; not a row itself
+    inf_by_branch: tuple = field(default=(), repr=False, compare=False)
+
+    @classmethod
+    def row_names(cls):
+        return [f.name for f in fields(cls) if f.name != "inf_by_branch"]
 
     def as_rows(self):
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in self.row_names()]
 
 
 def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
@@ -452,9 +459,18 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
         L * B + K3 * B**1.5 * math.sqrt(gamma)
         + 0.5 * gamma**2 * K3**2 * B**2 + tau2_sq
     )
-    C = c_numer / tau2_sq if tau2_sq > 0.0 else math.inf
+    inf_by_branch = ()
+    if tau2_sq > 0.0:
+        C = c_numer / tau2_sq
+    else:
+        C = math.inf
+        inf_by_branch += ("C",)
     rho = prof.rho
-    topo = rho**2 / (1.0 - rho**2) if rho < 1.0 else math.inf
+    if rho < 1.0:
+        topo = rho**2 / (1.0 - rho**2)
+    else:
+        topo = math.inf
+        inf_by_branch += ("term_gamma_2", "term_gamma_5_2", "var_topology")
     return BoundDiagnostics(
         gamma=gamma,
         m=m_eff,
@@ -476,6 +492,7 @@ def bound_diagnostics(obj: ObjectiveSet, W: CommMatrix, noise, gamma: float,
         var_leading=(gamma * tau2_sq + gamma**1.5 * K3 * B**1.5)
         / (mu * m_eff),
         var_topology=gamma**2 * _scaled(topo, c_numer),
+        inf_by_branch=inf_by_branch,
     )
 
 
@@ -559,7 +576,7 @@ class TheoryReport:
 
     def rows(self):
         diag = (self.diagnostics.as_rows() if self.diagnostics is not None
-                else [(f.name, float("nan")) for f in fields(BoundDiagnostics)])
+                else [(name, float("nan")) for name in BoundDiagnostics.row_names()])
         return [
             *_flat_rows("theta_det_pred", self.theta_det_pred.data),
             *_flat_rows("bias_first_order", self.bias_first_order.data),
@@ -586,7 +603,10 @@ def theory_report(W: CommMatrix, obj: ObjectiveSet, noise,
     raises StepTooLargeError naming the violated inequality.  The
     non-asymptotic diagnostics use a stricter gate of their own; when only
     that one fails the report still carries the closed forms and the
-    diagnostics come back as NaN.
+    diagnostics come back as NaN.  A row that overflows to +-inf raises
+    InvalidParamError naming the first such row; the infs that C and the
+    topology terms take by their own branch, at tau_2^2 = 0 and at
+    rho >= 1, are reported as they are.
     """
     # for quadratics the exact fixed point goes first: its step-size gate
     # gamma < 2/((1+L/mu) L Lambda) is the tighter one and should be the
@@ -602,7 +622,7 @@ def theory_report(W: CommMatrix, obj: ObjectiveSet, noise,
         obj.m, obj.d,
         expansion.prediction.data - obj.theta_star_stacked.data,
     )
-    return TheoryReport(
+    report = TheoryReport(
         theta_det_pred=expansion.prediction if exact is None else exact,
         bias_first_order=bias,
         det_residual_bound=expansion.residual_bound,
@@ -614,3 +634,13 @@ def theory_report(W: CommMatrix, obj: ObjectiveSet, noise,
         rr_bias_bound=rr_bias_bound(obj, W, gamma),
         diagnostics=diag,
     )
+    # an inf that bound_diagnostics gives by its own branch is the bound's
+    # value; any other inf is an overflow
+    branch_inf = {f"diag_{name}" for name in (diag.inf_by_branch if diag is not None else ())}
+    for name, value in report.rows():
+        if math.isinf(value) and name not in branch_inf:
+            raise InvalidParamError(
+                f"{name} overflows to {float(value)} at mu = {obj.mu:.3g}, "
+                f"L = {obj.L:.3g}: the bounds are out of floating-point range"
+            )
+    return report

@@ -23,8 +23,8 @@ import pytest
 from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
 from dsgd_lab.dynamics import (RunConfig, _Draws, coupled_run, dsgd_step, rr_run, run,
                                run_chains, solve_fixed_point)
-from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _tau_sq_norms,
-                             sample_noise, tau_squares)
+from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
+                             _tau_sq_norms, sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.stats import stationary_moments
@@ -335,9 +335,9 @@ def test_gaussian_sample_noise_is_pinned(case):
     eps = np.stack([sample_noise(model, obj, obj.theta_star_stacked, stream, t).data
                     for t in range(0, 700, 9)])
     assert _digest(eps) == GAUSS_SAMPLE_DIGESTS[case]
-# the Gaussian tau pass (_tau_sq_norms' per-draw squared norms); the last
 
-# the Gaussian tau pass (estimate_tau's per-draw squared norms); the last
+
+# the Gaussian tau pass (_tau_sq_norms' per-draw squared norms); the last
 # block is partial at 1,300 and 1,100 draws. (m, d, n_draws)
 GAUSS_TAU_CASES = [(1, 1, 600), (3, 2, 1_300), (4, 5, 1_100)]
 
@@ -355,6 +355,38 @@ def test_gaussian_tau_pass_is_pinned(case):
     sq_norms = _tau_sq_norms(_gaussian_model(m, d, 11), obj, obj.theta_star_stacked,
                              n_draws, seed=3)
     assert _digest(sq_norms) == GAUSS_TAU_DIGESTS[case]
+
+
+# the tau pass splits its units over one thread per usable CPU; every pin
+# above holds at any worker count (1,300 and 1,100 draws end in a partial
+# unit, 600 in a whole one)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tau_pass_pins_hold_at_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: workers)
+    monkeypatch.setattr("dsgd_lab.noise._MAX_TAU_WORKERS", workers)
+    for name, n_draws in TAU_CASES:
+        obj, model = _tau_problem(name)
+        sq_norms = _tau_sq_norms(model, obj, obj.theta_star_stacked, n_draws, seed=0)
+        assert _digest(sq_norms) == TAU_DIGESTS[name]["sq_norms"]
+    for m, d, n_draws in GAUSS_TAU_CASES:
+        obj = generate_logistic_problem(m=m, n=4, d=d, seed=17)
+        sq_norms = _tau_sq_norms(_gaussian_model(m, d, 11), obj, obj.theta_star_stacked,
+                                 n_draws, seed=3)
+        assert _digest(sq_norms) == GAUSS_TAU_DIGESTS[m, d, n_draws]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_short_tau_pass_is_the_start_of_a_long_one(monkeypatch, workers):
+    # one draw, and a pass that ends one draw into its third unit
+    obj, model = _tau_problem("d3-b8")
+    point = obj.theta_star_stacked
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: 1)
+    long = _tau_sq_norms(model, obj, point, 1_300, seed=0)
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: workers)
+    monkeypatch.setattr("dsgd_lab.noise._MAX_TAU_WORKERS", workers)
+    for n_draws in (1, 2 * _TAU_UNIT + 1):
+        got = _tau_sq_norms(model, obj, point, n_draws, seed=0)
+        assert got.tobytes() == long[:n_draws].tobytes()
 
 
 # dsgd_step from a point away from theta*, 30 steps across a block boundary:

@@ -705,6 +705,40 @@ class TestEntryPoint:
             f"error: strong convexity mu = {lam} is too small for the bounds: mu^2 is {mu_sq}\n")
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_overflowing_bounds_exit_1(self, tmp_path, capsys):
+        # mu^2 = 1e-300 is a normal float, but the bounds that divide by it
+        # once overflowed and were written as inf with exit 0
+        rc = main(["predict", "--preset", "fig2-heterogeneous",
+                   "--set", "objective.lambda_reg=1e-150", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: det_residual_bound overflows to inf at mu = 1e-150, "
+                       "L = 1.62: the bounds are out of floating-point range\n")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("overrides", [["--set", "noise.variant=none"],
+                                           ["--topology", "ring", "--m", "4", "--t", "0.5"]])
+    def test_infs_a_bound_takes_by_its_own_branch_are_written(self, tmp_path, overrides):
+        # C is inf at tau_2^2 = 0, and the topology terms at rho = 1 (a ring
+        # of 4 at t = 0.5 has eigenvalue -1)
+        assert main(["predict", "--preset", "fig2-heterogeneous", *overrides,
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "predict_predictions.csv") as fh:
+            infs = {row["quantity"] for row in csv.DictReader(fh) if row["value"] == "inf"}
+        assert infs == ({"diag_C"} if overrides[1] == "noise.variant=none" else
+                        {"diag_term_gamma_2", "diag_term_gamma_5_2", "diag_var_topology"})
+
+    def test_predict_is_byte_identical_at_one_and_two_tau_workers(self, tmp_path, monkeypatch):
+        # the minibatch tau pass runs on one thread per usable CPU
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: workers)
+            out = tmp_path / str(workers)
+            assert main(["predict", "--preset", "fig2-heterogeneous", "--out", str(out)]) == 0
+            written.append((out / "predict_predictions.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("where", ["set", "env"])
     def test_negative_run_seed_exits_1(self, tmp_path, monkeypatch, capsys, where):
         # seed -1 would read the streams of seed 2**64 - 1

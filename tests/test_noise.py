@@ -1,8 +1,10 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from dsgd_lab import noise
 from dsgd_lab.errors import (
     InvalidParamError,
     NotPositiveSemidefiniteError,
@@ -295,6 +297,71 @@ class TestTau:
             warnings.simplefilter("error")
             tau2_sq, tau4_sq = tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1)
         assert np.isfinite(tau2_sq) and tau2_sq <= tau4_sq
+
+
+class _UnitFailed(Exception):
+    pass
+
+
+class TestTauWorkers:
+    """The tau pass's threads: errors reach the caller, and none outlives it."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad_unit", [0, 5, 10])
+    def test_an_error_in_one_unit_reaches_the_caller(self, monkeypatch, logit_obj,
+                                                     workers, bad_unit):
+        # 1,300 draws are 11 units; at 3 workers the spans are units 0-2,
+        # 3-6 and 7-10, so unit 0 fails on the calling thread and units 5
+        # and 10 on the others
+        error = _UnitFailed(f"unit {bad_unit} failed")
+        draw_blocks = noise._draw_blocks
+
+        def failing(streams, purpose, block, width, out=None, lo=0, hi=None):
+            if block * NoiseStream.block_size + lo == bad_unit * noise._TAU_UNIT:
+                raise error
+            return draw_blocks(streams, purpose, block, width, out, lo, hi)
+
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(noise, "_MAX_TAU_WORKERS", workers)
+        monkeypatch.setattr(noise, "_draw_blocks", failing)
+        Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
+        threads = threading.active_count()
+        with pytest.raises(_UnitFailed) as raised:
+            tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1_300)
+        assert raised.value is error
+        assert str(raised.value) == f"unit {bad_unit} failed"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_no_thread_outlives_the_pass(self, monkeypatch, logit_obj, workers):
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(noise, "_MAX_TAU_WORKERS", workers)
+        Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
+        threads = threading.active_count()
+        tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=2_000)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus, cap, n_draws, workers", [
+        (64, 2, 1, 1), (64, 2, noise._TAU_UNIT, 1), (64, 2, noise._TAU_UNIT + 1, 2),
+        (64, 2, 20 * noise._TAU_UNIT, 2), (1, 2, 20 * noise._TAU_UNIT, 1),
+        (3, 4, 20 * noise._TAU_UNIT, 3), (64, 4, 3 * noise._TAU_UNIT, 3)])
+    def test_one_thread_per_cpu_capped_by_the_units(self, monkeypatch, logit_obj, cpus,
+                                                    cap, n_draws, workers):
+        # the thread objects are kept, so two spans never count as one
+        seen = set()
+        draw_blocks = noise._draw_blocks
+
+        def recording(*args, **kwargs):
+            seen.add(threading.current_thread())
+            return draw_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(noise, "_MAX_TAU_WORKERS", cap)
+        monkeypatch.setattr(noise, "_draw_blocks", recording)
+        Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
+        noise._tau_sq_norms(Minibatch(batch_size=2), logit_obj, Theta, n_draws, 0)
+        assert len(seen) == workers
+        assert threading.main_thread() in seen
 
 
 class TestSmoothness:

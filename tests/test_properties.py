@@ -1,11 +1,11 @@
 """Property tests: the block-wise draw reader against single streams, a
-re-keyed Philox against a new one, the Newton solve for Theta_det against
-the Picard oracle, the shared Newton loop on theta*, the sigmoid against the
-masked formula and an exact decimal reference, the packed-word selection
-against argsort, the minibatch drift against the full per-sample gradient
-formula, every topology builder's W against the block average, the
-expansion's residual bound against the rr bound, and each chain of a
-batched run against a lone run."""
+re-keyed Philox against a new one, a row range of a block against the whole
+block, the Newton solve for Theta_det against the Picard oracle, the shared
+Newton loop on theta*, the sigmoid against the masked formula and an exact
+decimal reference, the packed-word selection against argsort, the minibatch
+drift against the full per-sample gradient formula, every topology
+builder's W against the block average, the expansion's residual bound
+against the rr bound, and each chain of a batched run against a lone run."""
 
 import decimal
 import io
@@ -20,8 +20,8 @@ from numpy.random import Philox
 from dsgd_lab.dynamics import (RunConfig, _drift, _Draws, fixed_point, rr_run, run,
                                run_chains, solve_fixed_point)
 from dsgd_lab.matops import damped_newton
-from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _mix64, _pick_index,
-                             _words, sample_noise)
+from dsgd_lab.noise import (AdditiveGaussian, Minibatch, NoiseStream, _draw_blocks, _mix64,
+                             _pick_index, _words, sample_noise)
 from dsgd_lab.objectives import QuadraticObjectives, _sigmoid, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.theory import det_bias_expansion, rr_bias_bound
@@ -36,7 +36,7 @@ from dsgd_lab.topology import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # (lane, width) -> the noise model and a problem of that draw width: m*d
@@ -101,6 +101,43 @@ def test_rekeyed_generator_gives_a_fresh_generators_words(seed, replicate, serve
     key = np.array([_mix64(_mix64(_mix64(seed)) ^ _mix64(replicate)), lane], dtype=np.uint64)
     got = _words(philox, NoiseStream(seed, replicate), lane, n)
     assert np.array_equal(got, Philox(key=key).random_raw(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=WORD, replicate=WORD, served=SERVED, lane=WORD, start=st.integers(0, 4100),
+       n=st.integers(1, 600))
+def test_words_from_a_start_are_that_range_of_a_fresh_generators_words(seed, replicate,
+                                                                       served, lane, start, n):
+    philox = Philox(0)
+    for other_seed, other_replicate, other_lane, count in served:
+        _words(philox, NoiseStream(other_seed, other_replicate), other_lane, count)
+    key = np.array([_mix64(_mix64(_mix64(seed)) ^ _mix64(replicate)), lane], dtype=np.uint64)
+    got = _words(philox, NoiseStream(seed, replicate), lane, n, start)
+    assert np.array_equal(got, Philox(key=key).random_raw(start + n)[start:])
+
+
+# rows [r0, r0 + k) of a block read alone, for one to three streams: the
+# second and third are drawn by the generator that served the ones before.
+# A subset row holds width words and a Gaussian row two per pair, so an odd
+# width, or an odd pair count at an odd r0, starts the read inside a
+# four-word Philox output
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.tuples(WORD, WORD), min_size=1, max_size=3),
+       gauss=st.booleans(), width=st.integers(1, 9), block=st.integers(0, 2**40),
+       r0=st.integers(0, NoiseStream.block_size - 1), k=st.integers(1, NoiseStream.block_size))
+@example(seeds=[(0, 0), (5, 1)], gauss=False, width=3, block=0, r0=1, k=2)
+@example(seeds=[(0, 0), (5, 1)], gauss=True, width=2, block=1, r0=3, k=1)
+@example(seeds=[(0, 0), (5, 1)], gauss=True, width=5, block=2, r0=7, k=5)
+def test_a_row_range_read_alone_is_those_rows_of_the_block(seeds, gauss, width, block, r0, k):
+    streams = [NoiseStream(seed, replicate) for seed, replicate in seeds]
+    purpose = NoiseStream.PURPOSE_GAUSS if gauss else NoiseStream.PURPOSE_SUBSET
+    hi = min(r0 + k, NoiseStream.block_size)
+    whole = _draw_blocks(streams, purpose, block, width)
+    rows = _draw_blocks(streams, purpose, block, width, lo=r0, hi=hi)
+    assert rows.shape == (len(streams), hi - r0, width)
+    assert np.array_equal(rows, whole[:, r0:hi])
+    for stream, own in zip(streams, whole):
+        assert np.array_equal(own, _draw_blocks([stream], purpose, block, width)[0])
 
 
 def _problem(kind, m, d, seed):
