@@ -533,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="accepted for compatibility; sweep cells always run in order, "
         "so it changes neither the schedule nor the output; it does not set "
-        "the minibatch tau pass's threads, one per usable CPU (at most 2)",
+        "the minibatch tau pass's threads, one per usable CPU (at most 2), "
+        "nor the worker that fills a run's minibatch draws ahead",
     )
     common.add_argument(
         "--topology",

@@ -215,10 +215,15 @@ def _iterate(Ws, obj: ObjectiveSet, noise, gammas, starts, R: int,
         W = W[0, 0]
     gammas = np.reshape(np.asarray(gammas, dtype=float), (-1, 1, 1, 1))
     Th = np.repeat(np.stack([P.data for P in starts])[:, None], R, axis=1)
-    yield Th
-    for t in range(T):
-        Th = _step(W, obj, noise, gammas, Th, None if draws is None else draws.at(t))
+    try:
         yield Th
+        for t in range(T):
+            Th = _step(W, obj, noise, gammas, Th, None if draws is None else draws.at(t))
+            yield Th
+    finally:
+        # a fill in flight is joined however the chain ends, closed early included
+        if draws is not None:
+            draws.close()
 
 
 def dgd_step(W: CommMatrix, obj: ObjectiveSet, gamma: float,
@@ -447,7 +452,7 @@ def run_chains(Ws, obj: ObjectiveSet, noise, configs, starts,
         )
     noise = _checked_noise(Ws, obj, noise, configs, starts, Theta_dets)
     R = first.replicates
-    draws = None if noise is None else _Draws(noise, obj, first.seed, [range(R)])
+    draws = None if noise is None else _Draws(noise, obj, first.seed, [range(R)], first.T)
     gammas = [config.gamma for config in configs]
     return _drive(_iterate(Ws, obj, noise, gammas, starts, R, draws, first.T), obj, configs,
                   Theta_dets)
@@ -469,7 +474,7 @@ def rr_run(W: CommMatrix, obj: ObjectiveSet, noise, config: RunConfig,
         ids = [range(R)]
     else:
         ids = [range(0, 2 * R, 2), range(1, 2 * R, 2)]
-    draws = None if noise is None else _Draws(noise, obj, config.seed, ids)
+    draws = None if noise is None else _Draws(noise, obj, config.seed, ids, config.T)
     gammas = [config.gamma, config.gamma / 2.0]
     chain = _iterate([W], obj, noise, gammas, [Theta0, Theta0], R, draws, config.T)
     return _drive(chain, obj, [config], [Theta_det], lambda Th: 2.0 * Th[1:] - Th[:1])[0]
@@ -497,22 +502,27 @@ def _drive(chain, obj: ObjectiveSet, configs, Theta_dets, combine=None) -> list[
     outer = np.empty_like(stat_outer)
     stat_count = 0
 
-    for step_idx, Th in enumerate(chain):
-        current = Th if combine is None else combine(Th)
-        if step_idx > burn:
-            stat_sum += current
-            flat = current.reshape(K, R, m * d)
-            stat_outer += np.multiply(flat[..., :, None], flat[..., None, :], out=outer)
-            stat_count += 1
-        if step_idx % stride == 0 or step_idx == T:
-            bad = ~np.isfinite(current).all(axis=(2, 3))
-            if bad.any():
-                k, r = np.unravel_index(np.argmax(bad), bad.shape)
-                where = f"chain {k}, replicate {r}" if K > 1 else f"replicate {r}"
-                raise DivergenceError(f"iterate is not finite at step {step_idx} in {where}")
-            times.append(step_idx)
-            for k in range(K):
-                rows[k].append(_record_metrics(current[k], theta_star, dets[k]))
+    try:
+        for step_idx, Th in enumerate(chain):
+            current = Th if combine is None else combine(Th)
+            if step_idx > burn:
+                stat_sum += current
+                flat = current.reshape(K, R, m * d)
+                stat_outer += np.multiply(flat[..., :, None], flat[..., None, :], out=outer)
+                stat_count += 1
+            if step_idx % stride == 0 or step_idx == T:
+                bad = ~np.isfinite(current).all(axis=(2, 3))
+                if bad.any():
+                    k, r = np.unravel_index(np.argmax(bad), bad.shape)
+                    where = f"chain {k}, replicate {r}" if K > 1 else f"replicate {r}"
+                    raise DivergenceError(
+                        f"iterate is not finite at step {step_idx} in {where}")
+                times.append(step_idx)
+                for k in range(K):
+                    rows[k].append(_record_metrics(current[k], theta_star, dets[k]))
+    finally:
+        # a DivergenceError leaves no fill thread behind
+        chain.close()
 
     # _record_metrics gives RunRecord's columns dist_opt to avg_client_dist
     return [RunRecord(config, m, d, np.asarray(times, dtype=int),
@@ -540,7 +550,7 @@ def coupled_run(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float, T: int,
             f"coupling requires gamma < 2/L = {2.0 / L:.6g}, got gamma = {gamma:.6g}"
         )
     _check_shapes(W, obj, Theta0_a, Theta0_b)
-    draws = _Draws(noise, obj, seed, [range(replicates)])
+    draws = _Draws(noise, obj, seed, [range(replicates)], T)
     chain = _iterate([W], obj, noise, [gamma, gamma], [Theta0_a, Theta0_b], replicates,
                      draws, T)
     return np.array([float(np.mean(np.sum((P[0] - P[1]) ** 2, axis=(1, 2)))) for P in chain])

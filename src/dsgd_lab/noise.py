@@ -22,19 +22,29 @@ stream see identical draws).
 
 A key is two 64-bit words: one mixed from (seed, replicate) when a stream
 is made, one from (purpose, width, block) per block. A run fills one block
-of all its streams at once with `_draw_blocks`, into one shared grid: one
-generator, made for the call, is re-keyed for each stream instead of a new
-one built per stream and block, and the normals come from one Box-Muller
-pass per chunk of streams, so the temporaries stay small at any replicate
-count. `_draw_blocks` also reads a range of a block's rows alone, by
-starting Philox's counter at the range's first word, and gives bit for bit
-those rows of the whole block. No generator outlives the call that made
-it, so streams hold no generator state, and a stream read from several
-threads gives every block its own words. The minibatch tau pass relies on
-both: it reads its draws in quarter-block units and splits them over one
-thread per usable CPU (at most two), with the same bits at any count.
-Only the per-step readers (`raw_at`, `normals_at`) keep the last block they
-read, so random access regenerates a block it has moved away from.
+of all its streams at once with `_draw_blocks`, into one shared grid: each
+thread keeps one generator, which is re-keyed for each stream and each read
+instead of a new one built per stream and block, and the normals come from
+one Box-Muller pass per chunk of streams, so the temporaries stay small at
+any replicate count. `_draw_blocks` also reads a range of a block's rows
+alone, by starting Philox's counter at the range's first word, and gives
+bit for bit those rows of the whole block. Streams hold no generator
+state, so a stream read from several threads gives every block its own
+words. Two readers rely on this, with the same bits at any CPU count:
+
+* the minibatch tau pass reads its draws in quarter-block units and
+  splits them over one thread per usable CPU (at most two);
+* a run's minibatch words (`_Draws`) are filled a half-block at a time
+  when two or more CPUs are usable, the next half on a worker thread while
+  the steps read this one. Philox releases the GIL while it makes words,
+  so the worker runs beside the step. A Gaussian block is filled whole on
+  the calling thread: its Box-Muller pass and the re-keying of up to 128
+  streams hold the GIL, so a worker slowed the Gaussian runs it was tried
+  on.
+
+The CLI's --threads sets neither. Only the per-step readers (`raw_at`,
+`normals_at`) keep the last block they read, so random access regenerates a
+block it has moved away from.
 """
 
 from __future__ import annotations
@@ -75,6 +85,13 @@ _ZERO4.setflags(write=False)
 # Box-Muller pairs per pass of _draw_blocks: one pass over a whole R = 128
 # grid of AC10-shape blocks raised a run's peak RSS by about 4 MB
 _CHUNK_PAIRS = 2048
+# subset words per piece that _draw_blocks copies into a grid: with the
+# fill worker, whole-stream reads raised the benchmark's rr-sto peak RSS by
+# 3.2 to 3.6 MB, pieces by 0.2 to 0.7 MB
+_PIECE_WORDS = 16_384
+# each thread's generator, re-keyed for every read: building one for each
+# _draw_blocks call took 11 to 24 us
+_local = threading.local()
 
 
 def _mix64(x: int) -> int:
@@ -98,13 +115,15 @@ class NoiseStream:
     block for (purpose, width, block_index) is the first words of a Philox
     generator keyed on (seed, replicate, purpose, width, block_index). The
     (seed, replicate) word of that key is mixed once, when the stream is
-    made. _draw_blocks makes a block for many streams at once, and
-    normals_block and raw_block are its one-stream cases; raw_block's words
-    come as the generator gives them, without a copy into a grid. Both
-    generate a block on every call. The per-step readers keep the last
-    block they read, so sequential access by step costs one generator call
-    per block, while random access stays exact and pays one call per block
-    switch.
+    made, and the stream holds no generator, so any thread may read it.
+    _draw_blocks makes a block for many streams at once, and normals_block
+    and raw_block are its one-stream cases; raw_block's words come as the
+    generator gives them, without a copy into a grid. Both generate a block
+    on every call. The per-step readers keep the last block they read, so
+    sequential access by step costs one generator call per block, while
+    random access stays exact and pays one call per block switch. A run's
+    grid of streams is read through _Draws, which fills minibatch words a
+    half-block ahead on a worker thread when two or more CPUs are usable.
     """
 
     PURPOSE_GAUSS = 1
@@ -151,17 +170,26 @@ class NoiseStream:
         return self._at(self.PURPOSE_SUBSET, width, t)
 
 
-def _words(philox: Philox, stream: NoiseStream, lane: int, n: int,
-           start: int = 0) -> np.ndarray:
-    """Words [start, start + n) of Philox keyed on (the stream's key word, lane).
+def _philox() -> Philox:
+    """The calling thread's generator, made at its first read."""
+    try:
+        return _local.philox
+    except AttributeError:
+        _local.philox = Philox(0)
+        return _local.philox
+
+
+def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
+    """Key philox on (the stream's key word, lane) at word start.
 
     philox is re-keyed, whatever it served before: its state is set to the
     key with counter start // 4 and nothing buffered, which gives the words
     that Philox(key=...) would from word 4 * (start // 4) on, without the
     OS entropy that constructor draws for a seed the key then overrides.
     The start % 4 words before start in that counter's output are drawn
-    and dropped. Philox is counter-based, so any range of words comes out
-    the same alone as inside a longer read.
+    and dropped, so random_raw continues from word start. Philox is
+    counter-based, so any range of words comes out the same alone as inside
+    a longer read.
     """
     philox.state = {
         "bit_generator": "Philox",
@@ -171,6 +199,12 @@ def _words(philox: Philox, stream: NoiseStream, lane: int, n: int,
     }
     if start % 4:
         philox.random_raw(start % 4)
+
+
+def _words(philox: Philox, stream: NoiseStream, lane: int, n: int,
+           start: int = 0) -> np.ndarray:
+    """Words [start, start + n) of Philox keyed on (the stream's key word, lane)."""
+    _seek(philox, stream, lane, start)
     return philox.random_raw(n)
 
 
@@ -182,19 +216,21 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
 
     out is (len(streams), hi - lo, width), and is made when not given:
     uint64 words for NoiseStream.PURPOSE_SUBSET, float standard normals for
-    PURPOSE_GAUSS. The streams share one block_size, and one generator made
-    for the call is re-keyed for each of them. Each row reads its own run of
-    words (width words, or two per Box-Muller pair), so rows [lo, hi) read
-    alone are bit for bit those rows of the whole block. Normals come from
-    one Box-Muller pass per chunk of whole streams, at most _CHUNK_PAIRS
-    pairs of words unless one stream's rows alone hold more, so the pass's
-    temporaries stay small however many streams a run reads.
+    PURPOSE_GAUSS. The streams share one block_size, and the calling
+    thread's generator is re-keyed for each of them. Each row reads its own
+    run of words (width words, or two per Box-Muller pair), so rows [lo, hi)
+    read alone are bit for bit those rows of the whole block. Words go into
+    out in pieces of about _PIECE_WORDS, each continuing the counter of the
+    one before. Normals come from one Box-Muller pass per chunk of whole
+    streams, at most _CHUNK_PAIRS pairs of words unless one stream's rows
+    alone hold more, so the pass's temporaries stay small however many
+    streams a run reads.
     """
     if hi is None:
         hi = streams[0].block_size
     rows = hi - lo
     gauss = purpose == NoiseStream.PURPOSE_GAUSS
-    philox = Philox(0)
+    philox = _philox()
     lane = _lane_word(purpose, width, block)
     if out is None:
         if not gauss and len(streams) == 1:
@@ -205,12 +241,12 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
             return words.reshape(1, rows, width)
         out = np.empty((len(streams), rows, width), np.float64 if gauss else np.uint64)
     if not gauss:
+        piece = max(1, _PIECE_WORDS // width)
         for s, dest in zip(streams, out):
-            # words is freed only once the next stream's are made: freeing
-            # each stream's words before the next were made kept about 2 MB
-            # more resident over the benchmark's repeated rr-sto runs
-            words = _words(philox, s, lane, rows * width, lo * width)
-            dest[...] = words.reshape(rows, width)
+            _seek(philox, s, lane, lo * width)
+            for r in range(0, rows, piece):
+                k = min(piece, rows - r)
+                dest[r:r + k] = philox.random_raw(k * width).reshape(k, width)
         return out
     pairs = (width + 1) // 2
     chunk = max(1, _CHUNK_PAIRS // (rows * pairs))
@@ -324,35 +360,105 @@ def _lane(model, obj: ObjectiveSet):
     return NoiseStream.PURPOSE_SUBSET, obj.m * obj.n
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker(threading.Thread):
+    """A thread that runs fn(*args) and keeps what it raised, so that the
+    thread that joins it can raise that same object.
+
+    Plain threads rather than concurrent.futures, whose import (logging
+    included) took 6 to 10 ms of every command's start-up.
+    """
+
+    def __init__(self, fn, *args):
+        super().__init__(target=fn, args=args)
+        self.error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:  # raised by the joining thread
+            self.error = exc
+
+
 class _Draws:
-    """Per-step draws of a (C, R) grid of streams, read a block at a time.
+    """Per-step draws of a (C, R) grid of streams, read from one block buffer.
 
     ids[c][r] is the stream replicate id behind chain c and replicate r; C
     is 1 when every chain shares the replicates' streams. Gaussian noise
-    reads standard normals, minibatch noise subset-selection words.
+    reads standard normals, minibatch noise subset-selection words. T, when
+    given, is the number of steps the run reads: nothing past step T - 1 is
+    filled ahead.
+
+    The buffer holds one block of every stream and is filled in units. On
+    the subset lane with two or more usable CPUs a unit is half a block,
+    and while the steps read one half a worker thread fills the next, at
+    most one fill in flight; the step that crosses into that half joins it
+    and raises what it raised. Philox makes the words without the GIL, so
+    the worker runs beside the step. Otherwise (the Gaussian lane, or one
+    CPU) a unit is the whole block, filled on the calling thread when it is
+    first read, and no worker starts: the Gaussian fill re-keys up to 128
+    streams and runs Box-Muller under the GIL, so a worker for it slowed the
+    Gaussian runs it was tried on, and halves cost more than a whole block.
+    The CLI's --threads does not set the worker. Every draw is the same to
+    the bit either way; close() joins the fill in flight.
     """
 
-    def __init__(self, model, obj: ObjectiveSet, seed: int, ids):
+    def __init__(self, model, obj: ObjectiveSet, seed: int, ids, T: int | None = None):
         self.streams = [NoiseStream(seed, r) for row in ids for r in row]
         self.shape = (len(ids), len(ids[0]))
         self.purpose, self.width = _lane(model, obj)
         self.block_size = self.streams[0].block_size
-        self.block = -1
+        self.ahead = self.purpose == NoiseStream.PURPOSE_SUBSET and _usable_cpus() >= 2
+        self.unit = self.block_size // 2 if self.ahead else self.block_size
+        self.T = T
+        self.current = -1  # the unit the buffer holds for the steps
+        self.pending = None  # (unit, worker) of the fill in flight
         self.buf = None
+
+    def _fill(self, unit: int) -> None:
+        block, lo = divmod(unit * self.unit, self.block_size)
+        hi = lo + self.unit
+        _draw_blocks(self.streams, self.purpose, block, self.width, self.buf[:, lo:hi], lo, hi)
 
     def at(self, t: int) -> np.ndarray:
         """(C, R, width) draws of step t.
 
-        The result is a view of a buffer that the next block overwrites, so
-        it is valid only until a step in another block is read.
+        The result is a view of a buffer that a later fill overwrites, so it
+        is valid only until a step in another unit is read.
         """
-        b, row = divmod(t, self.block_size)
-        if b != self.block:
-            # one (C * R, block_size, width) buffer, filled in place per block
-            self.buf = _draw_blocks(self.streams, self.purpose, b, self.width, self.buf)
-            self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
-            self.block = b
-        return self.grid[:, :, row]
+        unit = t // self.unit
+        if unit != self.current:
+            if self.buf is None:
+                dtype = np.uint64 if self.purpose == NoiseStream.PURPOSE_SUBSET else np.float64
+                self.buf = np.empty((len(self.streams), self.block_size, self.width), dtype)
+                self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
+            self.current = -1
+            pending = self.close()
+            if pending is not None and pending[1].error is not None:
+                raise pending[1].error
+            if pending is None or pending[0] != unit:
+                self._fill(unit)
+            self.current = unit
+            if self.ahead and (self.T is None or (unit + 1) * self.unit < self.T):
+                self.pending = (unit + 1, _Worker(self._fill, unit + 1))
+        return self.grid[:, :, t % self.block_size]
+
+    def close(self):
+        """Join the fill in flight, if any, and return it as (unit, worker).
+
+        A run calls this once it ends, which drops that fill's words and any
+        error it raised."""
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            pending[1].join()
+        return pending
 
 
 def _persample_grads(obj: LogisticObjectives, Theta: np.ndarray) -> np.ndarray:
@@ -523,13 +629,6 @@ _TAU_UNIT = NoiseStream.block_size // 4
 _MAX_TAU_WORKERS = 2
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
                   n_draws: int, seed: int) -> np.ndarray:
     """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0).
@@ -564,28 +663,17 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     workers = max(1, min(_usable_cpus(), _MAX_TAU_WORKERS, len(units)))
     spans = [units[len(units) * i // workers:len(units) * (i + 1) // workers]
              for i in range(workers)]
-    failures = []
-
-    def run_thread(starts: range) -> None:
-        try:
-            run_span(starts)
-        except BaseException as exc:  # raised by the caller once all have joined
-            failures.append(exc)
-
-    # plain threads rather than concurrent.futures, whose import (logging
-    # included) took 6 to 10 ms of every command's start-up
     threads = []
     try:
         for starts in spans[1:]:
-            thread = threading.Thread(target=run_thread, args=(starts,))
-            thread.start()
-            threads.append(thread)
+            threads.append(_Worker(run_span, starts))
         run_span(spans[0])
     finally:
         for thread in threads:
             thread.join()
-    if failures:
-        raise failures[0]
+    for thread in threads:
+        if thread.error is not None:
+            raise thread.error
     return sq_norms
 
 

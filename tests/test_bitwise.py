@@ -722,6 +722,80 @@ def test_draw_grid_is_pinned(shape, ids):
     assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
 
 
+# with two or more usable CPUs a run's minibatch words are filled half a
+# block ahead on a worker thread; at one CPU, and on the Gaussian lane, a
+# whole block at a time on the calling thread. The pins above hold either
+# way, and a run's T, which stops the fill ahead, reads the same steps
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_draw_grid_pins_hold_with_and_without_the_fill_worker(monkeypatch, cpus):
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: cpus)
+    for (lane, width), (m, n, d) in GRID_SHAPES.items():
+        obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
+        model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
+        for ids, streams in GRID_IDS.items():
+            grids = []
+            for T in (None, 3 * 512 - 100):
+                draws = _Draws(model, obj, 41, streams, T)
+                grids.append(np.stack([draws.at(t).copy() for t in range(T or 3 * 512)]))
+                draws.close()
+            assert _digest(grids[0]) == GRID_DIGESTS[lane, width, ids]
+            assert np.array_equal(grids[1], grids[0][:3 * 512 - 100])
+
+
+# steps on both sides of 255/256, 511/512 and 767/768, then one jump back
+FILL_STEPS = [0, 1, 255, 256, 300, 511, 512, 513, 767, 768, 1000, 1023, 1024, 260, 259, 700]
+
+
+@pytest.mark.parametrize("ids", sorted(GRID_IDS))
+@pytest.mark.parametrize("lane", ["gaussian", "minibatch"])
+def test_draw_grid_steps_are_the_same_with_and_without_the_fill_worker(monkeypatch, lane,
+                                                                        ids):
+    m, n, d = 2, 5, 3
+    obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
+    model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
+    grids = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: cpus)
+        draws = _Draws(model, obj, 41, GRID_IDS[ids])
+        grids.append(_digest(*[draws.at(t).copy() for t in FILL_STEPS]))
+        draws.close()
+    assert grids[0] == grids[1]
+
+
+def _fill_runs():
+    """Digests of minibatch rr_runs (shared and independent coupling) and
+    of a two-chain run_chains, 1,100 steps each."""
+    obj = generate_logistic_problem(m=3, n=6, d=2, seed=8)
+    W, model, start = build_ring(3, 0.3), Minibatch(2), StackedPoint.zeros(3, 2)
+    gamma = 0.5 / obj.L
+    recs = [rr_run(W, obj, model, RunConfig(algorithm="rr_dsgd", gamma=gamma, T=1100, seed=5,
+                                            replicates=3, record_every=50, coupling=coupling),
+                   start)
+            for coupling in ("shared", "independent")]
+    configs = [RunConfig(algorithm="dsgd", gamma=g, T=1100, seed=5, replicates=3,
+                         record_every=50, burn_in=100) for g in (gamma, gamma / 2)]
+    recs += run_chains([W, build_fully_connected(3)], obj, model, configs, [start, start])
+    return [_digest(rec.times, rec.dist_opt, rec.consensus_err, rec.disagreement_norm,
+                    rec.avg_client_dist, rec.final, rec.stat_sum, rec.stat_outer)
+            for rec in recs]
+
+
+def test_minibatch_runs_are_the_same_with_and_without_the_fill_worker(monkeypatch):
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: 1)
+    alone = _fill_runs()
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: 2)
+    # the stepping thread and the worker trade the interpreter lock as
+    # often as they can, so a step that read a half before its fill ended
+    # would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = _fill_runs()
+    finally:
+        sys.setswitchinterval(interval)
+    assert ahead == alone
+
+
 # theory's closed forms: (W, obj, noise, gamma) for the fig2-heterogeneous
 # preset (minibatch), a logistic Gaussian ring, a generated quadratic with
 # noise (the exact fixed-point branch), a fully connected graph (Lambda = 0)

@@ -1,10 +1,14 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from dsgd_lab import cli, dynamics
+from dsgd_lab import cli, dynamics, noise
 from dsgd_lab.dynamics import (
     FixedPointResult,
     RunConfig,
+    _Draws,
     coupled_run,
     default_burn_in,
     dgd_step,
@@ -627,3 +631,124 @@ class TestRunChains:
                 np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="step 2000 in chain 1, replicate 0"):
                 run_chains([W, W], obj, None, cfgs, [StackedPoint.zeros(2, 1)] * 2)
+
+
+class _FillFailed(Exception):
+    pass
+
+
+class TestFillWorker:
+    """The worker that fills a run's next half-block of minibatch words: it
+    runs at two or more CPUs on that lane alone, its errors reach the
+    caller, and no thread outlives a run."""
+
+    T = 1100
+
+    @staticmethod
+    def _problem():
+        obj = generate_logistic_problem(m=3, n=6, d=2, seed=8)
+        return obj, build_ring(3, 0.3), StackedPoint.zeros(3, 2)
+
+    def _rr(self, model, gamma=None, T=None):
+        obj, W, start = self._problem()
+        cfg = RunConfig(algorithm="rr_dsgd", gamma=gamma or 0.5 / obj.L, T=T or self.T,
+                        replicates=2, record_every=300)
+        return rr_run(W, obj, model, cfg, start)
+
+    @staticmethod
+    def _recording(monkeypatch, delay=0.0):
+        """Replace _draw_blocks by one that records (thread, block, lo, hi) of
+        each fill, and sleeps delay seconds in each fill off the main thread."""
+        calls = []
+        draw_blocks = noise._draw_blocks
+
+        def recording(streams, purpose, block, width, out=None, lo=0, hi=None):
+            calls.append((threading.current_thread(), block, lo, hi))
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(delay)
+            return draw_blocks(streams, purpose, block, width, out, lo, hi)
+
+        monkeypatch.setattr(noise, "_draw_blocks", recording)
+        return calls
+
+    @pytest.mark.parametrize("kind, cpus, halves", [
+        ("minibatch", 2, True), ("minibatch", 4, True), ("minibatch", 1, False),
+        ("gaussian", 2, False), ("gaussian", 1, False)])
+    def test_halves_are_filled_ahead_on_the_minibatch_lane_at_two_cpus(self, monkeypatch,
+                                                                        kind, cpus, halves):
+        obj, W, start = self._problem()
+        model = Minibatch(2) if kind == "minibatch" else AdditiveGaussian.isotropic(3, 2, 0.4)
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: cpus)
+        calls = self._recording(monkeypatch)
+        # steps 0-599 read units 0-2 of halves (blocks 0 and 1 whole), and
+        # nothing past step 599 is filled
+        self._rr(model, T=600)
+        filled = sorted((block, lo, hi) for _, block, lo, hi in calls)
+        main = threading.main_thread()
+        if halves:
+            assert filled == [(0, 0, 256), (0, 256, 512), (1, 0, 256)]
+            assert [thread is main for thread, *_ in calls] == [True, False, False]
+        else:
+            assert filled == [(0, 0, 512), (1, 0, 512)]
+            assert all(thread is main for thread, *_ in calls)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_thread_outlives_a_run(self, monkeypatch, cpus):
+        obj, W, start = self._problem()
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        self._rr(Minibatch(2))
+        configs = [RunConfig(algorithm="dsgd", gamma=g, T=self.T, replicates=2,
+                             record_every=300, burn_in=10) for g in (0.1, 0.2)]
+        run_chains([W, W], obj, Minibatch(2), configs, [start, start])
+        coupled_run(W, obj, Minibatch(2), 0.1, self.T, start, obj.theta_star_stacked)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("bad_unit", [0, 1, 2, 4])
+    def test_a_failed_fill_reaches_the_caller(self, monkeypatch, bad_unit):
+        # unit 0 is filled on the calling thread, every later one by the worker
+        error = _FillFailed(f"unit {bad_unit} failed")
+        draw_blocks = noise._draw_blocks
+
+        def failing(streams, purpose, block, width, out=None, lo=0, hi=None):
+            if block * NoiseStream.block_size + lo == bad_unit * NoiseStream.block_size // 2:
+                raise error
+            return draw_blocks(streams, purpose, block, width, out, lo, hi)
+
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(noise, "_draw_blocks", failing)
+        threads = threading.active_count()
+        with pytest.raises(_FillFailed) as raised:
+            self._rr(Minibatch(2))
+        assert raised.value is error
+        assert str(raised.value) == f"unit {bad_unit} failed"
+        assert threading.active_count() == threads
+
+    def test_divergence_leaves_no_thread(self, monkeypatch):
+        # the run diverges before step 300, its first record after step 0,
+        # while the worker still fills the half from step 512 on. The error
+        # is kept, and with it the frames of the run and its chain
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: 2)
+        calls = self._recording(monkeypatch, delay=0.3)
+        threads = threading.active_count()
+        with pytest.warns(UserWarning, match="exceeds 1/L"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 300 in replicate 0") as raised:
+                self._rr(Minibatch(2), gamma=1e3)
+        assert threading.active_count() == threads
+        assert raised.value.__traceback__ is not None
+        assert (1, 0, 256) in [call[1:] for call in calls]
+
+    def test_closing_the_chain_early_joins_the_fill(self, monkeypatch):
+        obj, W, start = self._problem()
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: 2)
+        self._recording(monkeypatch, delay=0.3)
+        threads = threading.active_count()
+        draws = _Draws(Minibatch(2), obj, 5, [range(2)], self.T)
+        chain = dynamics._iterate([W], obj, Minibatch(2), [0.1], [start], 2, draws, self.T)
+        for _, _Th in zip(range(300), chain):
+            pass
+        # step 299 read the half from 256, so the half from 512 is in flight
+        assert threading.active_count() == threads + 1
+        chain.close()
+        assert threading.active_count() == threads

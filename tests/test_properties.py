@@ -54,9 +54,11 @@ GRID_PROBLEMS = {
     for (lane, width), (m, n, d) in GRID_LANES.items()
 }
 
-# steps on both sides of the first block boundaries (blocks of 512), so a
-# sequence crosses blocks forwards and jumps back to earlier ones
-STEPS = st.lists(st.sampled_from([0, 1, 510, 511, 512, 513, 1023, 1024, 1600]),
+# steps on both sides of the first block boundaries (blocks of 512) and of
+# the half-blocks that a run's minibatch words are filled in, so a sequence
+# crosses blocks and halves forwards and jumps back to earlier ones
+STEPS = st.lists(st.sampled_from([0, 1, 255, 256, 510, 511, 512, 513, 767, 768, 1023, 1024,
+                                  1600]),
                  min_size=1, max_size=6)
 
 
