@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from dsgd_lab.cli import build_noise, build_objective, build_topology, main, preset_config
-from dsgd_lab.dynamics import (RunConfig, _Draws, coupled_run, dsgd_step, rr_run, run,
-                               run_chains, solve_fixed_point)
+from dsgd_lab.dynamics import (RunConfig, _Draws, _linearised_map, coupled_run, dsgd_step,
+                               rr_run, run, run_chains, solve_fixed_point)
 from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
                              _tau_sq_norms, sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
@@ -1057,3 +1057,92 @@ def _gossip_matrices(kind):
 @pytest.mark.parametrize("kind", sorted(GOSSIP_DIGESTS))
 def test_gossip_matrices_are_pinned(kind):
     assert _digest(*_gossip_matrices(kind)) == GOSSIP_DIGESTS[kind]
+
+
+# the per-client Hessians behind every Newton Jacobian, the mean Hessian and
+# the expansion: fig2-heterogeneous on its ring and on 4 clusters at the
+# sweep's two step sizes, and the README demo's four isotropic quadratics
+# (d = 1) on two clusters, each at theta* and at a point away from it
+HESSIAN_CASES = [("fig2-ring", 1e-3), ("fig2-ring", 5e-4), ("fig2-clusters", 1e-3),
+                 ("fig2-clusters", 5e-4), ("demo", 1e-3)]
+
+
+def _hessian_problem(name):
+    if name == "demo":
+        A = np.array([1.0, 4.0, 1.0, 4.0])[:, None, None]
+        return build_clusters(4, 2, 0.35, 0.2), QuadraticObjectives(A, [[1.0], [1.0], [-1.0], [-1.0]])
+    cfg = preset_config("fig2-heterogeneous")
+    if name == "fig2-clusters":
+        cfg.set("topology", "kind", "clusters")
+    W = build_topology(cfg)
+    return W, build_objective(cfg, W.m)
+
+
+def _hessian_points(obj):
+    star = obj.theta_star_stacked.data
+    return star, star + 0.5 * np.random.default_rng(43).standard_normal(star.shape)
+
+
+LINEARISED_MAP_DIGESTS = {
+    ("fig2-ring", 1e-3): "3c800af25c783e87eff1133b6dbb35d55ace1b8d8d30027160ebb47d2a6d5b30",
+    ("fig2-ring", 5e-4): "15473a2edf0deb79e50e3a808a38024b999076d6f08addafc5a1c5ea5729c969",
+    ("fig2-clusters", 1e-3): "1731e8d8ecc9db8f7f91fdcb243139f614ba66cac9660ae93fcffd3be1398e78",
+    ("fig2-clusters", 5e-4): "3e53abd83726a549e7834136e2b284bb884d723f7294c437de9b6361dcb5c041",
+    ("demo", 1e-3): "9bccc434fb3aace11e16e241cbbf29926b44ffc51056e39e980431384ebe7cae",
+}
+
+
+@pytest.mark.parametrize("case", HESSIAN_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_linearised_map_is_pinned(case):
+    name, gamma = case
+    W, obj = _hessian_problem(name)
+    got = [_linearised_map(W.entries, obj, gamma, point) for point in _hessian_points(obj)]
+    assert _digest(*got) == LINEARISED_MAP_DIGESTS[case]
+
+
+# (kind, m, d): at d = 1 a numpy reduction over m >= 8 clients goes pairwise,
+# so these pin the client order of the sum
+MEAN_HESSIAN_CASES = [("logistic", 8, 1), ("logistic", 12, 1), ("logistic", 5, 2),
+                      ("logistic", 3, 5), ("quadratic", 8, 1), ("quadratic", 4, 5)]
+
+MEAN_HESSIAN_DIGESTS = {
+    ("logistic", 8, 1): "accb3244effd0d7584eefcd984cb0c2864775a4287117021b62c5b65b8b69973",
+    ("logistic", 12, 1): "4bb0ba4a85080c9be80c2b56a9c03abdf03106a3fc5e7f765d3a2b168863d605",
+    ("logistic", 5, 2): "8ed389715911f808d0fbfd2e8b647d6be70ea7792e35b60ee43ab7bde4962f82",
+    ("logistic", 3, 5): "c721e8d52c86a270d1f7d5aa3f51fff51290f5dcdd0d71535ed78cd25c27c596",
+    ("quadratic", 8, 1): "24d1dc9f3ec2eca98cf16cf2b205013802c4fea87440ac6fd031dfebdd1c76e8",
+    ("quadratic", 4, 5): "29064690031c9a1f3828b1005f92b9404a8620ccdfde86322f95d52a1b867041",
+}
+
+
+def _mean_hessian_problem(kind, m, d):
+    if kind == "logistic":
+        return generate_logistic_problem(m=m, n=20, d=d, seed=47)
+    rng = np.random.default_rng(53)
+    B = rng.standard_normal((m, d, d))
+    return QuadraticObjectives(np.einsum("kij,klj->kil", B, B) + np.eye(d),
+                               rng.standard_normal((m, d)))
+
+
+@pytest.mark.parametrize("case", MEAN_HESSIAN_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_mean_hessian_is_pinned(case):
+    obj = _mean_hessian_problem(*case)
+    points = [obj.theta_star, obj.theta_star + np.random.default_rng(59).standard_normal(obj.d)]
+    assert _digest(*[obj.mean_hessian(theta) for theta in points]) == MEAN_HESSIAN_DIGESTS[case]
+
+
+FIG2_EXPANSION_DIGESTS = {
+    ("fig2-ring", 1e-3): "614454400cd0e6922a28c229b58afbbf90a3cb2910c35e723a1eaf398d312ace",
+    ("fig2-ring", 5e-4): "40d73920b5c09f29fe54bc2d24fdc4f94a46634c67a8645b8cabc47ffa0730da",
+    ("fig2-clusters", 1e-3): "7fffbf108ff8e54d72e2d386de8b9b509e603d838168634012b4ee402434e427",
+    ("fig2-clusters", 5e-4): "e637dfa0f3b7682f296da42d08a95df99df1aac3e4036736629b88bee3367e77",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIG2_EXPANSION_DIGESTS),
+                         ids=lambda case: f"{case[0]}-{case[1]}")
+def test_fig2_expansion_is_pinned(case):
+    name, gamma = case
+    expansion = det_bias_expansion(*_hessian_problem(name), gamma)
+    got = _digest(expansion.prediction.data, np.array(expansion.residual_bound))
+    assert got == FIG2_EXPANSION_DIGESTS[case]
