@@ -324,7 +324,7 @@ def _linearised_map(W: np.ndarray, obj: ObjectiveSet, gamma: float,
     M is the Jacobian of the deterministic step, an (md, md) matrix.
     """
     m, d = obj.m, obj.d
-    local = np.eye(d) - gamma * np.stack([obj.hess_local(k, Th[k]) for k in range(m)])
+    local = np.eye(d) - gamma * obj._hess_batch(Th)
     return np.einsum("ik,kab->iakb", W, local).reshape(m * d, m * d)
 
 

@@ -8,9 +8,10 @@ Two models:
   only; the ridge term cancels).
 
 This module is the one that knows how draws become noise. _lane names the
-lane and width a model reads, _noise turns (..., width) draws into (..., m, d)
-noise, and _drift turns a step's draws into the stochastic gradients of a
-stack of chains; sample_noise, the tau pass and every engine's step use them.
+lane and width a model reads, _noise binds a model to a point and gives the
+function that turns (..., width) draws into (..., m, d) noise there, and
+_drift turns a step's draws into the stochastic gradients of a stack of
+chains; sample_noise, the tau pass and every engine's step use them.
 
 Randomness is keyed, not stateful: the draw consumed at step t by client k
 of replicate r is a pure function of (seed, replicate, t, k). Streams are
@@ -527,20 +528,27 @@ def _pick_mean(picked: np.ndarray) -> np.ndarray:
     return total / len(picked)
 
 
-def _noise(model, obj: ObjectiveSet, Theta: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The (..., m, d) noise that (..., width) draws of the model's lane give.
+def _noise(model, obj: ObjectiveSet, Theta: np.ndarray):
+    """The function that turns (..., width) draws of the model's lane into
+    the (..., m, d) noise at the (m, d) point Theta.
 
     Gaussian noise is S_k z_k, whatever Theta. Minibatch noise is the mean
     gradient of the samples the words pick minus the full local gradient,
-    both at the (m, d) point Theta.
+    both at Theta: the per-sample gradients and their full mean are formed
+    here, once, and every call of the result reads them without writing.
     """
-    lead = draws.shape[:-1]
     if isinstance(model, AdditiveGaussian):
-        return np.einsum("kij,...kj->...ki", model.factors, draws.reshape(lead + (obj.m, obj.d)))
-    keys = draws.reshape(lead + (obj.m, obj.n))
+        def gaussian(draws):
+            z = draws.reshape(draws.shape[:-1] + (obj.m, obj.d))
+            return np.einsum("kij,...kj->...ki", model.factors, z)
+        return gaussian
     persample = _persample_grads(obj, Theta)
-    return (_pick_mean(_picked(persample, keys, model.batch_size))
-            - np.add.reduce(persample, axis=1) / obj.n)
+    full = np.add.reduce(persample, axis=1) / obj.n
+
+    def minibatch(draws):
+        keys = draws.reshape(draws.shape[:-1] + (obj.m, obj.n))
+        return _pick_mean(_picked(persample, keys, model.batch_size)) - full
+    return minibatch
 
 
 def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
@@ -548,7 +556,7 @@ def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) ->
     step's (1 or C, R, width) draws; model None gives the gradients."""
     if not isinstance(model, Minibatch):
         drift = obj._grad_batch(Th)
-        return drift if model is None else drift + _noise(model, obj, Th, draw)
+        return drift if model is None else drift + _noise(model, obj, Th)(draw)
     # the subsample mean is the gradient plus the noise, so the full data
     # gradient is never needed, and only the b picked samples' sigmoids
     # are. The picks come from the coordinate-major data: Xb is (d, b, 1 or
@@ -573,7 +581,7 @@ def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
     """
     _check_model(model, obj)
     obj._check_point(Theta)
-    eps = _noise(model, obj, Theta.data, stream._at(*_lane(model, obj), t))
+    eps = _noise(model, obj, Theta.data)(stream._at(*_lane(model, obj), t))
     return StackedPoint(obj.m, obj.d, eps)
 
 
@@ -637,15 +645,18 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     through _draw_blocks. Each usable CPU, up to _MAX_TAU_WORKERS and the
     number of units, takes one contiguous span of units: the calling
     thread runs the first, and one thread each the others, all joined
-    before this returns. A unit's draws and norms depend only on its steps,
-    and each span writes its own slice of the result, so every bit is the
-    same at any worker count. An exception in any span is raised here as
-    it was raised.
+    before this returns. The noise is bound to Theta_star once, before the
+    spans start, so the minibatch per-sample gradients at Theta_star and
+    their full mean are formed once per pass and every thread reads them.
+    A unit's draws and norms depend only on its steps, and each span writes
+    its own slice of the result, so every bit is the same at any worker
+    count. An exception in any span is raised here as it was raised.
     """
     stream = NoiseStream(seed=seed, replicate=0)
     purpose, width = _lane(model, obj)
     size = stream.block_size
     sq_norms = np.empty(n_draws)
+    noise_at = _noise(model, obj, Theta_star.data)
 
     def run_span(starts: range) -> None:
         # draws is rebound only once the next unit's are made, so that the
@@ -656,7 +667,7 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
             block, row = divmod(start, size)
             draws = _draw_blocks([stream], purpose, block, width,
                                  lo=row, hi=row + stop - start)[0]
-            eps = _noise(model, obj, Theta_star.data, draws)
+            eps = noise_at(draws)
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
 
     units = range(0, n_draws, _TAU_UNIT)

@@ -74,8 +74,9 @@ class ObjectiveSet:
     kind: str
 
     # subclasses provide: grad_local, hess_local, third_contract_local,
-    # _grad_batch (stacked gradients of a (..., m, d) array), mu, L, K3,
-    # and _solve_optimum: a closed form for quadratics; for logistic losses
+    # _grad_batch (stacked gradients of a (..., m, d) array), _hess_batch
+    # (the (m, d, d) Hessians of an (m, d) point, block k bit for bit
+    # hess_local(k, Th[k])), mu, L, K3, and _solve_optimum: a closed form for quadratics; for logistic losses
     # matops.damped_newton on the mean gradient, the loop that also finds
     # Theta_det.
 
@@ -110,10 +111,12 @@ class ObjectiveSet:
         return StackedPoint.replicate(self.theta_star, self.m)
 
     def mean_hessian(self, theta) -> np.ndarray:
+        """(1/m) sum_k hess f_k(theta), the clients summed in client order:
+        a numpy reduction over them goes pairwise at d = 1, m >= 8."""
         theta = np.asarray(theta, dtype=float)
         H = np.zeros((self.d, self.d))
-        for k in range(self.m):
-            H += self.hess_local(k, theta)
+        for Hk in self._hess_batch(np.broadcast_to(theta, (self.m, self.d))):
+            H += Hk
         return H / self.m
 
     def heterogeneity(self) -> float:
@@ -180,6 +183,9 @@ class QuadraticObjectives(ObjectiveSet):
         self._check_client(k)
         return np.zeros(self.d)
 
+    def _hess_batch(self, Th: np.ndarray) -> np.ndarray:
+        return self.A.copy()
+
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
         return np.einsum("kij,...kj->...ki", self.A, Th - self.theta_loc_star)
 
@@ -237,6 +243,15 @@ class LogisticObjectives(ObjectiveSet):
         s = _sigmoid(X @ theta)
         w = s * (1.0 - s)
         return (X.T * w) @ X / self.n + self.lambda_reg * np.eye(self.d)
+
+    def _hess_batch(self, Th: np.ndarray) -> np.ndarray:
+        # the matvec and the gram product of hess_local, one batched matmul
+        # each, so every block is that client's Hessian to the bit
+        X = self.data
+        s = _sigmoid(np.matmul(X, Th[:, :, None])[..., 0])
+        w = s * (1.0 - s)
+        H = np.matmul(X.transpose(0, 2, 1) * w[:, None, :], X)
+        return H / self.n + self.lambda_reg * np.eye(self.d)
 
     def third_contract_local(self, k: int, theta, u) -> np.ndarray:
         """grad^3 f_k(theta) applied to u (x) u (ridge term contributes 0)."""

@@ -250,7 +250,7 @@ def det_bias_expansion(W: CommMatrix, obj: ObjectiveSet,
     """
     prof = _expansion_gate(W, obj, gamma)
     star = obj.theta_star
-    hess = np.stack([obj.hess_local(k, star) for k in range(obj.m)])
+    hess = obj._hess_batch(obj.theta_star_stacked.data)
     ops = _BlockOps(W, hess, hess.mean(axis=0), gamma)
     Gg = ops.G @ obj.grad_stacked(obj.theta_star_stacked).data
     data = star[None, :] - gamma * (Gg - ops.h(Gg)[None, :])

@@ -363,6 +363,23 @@ class TestTauWorkers:
         assert len(seen) == workers
         assert threading.main_thread() in seen
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_per_sample_gradients_are_formed_once_per_pass(self, monkeypatch, logit_obj,
+                                                               workers):
+        calls = []
+        persample_grads = noise._persample_grads
+
+        def counting(obj, Theta):
+            calls.append(threading.current_thread())
+            return persample_grads(obj, Theta)
+
+        monkeypatch.setattr(noise, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(noise, "_persample_grads", counting)
+        Theta = StackedPoint.replicate(logit_obj.theta_star, logit_obj.m)
+        # 1,300 draws are 11 units
+        tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1_300)
+        assert calls == [threading.main_thread()]
+
 
 class TestSmoothness:
     def test_gaussian_uses_objective_L(self, quad_obj):

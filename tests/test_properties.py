@@ -3,9 +3,10 @@ re-keyed Philox against a new one, a row range of a block against the whole
 block, the Newton solve for Theta_det against the Picard oracle, the shared
 Newton loop on theta*, the sigmoid against the masked formula and an exact
 decimal reference, the packed-word selection against argsort, the minibatch
-drift against the full per-sample gradient formula, every topology
-builder's W against the block average, the expansion's residual bound
-against the rr bound, and each chain of a batched run against a lone run."""
+drift against the full per-sample gradient formula, the batched Hessians
+against the per-client ones, every topology builder's W against the block
+average, the expansion's residual bound against the rr bound, and each
+chain of a batched run against a lone run."""
 
 import decimal
 import io
@@ -161,6 +162,23 @@ def _rounding_floor(obj, gamma, point):
 
 
 TOL = inspect.signature(fixed_point).parameters["tol"].default
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "logistic"]), m=st.integers(1, 12),
+       n=st.integers(1, 50), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.1, 5.0))
+def test_batched_hessians_are_bitwise_the_per_client_ones(kind, m, n, d, seed, scale):
+    if kind == "logistic":
+        obj = generate_logistic_problem(m=m, n=n, d=d, seed=seed)
+    else:
+        obj = _problem("quadratic", m, d, seed)
+    rng = np.random.default_rng(seed)
+    Th = obj.theta_star + scale * rng.standard_normal((m, d))
+    H = obj._hess_batch(Th)
+    assert H.shape == (m, d, d) and H.dtype == np.float64
+    for k in range(m):
+        assert H[k].tobytes() == obj.hess_local(k, Th[k]).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
