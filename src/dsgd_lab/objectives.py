@@ -76,9 +76,9 @@ class ObjectiveSet:
     # subclasses provide: grad_local, hess_local, third_contract_local,
     # _grad_batch (stacked gradients of a (..., m, d) array), _hess_batch
     # (the (m, d, d) Hessians of an (m, d) point, block k bit for bit
-    # hess_local(k, Th[k])), mu, L, K3, and _solve_optimum: a closed form for quadratics; for logistic losses
-    # matops.damped_newton on the mean gradient, the loop that also finds
-    # Theta_det.
+    # hess_local(k, Th[k])), mu, L, K3, and _solve_optimum: a closed form
+    # for quadratics; for logistic losses matops.damped_newton on the mean
+    # gradient, the loop that also finds Theta_det.
 
     def _check_client(self, k: int) -> None:
         if not (0 <= k < self.m):

@@ -375,6 +375,22 @@ def test_tau_pass_pins_hold_at_every_worker_count(monkeypatch, workers):
         assert _digest(sq_norms) == GAUSS_TAU_DIGESTS[m, d, n_draws]
 
 
+def test_tau_pass_threads_share_the_bound_noise_under_frequent_switches(monkeypatch):
+    # four workers read the one set of per-sample gradients at Theta*, with
+    # the interpreter switching threads as often as it can
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: 4)
+    monkeypatch.setattr("dsgd_lab.noise._MAX_TAU_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, n_draws in TAU_CASES:
+            obj, model = _tau_problem(name)
+            sq_norms = _tau_sq_norms(model, obj, obj.theta_star_stacked, n_draws, seed=0)
+            assert _digest(sq_norms) == TAU_DIGESTS[name]["sq_norms"]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_short_tau_pass_is_the_start_of_a_long_one(monkeypatch, workers):
     # one draw, and a pass that ends one draw into its third unit
