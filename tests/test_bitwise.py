@@ -24,7 +24,7 @@ from dsgd_lab.cli import build_noise, build_objective, build_topology, main, pre
 from dsgd_lab.dynamics import (RunConfig, _Draws, _linearised_map, coupled_run, dsgd_step,
                                rr_run, run, run_chains, solve_fixed_point)
 from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
-                             _tau_sq_norms, sample_noise, tau_squares)
+                             _noise, _tau_sq_norms, sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.stats import stationary_moments
@@ -776,6 +776,55 @@ def test_draw_grid_steps_are_the_same_with_and_without_the_fill_worker(monkeypat
         grids.append(_digest(*[draws.at(t).copy() for t in FILL_STEPS]))
         draws.close()
     assert grids[0] == grids[1]
+
+
+# the Gaussian noise S_k z_k that a run's steps add, at full, non-diagonal
+# covariances: the Gaussian GRID_DIGESTS have S = I, so they cannot tell the
+# normals from the noise. The (C, R, m, d) noise of every step of the first
+# three blocks, then of the FILL_STEPS jumps; (m, d) -> the streams of the
+# chains, one chain of 5 at (3, 3) and two independent chains of 4 at (2, 5)
+GAUSS_NOISE_GRID_IDS = {(3, 3): [range(5)], (2, 5): [range(0, 8, 2), range(1, 8, 2)]}
+
+GAUSS_NOISE_GRID_DIGESTS = {
+    (3, 3): "fa79ab311fa908f9dced6de6ca4b086711b2da6ab53cee8cac56aaaefc082a9a",
+    (2, 5): "0875ce2c3ab53414d6752ed86b5e334b9ab18c4cae0b897897c71b025034941f",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GAUSS_NOISE_GRID_IDS), ids=lambda s: "m{}-d{}".format(*s))
+def test_gaussian_noise_grid_is_pinned(shape):
+    m, d = shape
+    ids = GAUSS_NOISE_GRID_IDS[shape]
+    obj = generate_logistic_problem(m=m, n=4, d=d, seed=3)
+    model = _gaussian_model(m, d, 61)
+    draws = _Draws(model, obj, 41, ids)
+    noise = _noise(model, obj, None)
+    grid = np.stack([noise(draws.at(t)) for t in [*range(3 * 512), *FILL_STEPS]])
+    assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m, d)
+    assert _digest(grid) == GAUSS_NOISE_GRID_DIGESTS[shape]
+
+
+# LogisticObjectives._grad_batch on a (C, R, m, d) stack whose replicates
+# are scaled from 1e-2 to 1e3, so that theta.x crosses +-709, where the
+# sigmoid's exp is clamped. (C, R, m, n, d); the first is the AC10 shape
+GRAD_BATCH_CASES = [(1, 128, 1, 25, 1), (2, 20, 12, 50, 2), (1, 3, 4, 6, 5)]
+
+GRAD_BATCH_DIGESTS = {
+    (1, 128, 1, 25, 1): "8a9ed2a26acd0ca5546930f71384a58ac8bb5a3f61361e6f0b7183012e0f5ccd",
+    (2, 20, 12, 50, 2): "484cd0fb72615c641cd104451e74be256b6a6aa6f1ea96bb9d084d0b0c1d3706",
+    (1, 3, 4, 6, 5): "25f719408de31e7c42c198467a5ca4fc1228913b2db64a32031dda08cda96263",
+}
+
+
+@pytest.mark.parametrize("case", GRAD_BATCH_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_logistic_grad_batch_is_pinned(case):
+    C, R, m, n, d = case
+    obj = generate_logistic_problem(m=m, n=n, d=d, seed=67)
+    rng = np.random.default_rng(71)
+    Th = rng.standard_normal((C, R, m, d)) * np.logspace(-2, 3, R)[:, None, None]
+    z = np.abs(np.einsum("...kd,knd->...kn", Th, obj.data))
+    assert (z > 709.0).any() and (z < 709.0).any()
+    assert _digest(obj._grad_batch(Th)) == GRAD_BATCH_DIGESTS[case]
 
 
 def _fill_runs():
