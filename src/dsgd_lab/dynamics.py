@@ -36,7 +36,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matops import damped_newton
-from .noise import NoiseStream, _check_model, _Draws, _drift, _lane, smoothness_constant
+from .noise import (AdditiveGaussian, NoiseStream, _check_model, _Draws, _drift, _lane, _noise,
+                    smoothness_constant)
 from .objectives import ObjectiveSet
 from .stacked import StackedPoint
 from .topology import CommMatrix
@@ -199,11 +200,14 @@ def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
     broadcast over the stack, or one float. draw is None for noiseless
     chains; otherwise it holds the step's draws for each replicate, shaped
     (1, R, width) when all C chains share them and (C, R, width) when each
-    chain has its own. Shared draws are turned once, into noise or into
-    subset indices and the picked samples' rows, and broadcast over the
-    chains.
+    chain has its own: Gaussian noise, or subset words. Shared draws are
+    added, or turned once into subset indices and the picked samples' rows,
+    and broadcast over the chains. Th - gammas * drift is formed in the
+    drift's memory.
     """
-    return np.matmul(W, Th - gammas * _drift(obj, noise, Th, draw))
+    drift = _drift(obj, noise, Th, draw)
+    drift *= gammas
+    return np.matmul(W, np.subtract(Th, drift, out=drift))
 
 
 def _iterate(Ws, obj: ObjectiveSet, noise, gammas, starts, R: int,
@@ -239,13 +243,16 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
               Theta: StackedPoint, stream: NoiseStream, t: int) -> StackedPoint:
     """One stochastic update at step t: local noisy gradient step, then mixing.
 
-    Consumes the stream's draws of step t.
+    Consumes the stream's draws of step t: Gaussian normals are turned into
+    the noise there, as a run's _Draws turns them once per fill.
     """
     _check_step(gamma, obj.L)
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
     draw = stream._at(*_lane(noise, obj), t)
-    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw[None, None])
+    if isinstance(noise, AdditiveGaussian):
+        draw = _noise(noise, obj, None)(draw)
+    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw.reshape(1, 1, -1))
     return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 
@@ -484,8 +491,9 @@ def _drive(chain, obj: ObjectiveSet, configs, Theta_dets, combine=None) -> list[
     """Consume the chain's stacks: record metrics, accumulate moments.
 
     combine maps a (C, R, m, d) stack to the (K, R, m, d) recorded iterates,
-    one per config; by default they are the chains. Raises DivergenceError
-    when one is not finite at a record step or at T, naming the chain if K > 1.
+    one per config; by default they are the chains. It is formed only at the
+    steps that are recorded or accumulated. Raises DivergenceError when one
+    is not finite at a record step or at T, naming the chain if K > 1.
     """
     config = configs[0]
     theta_star = obj.theta_star
@@ -504,13 +512,16 @@ def _drive(chain, obj: ObjectiveSet, configs, Theta_dets, combine=None) -> list[
 
     try:
         for step_idx, Th in enumerate(chain):
+            record = step_idx % stride == 0 or step_idx == T
+            if step_idx <= burn and not record:
+                continue
             current = Th if combine is None else combine(Th)
             if step_idx > burn:
                 stat_sum += current
                 flat = current.reshape(K, R, m * d)
                 stat_outer += np.multiply(flat[..., :, None], flat[..., None, :], out=outer)
                 stat_count += 1
-            if step_idx % stride == 0 or step_idx == T:
+            if record:
                 bad = ~np.isfinite(current).all(axis=(2, 3))
                 if bad.any():
                     k, r = np.unravel_index(np.argmax(bad), bad.shape)

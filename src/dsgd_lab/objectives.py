@@ -55,11 +55,24 @@ def _sigmoid(z):
     z). The clamp keeps exp finite, so no input overflows: -inf maps to
     about 1.2e-308, +inf to 1 and NaN to NaN.
     """
-    e = np.negative(z)
+    return _sigmoid_of_negated(np.negative(z))
+
+
+def _sigmoid_of_negated(e):
+    """_sigmoid(-e), computed in the memory of the float array e and returned."""
     np.minimum(e, 709.0, out=e)
     np.exp(e, out=e)
     e += 1.0
     return np.divide(1.0, e, out=e)
+
+
+def _client_mean(stack: np.ndarray) -> np.ndarray:
+    """(1/m) sum_k stack[k] of an (m, ...) stack, the clients summed in client
+    order: a numpy reduction over them goes pairwise at d = 1, m >= 8."""
+    total = np.zeros(stack.shape[1:])
+    for block in stack:
+        total += block
+    return total / len(stack)
 
 
 class ObjectiveSet:
@@ -111,13 +124,9 @@ class ObjectiveSet:
         return StackedPoint.replicate(self.theta_star, self.m)
 
     def mean_hessian(self, theta) -> np.ndarray:
-        """(1/m) sum_k hess f_k(theta), the clients summed in client order:
-        a numpy reduction over them goes pairwise at d = 1, m >= 8."""
+        """(1/m) sum_k hess f_k(theta), the clients summed in client order."""
         theta = np.asarray(theta, dtype=float)
-        H = np.zeros((self.d, self.d))
-        for Hk in self._hess_batch(np.broadcast_to(theta, (self.m, self.d))):
-            H += Hk
-        return H / self.m
+        return _client_mean(self._hess_batch(np.broadcast_to(theta, (self.m, self.d))))
 
     def heterogeneity(self) -> float:
         """zeta*^2 = sum_k ||grad f_k(theta*)||^2."""
@@ -222,6 +231,15 @@ class LogisticObjectives(ObjectiveSet):
         self.K3 = float(SIGMOID_THIRD_BOUND * np.max(norms) ** 3)
 
     @cached_property
+    def _neg_data(self) -> np.ndarray:
+        """-data: theta.(-x) is -(theta.x) to the bit, since negation is exact
+        and rounding to nearest is symmetric in sign, so a contraction with it
+        gives the sigmoid's negated argument without a pass of its own."""
+        X = np.negative(self.data)
+        X.setflags(write=False)
+        return X
+
+    @cached_property
     def data_by_coord(self) -> np.ndarray:
         """The data coordinate-major, (d, m*n): column k*n + i is sample i of
         client k, so a gather of samples reads each coordinate contiguously."""
@@ -272,12 +290,13 @@ class LogisticObjectives(ObjectiveSet):
         )
 
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
-        z = np.einsum("...kd,knd->...kn", Th, self.data)
-        s = _sigmoid(z)
-        return (
-            np.einsum("...kn,knd->...kd", s, self.data) / self.n
-            + self.lambda_reg * Th
-        )
+        # the sigmoid of theta.x from -(theta.x), and the mean and the ridge
+        # term added in place: each op the one of einsum / n + lambda theta
+        s = _sigmoid_of_negated(np.einsum("...kd,knd->...kn", Th, self._neg_data))
+        g = np.einsum("...kn,knd->...kd", s, self.data)
+        g /= self.n
+        g += self.lambda_reg * Th
+        return g
 
     def _mean_grad(self, theta: np.ndarray) -> np.ndarray:
         z = np.einsum("d,knd->kn", theta, self.data)

@@ -40,7 +40,7 @@ from .errors import (
 from ._textio import write_csv
 from .matops import sylvester_solve
 from .noise import covariance_at, tau_squares
-from .objectives import ObjectiveSet
+from .objectives import ObjectiveSet, _client_mean
 from .stacked import StackedPoint
 from .topology import CommMatrix, gossip_operator
 
@@ -251,7 +251,8 @@ def det_bias_expansion(W: CommMatrix, obj: ObjectiveSet,
     prof = _expansion_gate(W, obj, gamma)
     star = obj.theta_star
     hess = obj._hess_batch(obj.theta_star_stacked.data)
-    ops = _BlockOps(W, hess, hess.mean(axis=0), gamma)
+    # Abar summed as mean_hessian sums it, so it is _lyapunov_core's to the bit
+    ops = _BlockOps(W, hess, _client_mean(hess), gamma)
     Gg = ops.G @ obj.grad_stacked(obj.theta_star_stacked).data
     data = star[None, :] - gamma * (Gg - ops.h(Gg)[None, :])
     # halving is exact in binary floating point

@@ -778,11 +778,13 @@ def test_draw_grid_steps_are_the_same_with_and_without_the_fill_worker(monkeypat
     assert grids[0] == grids[1]
 
 
-# the Gaussian noise S_k z_k that a run's steps add, at full, non-diagonal
-# covariances: the Gaussian GRID_DIGESTS have S = I, so they cannot tell the
-# normals from the noise. The (C, R, m, d) noise of every step of the first
-# three blocks, then of the FILL_STEPS jumps; (m, d) -> the streams of the
-# chains, one chain of 5 at (3, 3) and two independent chains of 4 at (2, 5)
+# the Gaussian noise S_k z_k that _Draws.at gives a run's steps, at full,
+# non-diagonal covariances: the Gaussian GRID_DIGESTS have S = I, so they
+# cannot tell the normals from the noise. The (C, R, m, d) noise of every
+# step of the first three blocks, then of the FILL_STEPS jumps; (m, d) -> the
+# streams of the chains, one chain of 5 at (3, 3) and two independent chains
+# of 4 at (2, 5). Recorded as _noise(model, obj, None) of the normals, which
+# sample_noise and the tau pass still read
 GAUSS_NOISE_GRID_IDS = {(3, 3): [range(5)], (2, 5): [range(0, 8, 2), range(1, 8, 2)]}
 
 GAUSS_NOISE_GRID_DIGESTS = {
@@ -798,10 +800,14 @@ def test_gaussian_noise_grid_is_pinned(shape):
     obj = generate_logistic_problem(m=m, n=4, d=d, seed=3)
     model = _gaussian_model(m, d, 61)
     draws = _Draws(model, obj, 41, ids)
+    # at returns a view of a buffer that the next block overwrites
+    grid = np.stack([draws.at(t).copy() for t in [*range(3 * 512), *FILL_STEPS]])
+    assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m * d)
+    assert _digest(grid.reshape(grid.shape[:3] + (m, d))) == GAUSS_NOISE_GRID_DIGESTS[shape]
     noise = _noise(model, obj, None)
-    grid = np.stack([noise(draws.at(t)) for t in [*range(3 * 512), *FILL_STEPS]])
-    assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m, d)
-    assert _digest(grid) == GAUSS_NOISE_GRID_DIGESTS[shape]
+    for t in FILL_STEPS:
+        normals = np.array([[NoiseStream(41, r).normals_at(t, m * d) for r in row] for row in ids])
+        assert noise(normals).tobytes() == grid[t].tobytes()
 
 
 # LogisticObjectives._grad_batch on a (C, R, m, d) stack whose replicates

@@ -2,7 +2,8 @@
 re-keyed Philox against a new one, a row range of a block against the whole
 block, the Newton solve for Theta_det against the Picard oracle, the shared
 Newton loop on theta*, the sigmoid against the masked formula and an exact
-decimal reference, the packed-word selection against argsort, the minibatch
+decimal reference, the batched logistic gradient against its einsum and
+sigmoid formula, the packed-word selection against argsort, the minibatch
 drift against the full per-sample gradient formula, the batched Hessians
 against the per-client ones, every topology builder's W against the block
 average, the expansion's residual bound against the rr bound, and each
@@ -271,9 +272,39 @@ def test_sigmoid_is_within_3_ulp_of_the_exact_value(values):
 
 
 def test_sigmoid_maps_nan_and_the_infinities():
-    got = _sigmoid(np.array([np.nan, np.inf, -np.inf]))
+    z = np.array([np.nan, np.inf, -np.inf])
+    got = _sigmoid(z)
     assert np.isnan(got[0]) and got[1] == 1.0
     assert 0.0 <= got[2] <= 1.3e-308
+    # the in-place core runs on a negated copy, so z itself is left as it was
+    assert np.isnan(z[0]) and z[1] == np.inf and z[2] == -np.inf
+
+
+def _grad_batch_formula(obj, Th):
+    """The batched logistic gradient as einsum, _sigmoid, then
+    einsum / n + lambda theta, each a new array."""
+    s = _sigmoid(np.einsum("...kd,knd->...kn", Th, obj.data))
+    return np.einsum("...kn,knd->...kd", s, obj.data) / obj.n + obj.lambda_reg * Th
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (1, 1), (2, 3), (1, 7)]), m=st.integers(1, 12),
+       n=st.integers(1, 50), d=st.integers(1, 6), lam=st.sampled_from([1e-3, 0.1, 3.7]),
+       top=st.floats(-2.0, 3.5), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_logistic_grad_batch_is_bitwise_the_einsum_sigmoid_formula(lead, m, n, d, lam, top,
+                                                                   zeros, seed):
+    # magnitudes from 1e-3 to 10**top, so theta.x crosses +-709 where the
+    # exp is clamped once top is about 2.5, and exact (signed) zeros
+    rng = np.random.default_rng(seed)
+    obj = generate_logistic_problem(m=m, n=n, d=d, lambda_reg=lam, seed=seed % 1000)
+    shape = lead + (m, d)
+    Th = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, top, shape)
+    if zeros:
+        Th[rng.random(shape) < 0.3] = 0.0
+        Th[rng.random(shape) < 0.1] = -0.0
+    got = obj._grad_batch(Th)
+    assert got.shape == shape
+    assert got.tobytes() == _grad_batch_formula(obj, Th).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

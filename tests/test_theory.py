@@ -13,6 +13,7 @@ from dsgd_lab.errors import (
 from dsgd_lab.noise import AdditiveGaussian
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
+from dsgd_lab import theory
 from dsgd_lab.theory import (
     bound_diagnostics,
     det_bias_expansion,
@@ -166,6 +167,24 @@ class TestBiasExpansion:
         pred, bound = det_bias_expansion(W, obj, gamma)
         ref = fixed_point(W, obj, gamma).point
         assert np.linalg.norm(ref.data - pred.data) <= bound
+
+    def test_expansion_and_lyapunov_core_build_one_abar(self, monkeypatch):
+        # at d = 1 a numpy mean over m >= 8 clients goes pairwise, so a
+        # second way of averaging would differ in the last bits here
+        seen = []
+
+        class SpyOps(theory._BlockOps):
+            def __init__(self, W, hessians, mean_hessian, gamma):
+                seen.append(np.array(mean_hessian))
+                super().__init__(W, hessians, mean_hessian, gamma)
+
+        monkeypatch.setattr(theory, "_BlockOps", SpyOps)
+        noise = AdditiveGaussian.isotropic(8, 1, 1.0)
+        for seed in range(20):
+            obj = generate_logistic_problem(m=8, n=20, d=1, seed=seed)
+            det_bias_expansion(build_fully_connected(8), obj, 0.5 / obj.L)
+            Abar, _ = theory._lyapunov_core(obj, noise)
+            assert seen.pop().tobytes() == Abar.tobytes(), seed
 
     def test_step_gate(self):
         obj, W = two_client_example()
