@@ -36,8 +36,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matops import damped_newton
-from .noise import (AdditiveGaussian, NoiseStream, _check_model, _Draws, _drift, _lane, _noise,
-                    smoothness_constant)
+from .noise import NoiseStream, _check_model, _Draws, _drift, _step_draw, smoothness_constant
 from .objectives import ObjectiveSet
 from .stacked import StackedPoint
 from .topology import CommMatrix
@@ -243,16 +242,13 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
               Theta: StackedPoint, stream: NoiseStream, t: int) -> StackedPoint:
     """One stochastic update at step t: local noisy gradient step, then mixing.
 
-    Consumes the stream's draws of step t: Gaussian normals are turned into
-    the noise there, as a run's _Draws turns them once per fill.
+    Consumes the stream's draws of step t.
     """
     _check_step(gamma, obj.L)
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
-    draw = stream._at(*_lane(noise, obj), t)
-    if isinstance(noise, AdditiveGaussian):
-        draw = _noise(noise, obj, None)(draw)
-    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw.reshape(1, 1, -1))
+    draw = _step_draw(noise, obj, stream, t)
+    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw[None, None])
     return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 

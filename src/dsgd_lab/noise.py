@@ -11,7 +11,9 @@ This module is the one that knows how draws become noise. _lane names the
 lane and width a model reads, _noise binds a model to a point and gives the
 function that turns (..., width) draws into (..., m, d) noise there, and
 _drift turns a step's draws into the stochastic gradients of a stack of
-chains; sample_noise, the tau pass and every engine's step use them.
+chains; sample_noise, the tau pass and every engine's step use them. A
+run's Gaussian draws are turned by _noise once per fill (see _Draws), so
+its steps add the noise as read.
 
 Randomness is keyed, not stateful: the draw consumed at step t by client k
 of replicate r is a pure function of (seed, replicate, t, k). Streams are
@@ -39,9 +41,11 @@ words. Two readers rely on this, with the same bits at any CPU count:
   when two or more CPUs are usable, the next half on a worker thread while
   the steps read this one. Philox releases the GIL while it makes words,
   so the worker runs beside the step. A Gaussian block is filled whole on
-  the calling thread: its Box-Muller pass and the re-keying of up to 128
-  streams hold the GIL, so a worker slowed the Gaussian runs it was tried
-  on.
+  the calling thread, and each fill turns its normals into the noise S_k
+  z_k in place, so the buffer holds the noise the steps add. A worker for
+  the Gaussian fill slowed the benchmark's stationary-gauss operation from
+  2.2-2.8 s to 3.2-3.9 s: Box-Muller's ufuncs release the GIL, but the
+  step's ufuncs then hand it to the fill thread and wait to get it back.
 
 The CLI's --threads sets neither. Only the per-step readers (`raw_at`,
 `normals_at`) keep the last block they read, so random access regenerates a
@@ -397,10 +401,13 @@ class _Draws:
     """Per-step draws of a (C, R) grid of streams, read from one block buffer.
 
     ids[c][r] is the stream replicate id behind chain c and replicate r; C
-    is 1 when every chain shares the replicates' streams. Gaussian noise
-    reads standard normals, minibatch noise subset-selection words. T, when
-    given, is the number of steps the run reads: nothing past step T - 1 is
-    filled ahead.
+    is 1 when every chain shares the replicates' streams. Minibatch noise
+    reads subset-selection words. Gaussian noise reads the noise S_k z_k
+    itself: each fill unit's standard normals are turned into it in place,
+    by the _noise that sample_noise uses, one Box-Muller chunk of streams
+    at a time, so that no block-sized temporary appears; the buffer is m*d
+    wide either way. T, when given, is the number of steps the run reads:
+    nothing past step T - 1 is filled ahead.
 
     The buffer holds one block of every stream and is filled in units. On
     the subset lane with two or more usable CPUs a unit is half a block,
@@ -409,9 +416,10 @@ class _Draws:
     and raises what it raised. Philox makes the words without the GIL, so
     the worker runs beside the step. Otherwise (the Gaussian lane, or one
     CPU) a unit is the whole block, filled on the calling thread when it is
-    first read, and no worker starts: the Gaussian fill re-keys up to 128
-    streams and runs Box-Muller under the GIL, so a worker for it slowed the
-    Gaussian runs it was tried on, and halves cost more than a whole block.
+    first read, and no worker starts: a worker for the Gaussian fill slowed
+    the benchmark's stationary-gauss operation from 2.2-2.8 s to 3.2-3.9 s,
+    because the step's GIL-releasing ufuncs hand the GIL to the fill thread
+    and then wait to get it back, and halves cost more than a whole block.
     The CLI's --threads does not set the worker. Every draw is the same to
     the bit either way; close() joins the fill in flight.
     """
@@ -438,7 +446,7 @@ class _Draws:
         if self.noise is not None:
             # the normals become the noise in place, a Box-Muller chunk of
             # streams at a time: turning the whole block at once raised the
-            # AC10 shape's peak RSS by about 0.5 MB
+            # stationary-gauss benchmark's peak RSS by about 0.55 MB
             chunk = _gauss_chunk(self.unit, self.width)
             for first in range(0, len(out), chunk):
                 part = out[first:first + chunk]
@@ -565,6 +573,16 @@ def _noise(model, obj: ObjectiveSet, Theta: np.ndarray):
         keys = draws.reshape(draws.shape[:-1] + (obj.m, obj.n))
         return _pick_mean(_picked(persample, keys, model.batch_size)) - full
     return minibatch
+
+
+def _step_draw(model, obj: ObjectiveSet, stream: NoiseStream, t: int) -> np.ndarray:
+    """The stream's (width,) draws of step t as _drift reads them: subset
+    words, or the Gaussian noise, turned from the normals by the _noise
+    that _Draws turns a run's fills with."""
+    draw = stream._at(*_lane(model, obj), t)
+    if isinstance(model, AdditiveGaussian):
+        draw = _noise(model, obj, None)(draw).reshape(-1)
+    return draw
 
 
 def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:

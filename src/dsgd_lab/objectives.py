@@ -290,8 +290,9 @@ class LogisticObjectives(ObjectiveSet):
         )
 
     def _grad_batch(self, Th: np.ndarray) -> np.ndarray:
-        # the sigmoid of theta.x from -(theta.x), and the mean and the ridge
-        # term added in place: each op the one of einsum / n + lambda theta
+        # the contraction with -data gives -(theta.x) for the sigmoid's
+        # in-place core, and the mean and the ridge term are formed in place:
+        # the ops of _sigmoid(theta.x), then einsum / n + lambda theta
         s = _sigmoid_of_negated(np.einsum("...kd,knd->...kn", Th, self._neg_data))
         g = np.einsum("...kn,knd->...kd", s, self.data)
         g /= self.n

@@ -24,7 +24,7 @@ from dsgd_lab.cli import build_noise, build_objective, build_topology, main, pre
 from dsgd_lab.dynamics import (RunConfig, _Draws, _linearised_map, coupled_run, dsgd_step,
                                rr_run, run, run_chains, solve_fixed_point)
 from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
-                             _noise, _tau_sq_norms, sample_noise, tau_squares)
+                             _tau_sq_norms, sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.stats import stationary_moments
@@ -783,8 +783,8 @@ def test_draw_grid_steps_are_the_same_with_and_without_the_fill_worker(monkeypat
 # cannot tell the normals from the noise. The (C, R, m, d) noise of every
 # step of the first three blocks, then of the FILL_STEPS jumps; (m, d) -> the
 # streams of the chains, one chain of 5 at (3, 3) and two independent chains
-# of 4 at (2, 5). Recorded as _noise(model, obj, None) of the normals, which
-# sample_noise and the tau pass still read
+# of 4 at (2, 5). Recorded as _noise(model, obj, None) of _Draws' normals,
+# when _Draws held the normals and each step turned them
 GAUSS_NOISE_GRID_IDS = {(3, 3): [range(5)], (2, 5): [range(0, 8, 2), range(1, 8, 2)]}
 
 GAUSS_NOISE_GRID_DIGESTS = {
@@ -804,10 +804,12 @@ def test_gaussian_noise_grid_is_pinned(shape):
     grid = np.stack([draws.at(t).copy() for t in [*range(3 * 512), *FILL_STEPS]])
     assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m * d)
     assert _digest(grid.reshape(grid.shape[:3] + (m, d))) == GAUSS_NOISE_GRID_DIGESTS[shape]
-    noise = _noise(model, obj, None)
+    # each row is the noise sample_noise gives that stream at that step
+    star = obj.theta_star_stacked
     for t in FILL_STEPS:
-        normals = np.array([[NoiseStream(41, r).normals_at(t, m * d) for r in row] for row in ids])
-        assert noise(normals).tobytes() == grid[t].tobytes()
+        eps = [[sample_noise(model, obj, star, NoiseStream(41, r), t).data for r in row]
+               for row in ids]
+        assert np.array(eps).tobytes() == grid[t].tobytes()
 
 
 # LogisticObjectives._grad_batch on a (C, R, m, d) stack whose replicates

@@ -573,6 +573,25 @@ class TestRRRun:
                    RunConfig(algorithm="dsgd", **dict(base, gamma=0.025)), Theta0)
         assert np.array_equal(rec.final, 2.0 * half.final - full.final)
 
+    def test_combination_is_formed_only_at_recorded_or_accumulated_steps(self, monkeypatch):
+        obj, W = two_client_example()
+        combined = []
+        drive = dynamics._drive
+
+        def counting_drive(chain, obj, configs, Theta_dets, combine=None):
+            def counted(Th):
+                combined.append(1)
+                return combine(Th)
+            return drive(chain, obj, configs, Theta_dets, counted)
+
+        monkeypatch.setattr(dynamics, "_drive", counting_drive)
+        cfg = RunConfig(algorithm="rr_dgd", gamma=0.1, T=100, record_every=30, burn_in=90)
+        rec = rr_run(W, obj, None, cfg, StackedPoint.zeros(2, 1))
+        assert rec.times.tolist() == [0, 30, 60, 90, 100]
+        assert rec.stat_count == 10
+        # the records at 0, 30, 60 and 90, and the moments at 91 to 100
+        assert len(combined) == 14
+
     def test_run_dispatches_rr(self):
         obj, W = two_client_example()
         cfg = RunConfig(algorithm="rr_dgd", gamma=0.1, T=100, record_every=100)
