@@ -11,9 +11,7 @@ This module is the one that knows how draws become noise. _lane names the
 lane and width a model reads, _noise binds a model to a point and gives the
 function that turns (..., width) draws into (..., m, d) noise there, and
 _drift turns a step's draws into the stochastic gradients of a stack of
-chains; sample_noise, the tau pass and every engine's step use them. A
-run's Gaussian draws are turned by _noise once per fill (see _Draws), so
-its steps add the noise as read.
+chains; sample_noise, the tau pass and every engine's step use them.
 
 Randomness is keyed, not stateful: the draw consumed at step t by client k
 of replicate r is a pure function of (seed, replicate, t, k). Streams are
