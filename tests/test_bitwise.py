@@ -24,7 +24,7 @@ from dsgd_lab.cli import build_noise, build_objective, build_topology, main, pre
 from dsgd_lab.dynamics import (RunConfig, _Draws, _linearised_map, coupled_run, dsgd_step,
                                rr_run, run, run_chains, solve_fixed_point)
 from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
-                             _tau_sq_norms, sample_noise, tau_squares)
+                             _pick_index, _tau_sq_norms, sample_noise, tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.stats import stationary_moments
@@ -736,6 +736,46 @@ def test_draw_grid_is_pinned(shape, ids):
     grid = np.stack([draws.at(t).copy() for t in range(3 * 512)])
     assert grid.shape == (3 * 512, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), width)
     assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
+
+
+# the (b, C, R, m) flat sample indices that a run's minibatch steps pick,
+# every step of the first three blocks, for each minibatch GRID_SHAPES and
+# GRID_IDS case at b = 1 and, where n > 1, at one b > 1. Recorded as
+# _pick_index of the words _Draws.at gave, when _Draws held the words and
+# each step picked from them. (width, ids, b) -> digest
+PICK_GRID_B = {1: (1,), 3: (1, 2), 36: (1, 4)}
+
+PICK_GRID_DIGESTS = {
+    (1, "1x7", 1): "3fff02098b4fc9caf14153e64911fa6d276db0cd8e2057d94dfc51ba3aaa54a3",
+    (1, "2x5", 1): "bb511cc1a25428ca25ce3dadbd60bb29673b0b9e4f1afa7e26156ee5a0add14b",
+    (3, "1x7", 1): "f325d500e61e995d520aeb0c9c3c73a77be7c30014bfd85347dd60620a44f461",
+    (3, "1x7", 2): "7b8eb2d6a95f696e5d0cb5d8c5bddd06948d67c84c7bb5b1486c341114198ae3",
+    (3, "2x5", 1): "69e5626cba97bcf4814958f69b74b362249b1b27ba435df510515ce43886854b",
+    (3, "2x5", 2): "58d14256bc707d6ebcfd463bcf8fa25ab1f9d29b7292c3597f51402f7ad3142a",
+    (36, "1x7", 1): "09df3fa09ef991a3ceb6949929c8d34ccd6e46408824a3c1025c61dfe01903f8",
+    (36, "1x7", 4): "a4ed586bde173022c450d2f51d6bce3eb13ac14bc6803cce3530da20d3407504",
+    (36, "2x5", 1): "6a497240d6a75ff11f54908453419df95f00c6b760854f514df5aca157d6ca82",
+    (36, "2x5", 4): "b816e91f9e25cbcc249666f28706fc59088614d0b520399efbeb88c44521d29d",
+}
+
+
+def _pick_grid(width, ids, b):
+    m, n, d = GRID_SHAPES["minibatch", width]
+    obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
+    draws = _Draws(Minibatch(b), obj, 41, GRID_IDS[ids])
+    C, R = len(GRID_IDS[ids]), len(GRID_IDS[ids][0])
+    grid = np.stack([_pick_index(draws.at(t).reshape(C, R, m, n), b)
+                     for t in range(3 * 512)])
+    draws.close()
+    assert grid.shape == (3 * 512, b, C, R, m)
+    return grid
+
+
+@pytest.mark.parametrize("case", [(width, ids, b) for width, bs in sorted(PICK_GRID_B.items())
+                                  for ids in sorted(GRID_IDS) for b in bs],
+                         ids=lambda case: "-".join(map(str, case)))
+def test_pick_grid_is_pinned(case):
+    assert _digest(_pick_grid(*case)) == PICK_GRID_DIGESTS[case]
 
 
 # with two or more usable CPUs a run's minibatch words are filled half a
