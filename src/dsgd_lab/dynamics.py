@@ -197,12 +197,12 @@ def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
 
     gammas holds the chains' step sizes, shaped (C, 1, 1, 1) so that they
     broadcast over the stack, or one float. draw is None for noiseless
-    chains; otherwise it holds the step's draws for each replicate, shaped
-    (1, R, width) when all C chains share them and (C, R, width) when each
-    chain has its own: Gaussian noise, or subset words. Shared draws are
-    added, or turned once into subset indices and the picked samples' rows,
-    and broadcast over the chains. Th - gammas * drift is formed in the
-    drift's memory.
+    chains; otherwise it holds the step's draws for each replicate, with a
+    chain axis of 1 when all C chains share them and of C when each chain
+    has its own: (1 or C, R, m*d) Gaussian noise, or (b, 1 or C, R, m)
+    subset picks. Shared noise is added, and the rows of shared picks
+    gathered once, and broadcast over the chains. Th - gammas * drift is
+    formed in the drift's memory.
     """
     drift = _drift(obj, noise, Th, draw)
     drift *= gammas
@@ -248,7 +248,7 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
     _check_model(noise, obj)
     _check_shapes(W, obj, Theta)
     draw = _step_draw(noise, obj, stream, t)
-    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw[None, None])
+    Th = _step(W.entries, obj, noise, gamma, Theta.data[None, None], draw)
     return StackedPoint(obj.m, obj.d, Th[0, 0])
 
 

@@ -35,10 +35,14 @@ words. Two readers rely on this, with the same bits at any CPU count:
 
 * the minibatch tau pass reads its draws in quarter-block units and
   splits them over one thread per usable CPU (at most two);
-* a run's minibatch words (`_Draws`) are filled a half-block at a time
+* a run's minibatch draws (`_Draws`) are filled a half-block at a time
   when two or more CPUs are usable, the next half on a worker thread while
-  the steps read this one. Philox releases the GIL while it makes words,
-  so the worker runs beside the step. A Gaussian block is filled whole on
+  the steps read this one. Each stream's words are turned into its
+  samples' picks as soon as they are drawn, so the buffer holds picks, 5
+  times smaller than the words at rr-sto's shape, and a near-tie sends
+  one stream's unit to the argsort fallback. Philox releases the GIL
+  while it makes words, and the sort while it picks, so the worker runs
+  beside the step. A Gaussian block is filled whole on
   the calling thread, and each fill turns its normals into the noise S_k
   z_k in place, so the buffer holds the noise the steps add. A worker for
   the Gaussian fill slowed the benchmark's stationary-gauss operation from
@@ -52,6 +56,7 @@ block it has moved away from.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -125,8 +130,9 @@ class NoiseStream:
     on every call. The per-step readers keep the last block they read, so
     sequential access by step costs one generator call per block, while
     random access stays exact and pays one call per block switch. A run's
-    grid of streams is read through _Draws, which fills minibatch words a
-    half-block ahead on a worker thread when two or more CPUs are usable.
+    grid of streams is read through _Draws, which draws minibatch words and
+    turns them into picks a half-block ahead on a worker thread when two or
+    more CPUs are usable, and holds the picks alone.
     """
 
     PURPOSE_GAUSS = 1
@@ -395,31 +401,53 @@ class _Worker(threading.Thread):
             self.error = exc
 
 
+def _mapped(shape, dtype) -> np.ndarray:
+    """An uninitialised array in its own anonymous memory map, which goes
+    back to the OS as soon as the array is freed.
+
+    A run's pick buffer and its fill scratch live here: allocated on the
+    heap, the allocator kept them after the run, and the benchmark's rr-sto
+    process held 53 MB between operations instead of 38 MB.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(count, 1) * dtype.itemsize), dtype,
+                         count).reshape(shape)
+
+
 class _Draws:
     """Per-step draws of a (C, R) grid of streams, read from one block buffer.
 
     ids[c][r] is the stream replicate id behind chain c and replicate r; C
     is 1 when every chain shares the replicates' streams. Minibatch noise
-    reads subset-selection words. Gaussian noise reads the noise S_k z_k
-    itself: each fill unit's standard normals are turned into it in place,
-    by the _noise that sample_noise uses, one Box-Muller chunk of streams
-    at a time, so that no block-sized temporary appears; the buffer is m*d
-    wide either way. T, when given, is the number of steps the run reads:
-    nothing past step T - 1 is filled ahead.
+    reads the (b, C, R, m) flat sample indices that _drift gathers: each
+    fill unit's subset words are turned into picks by _pick_index as soon
+    as they are drawn, one stream's unit at a time, so the buffer holds b*m
+    picks per stream and step instead of m*n words (5 times fewer at
+    rr-sto's n = 50, b = 10). A near-tie in any row sends that stream's
+    unit to the argsort fallback, which gives each row argsort's picks, so
+    the picks are the ones each step's own _pick_index of its words gives.
+    Gaussian noise reads the noise S_k z_k itself: each fill unit's
+    standard normals are turned into it in place, by the _noise that
+    sample_noise uses, one Box-Muller chunk of streams at a time, so that
+    no block-sized temporary appears; that buffer is m*d wide. T, when
+    given, is the number of steps the run reads: nothing past step T - 1
+    is filled ahead.
 
     The buffer holds one block of every stream and is filled in units. On
     the subset lane with two or more usable CPUs a unit is half a block,
-    and while the steps read one half a worker thread fills the next, at
-    most one fill in flight; the step that crosses into that half joins it
-    and raises what it raised. Philox makes the words without the GIL, so
-    the worker runs beside the step. Otherwise (the Gaussian lane, or one
-    CPU) a unit is the whole block, filled on the calling thread when it is
-    first read, and no worker starts: a worker for the Gaussian fill slowed
-    the benchmark's stationary-gauss operation from 2.2-2.8 s to 3.2-3.9 s,
-    because the step's GIL-releasing ufuncs hand the GIL to the fill thread
-    and then wait to get it back, and halves cost more than a whole block.
-    The CLI's --threads does not set the worker. Every draw is the same to
-    the bit either way; close() joins the fill in flight.
+    and while the steps read one half a worker thread draws and picks the
+    next, at most one fill in flight; the step that crosses into that half
+    joins it and raises what it raised. Philox makes the words, and the
+    sort picks from them, without the GIL, so the worker runs beside the
+    step. Otherwise (the Gaussian lane, or one CPU) a unit is the whole
+    block, filled on the calling thread when it is first read, and no
+    worker starts: a worker for the Gaussian fill slowed the benchmark's
+    stationary-gauss operation from 2.2-2.8 s to 3.2-3.9 s, because the
+    step's GIL-releasing ufuncs hand the GIL to the fill thread and then
+    wait to get it back, and halves cost more than a whole block. The CLI's
+    --threads does not set the worker. Every draw is the same to the bit
+    either way; close() joins the fill in flight.
     """
 
     def __init__(self, model, obj: ObjectiveSet, seed: int, ids, T: int | None = None):
@@ -428,20 +456,38 @@ class _Draws:
         self.purpose, self.width = _lane(model, obj)
         gauss = self.purpose == NoiseStream.PURPOSE_GAUSS
         self.noise = _noise(model, obj, None) if gauss else None
+        # the (m, n) words of a subset row and the b picks it makes
+        self.picks = None if gauss else (obj.m, obj.n, model.batch_size)
         self.block_size = self.streams[0].block_size
-        self.ahead = self.purpose == NoiseStream.PURPOSE_SUBSET and _usable_cpus() >= 2
+        self.ahead = not gauss and _usable_cpus() >= 2
         self.unit = self.block_size // 2 if self.ahead else self.block_size
         self.T = T
         self.current = -1  # the unit the buffer holds for the steps
         self.pending = None  # (unit, worker) of the fill in flight
-        self.buf = None
+        self.grid = None
+
+    def _buffer(self) -> None:
+        """Make the block buffer, and self.grid, its view whose row t % block_size
+        is what at(t) gives."""
+        S, size, (C, R) = len(self.streams), self.block_size, self.shape
+        if self.noise is not None:
+            self.buf = np.empty((S, size, self.width))
+            self.grid = self.buf.reshape(C, R, size, self.width).transpose(2, 0, 1, 3)
+            return
+        m, _, b = self.picks
+        # step-major, so that a step's picks are one contiguous (b, C, R, m)
+        # array; the scratch holds one stream's unit of words and of packed
+        # words, reused for every stream and fill
+        self.buf = _mapped((size, b, S, m), np.intp)
+        self.grid = self.buf.reshape(size, b, C, R, m)
+        self.scratch = _mapped((2, self.unit, self.width), np.uint64)
 
     def _fill(self, unit: int) -> None:
         block, lo = divmod(unit * self.unit, self.block_size)
         hi = lo + self.unit
-        out = self.buf[:, lo:hi]
-        _draw_blocks(self.streams, self.purpose, block, self.width, out, lo, hi)
         if self.noise is not None:
+            out = self.buf[:, lo:hi]
+            _draw_blocks(self.streams, self.purpose, block, self.width, out, lo, hi)
             # the normals become the noise in place, a Box-Muller chunk of
             # streams at a time: turning the whole block at once raised the
             # stationary-gauss benchmark's peak RSS by about 0.55 MB
@@ -449,19 +495,28 @@ class _Draws:
             for first in range(0, len(out), chunk):
                 part = out[first:first + chunk]
                 part[...] = self.noise(part).reshape(part.shape)
+            return
+        m, n, b = self.picks
+        words, packed = self.scratch
+        # each stream's unit is drawn and picked whole: picking in the
+        # 27-row pieces that _draw_blocks copies words in re-took the GIL
+        # from the step for every piece and lost the gain
+        for s, stream in enumerate(self.streams):
+            _draw_blocks([stream], self.purpose, block, self.width, words[None], lo, hi)
+            picks = _pick_index(words.reshape(self.unit, m, n), b, packed)
+            self.buf[lo:hi, :, s] = picks.swapaxes(0, 1)
 
     def at(self, t: int) -> np.ndarray:
-        """(C, R, width) draws of step t.
+        """The draws of step t: (b, C, R, m) picks on the subset lane,
+        (C, R, m*d) noise on the Gaussian one.
 
         The result is a view of a buffer that a later fill overwrites, so it
         is valid only until a step in another unit is read.
         """
         unit = t // self.unit
         if unit != self.current:
-            if self.buf is None:
-                dtype = np.uint64 if self.purpose == NoiseStream.PURPOSE_SUBSET else np.float64
-                self.buf = np.empty((len(self.streams), self.block_size, self.width), dtype)
-                self.grid = self.buf.reshape(self.shape + self.buf.shape[1:])
+            if self.grid is None:
+                self._buffer()
             self.current = -1
             pending = self.close()
             if pending is not None and pending[1].error is not None:
@@ -471,12 +526,12 @@ class _Draws:
             self.current = unit
             if self.ahead and (self.T is None or (unit + 1) * self.unit < self.T):
                 self.pending = (unit + 1, _Worker(self._fill, unit + 1))
-        return self.grid[:, :, t % self.block_size]
+        return self.grid[t % self.block_size]
 
     def close(self):
         """Join the fill in flight, if any, and return it as (unit, worker).
 
-        A run calls this once it ends, which drops that fill's words and any
+        A run calls this once it ends, which drops that fill's draws and any
         error it raised."""
         pending, self.pending = self.pending, None
         if pending is not None:
@@ -491,7 +546,7 @@ def _persample_grads(obj: LogisticObjectives, Theta: np.ndarray) -> np.ndarray:
     return _sigmoid(np.matmul(X, Theta[:, :, None])[..., 0])[..., None] * X
 
 
-def _pick_index(keys: np.ndarray, b: int) -> np.ndarray:
+def _pick_index(keys: np.ndarray, b: int, packed: np.ndarray | None = None) -> np.ndarray:
     """The flat sample indices k*n + i that the selection words pick.
 
     keys is (..., m, n). Each row of n words picks the samples holding its
@@ -499,7 +554,7 @@ def _pick_index(keys: np.ndarray, b: int) -> np.ndarray:
     out of n without replacement. Returns (b, ..., m), the pick axis first,
     so that each pick is one contiguous block for _pick_mean; a leading
     axis of length 1 in keys gives one selection that broadcasts over every
-    chain stacked along it.
+    chain stacked along it. Each row's picks depend on that row alone.
 
     The picks are argsort's, ties included, found by a value sort: each
     word's low (m*n - 1).bit_length() bits are replaced by its flat sample
@@ -510,13 +565,17 @@ def _pick_index(keys: np.ndarray, b: int) -> np.ndarray:
     argsort must pick the same samples in the same order. Where two such
     neighbours agree above the index bits in any row (random words do so
     with a chance of about 1e-14 per row), argsort of the words decides
-    the whole call instead. The packed words take as much memory as
-    argsort's index array.
+    the whole call instead, which gives each row the picks argsort gives
+    it. The packed words take as much memory as argsort's index array; they
+    go into packed, a contiguous uint64 array of keys' size, when one is
+    given.
     """
     m, n = keys.shape[-2:]
     low = np.uint64((1 << (m * n - 1).bit_length()) - 1)
+    if packed is None:
+        packed = np.empty(keys.shape, np.uint64)
     # rows of m*n words, so the flat indices k*n + i go in with one broadcast
-    words = keys.reshape(-1, m * n) & ~low
+    words = np.bitwise_and(keys.reshape(-1, m * n), ~low, out=packed.reshape(-1, m * n))
     words |= np.arange(m * n, dtype=np.uint64)
     words = words.reshape(keys.shape)
     words.sort(axis=-1)
@@ -574,19 +633,26 @@ def _noise(model, obj: ObjectiveSet, Theta: np.ndarray):
 
 
 def _step_draw(model, obj: ObjectiveSet, stream: NoiseStream, t: int) -> np.ndarray:
-    """The stream's (width,) draws of step t as _drift reads them: subset
-    words, or the Gaussian noise, turned from the normals by the _noise
-    that _Draws turns a run's fills with."""
+    """The stream's draws of step t as _drift reads them for one chain and
+    replicate: the (b, 1, 1, m) picks of its subset words, by the
+    _pick_index that _Draws picks a run's fills with, or the (1, 1, m*d)
+    Gaussian noise, turned from the normals by the _noise that _Draws turns
+    a run's fills with. _Draws picks a stream's whole fill unit at once, so
+    a near-tie sends that unit to argsort, and this step's words alone
+    here; each row's picks are argsort's either way."""
     draw = stream._at(*_lane(model, obj), t)
     if isinstance(model, AdditiveGaussian):
-        draw = _noise(model, obj, None)(draw).reshape(-1)
-    return draw
+        return _noise(model, obj, None)(draw).reshape(1, 1, -1)
+    return _pick_index(draw.reshape(1, 1, obj.m, obj.n), model.batch_size)
 
 
 def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
     """The (C, R, m, d) stochastic gradients of a stack of chains at a
-    step's (1 or C, R, width) draws: the Gaussian noise _Draws forms, or
-    subset words. Model None gives the gradients."""
+    step's draws: the (1 or C, R, m*d) Gaussian noise _Draws forms, or the
+    (b, 1 or C, R, m) flat sample indices that _pick_index picks from the
+    subset words, which is what a run's _Draws buffer holds in place of the
+    words, 5 times fewer at rr-sto's n = 50, b = 10. Model None gives the
+    gradients."""
     if not isinstance(model, Minibatch):
         drift = obj._grad_batch(Th)
         if model is not None:
@@ -598,9 +664,8 @@ def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) ->
     # are. The picks come from the coordinate-major data: Xb is (d, b, 1 or
     # C, R, m), so theta.x sums the coordinates in index order and s.x is
     # one multiply over contiguous (R, m) rows
-    _, R, m, d = Th.shape
-    idx = _pick_index(draw.reshape(-1, R, m, obj.n), model.batch_size)
-    Xb = np.take(obj.data_by_coord, idx, axis=1)
+    d = Th.shape[-1]
+    Xb = np.take(obj.data_by_coord, draw, axis=1)
     z = Xb[0] * Th[..., 0]
     for j in range(1, d):
         z += Xb[j] * Th[..., j]

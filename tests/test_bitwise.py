@@ -24,7 +24,8 @@ from dsgd_lab.cli import build_noise, build_objective, build_topology, main, pre
 from dsgd_lab.dynamics import (RunConfig, _Draws, _linearised_map, coupled_run, dsgd_step,
                                rr_run, run, run_chains, solve_fixed_point)
 from dsgd_lab.noise import (_TAU_UNIT, AdditiveGaussian, Minibatch, NoiseStream,
-                             _pick_index, _tau_sq_norms, sample_noise, tau_squares)
+                             _draw_blocks, _pick_index, _tau_sq_norms, sample_noise,
+                             tau_squares)
 from dsgd_lab.objectives import QuadraticObjectives, generate_logistic_problem
 from dsgd_lab.stacked import StackedPoint
 from dsgd_lab.stats import stationary_moments
@@ -698,11 +699,14 @@ def test_stationary_moments_are_pinned(case):
     assert got == STATIONARY_DIGESTS[case]
 
 
-# the (C, R, width) grid that _Draws.at reads for a run, every step of the
-# first three blocks, at 7 streams (one chain) and 10 (two independent
-# chains of 5): counts that whole-stream chunks of the Gaussian lane do not
-# divide evenly at width 1 or 3; at width 36 one stream's block alone is
-# more than a chunk. (lane, width) -> (m, n, d) of the problem behind it
+# the (C, R, width) grid of draws behind a run, every step of the first
+# three blocks, at 7 streams (one chain) and 10 (two independent chains of
+# 5): counts that whole-stream chunks of the Gaussian lane do not divide
+# evenly at width 1 or 3; at width 36 one stream's block alone is more than
+# a chunk. Gaussian grids are the normals that _Draws.at read before it
+# held the noise (S = I here); minibatch grids are the subset words of the
+# same streams' _draw_blocks, which _Draws.at read before it held the
+# picks. (lane, width) -> (m, n, d) of the problem behind it
 GRID_SHAPES = {("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3),
                ("gaussian", 36): (6, 2, 6), ("minibatch", 1): (1, 1, 1),
                ("minibatch", 3): (1, 3, 1), ("minibatch", 36): (4, 9, 1)}
@@ -724,26 +728,41 @@ GRID_DIGESTS = {
 }
 
 
+def _draws_grid(model, obj, ids, T=None):
+    """_Draws.at of every step of the first three blocks, or of the first T."""
+    draws = _Draws(model, obj, 41, ids, T)
+    # at returns a view of a buffer that the next block overwrites
+    grid = np.stack([draws.at(t).copy() for t in range(T or 3 * 512)])
+    draws.close()
+    return grid
+
+
 @pytest.mark.parametrize("ids", sorted(GRID_IDS))
 @pytest.mark.parametrize("shape", sorted(GRID_SHAPES), ids=lambda shape: "-".join(map(str, shape)))
 def test_draw_grid_is_pinned(shape, ids):
     lane, width = shape
     m, n, d = GRID_SHAPES[shape]
-    obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
-    model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
-    draws = _Draws(model, obj, 41, GRID_IDS[ids])
-    # at returns a view of a buffer that the next block overwrites
-    grid = np.stack([draws.at(t).copy() for t in range(3 * 512)])
-    assert grid.shape == (3 * 512, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), width)
+    C, R = len(GRID_IDS[ids]), len(GRID_IDS[ids][0])
+    if lane == "gaussian":
+        obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
+        grid = _draws_grid(AdditiveGaussian.isotropic(m, d, 1.0), obj, GRID_IDS[ids])
+    else:
+        streams = [NoiseStream(41, r) for row in GRID_IDS[ids] for r in row]
+        words = np.concatenate([_draw_blocks(streams, NoiseStream.PURPOSE_SUBSET, block, width)
+                                for block in range(3)], axis=1)
+        grid = words.swapaxes(0, 1).reshape(3 * 512, C, R, width)
+    assert grid.shape == (3 * 512, C, R, width)
     assert _digest(grid) == GRID_DIGESTS[lane, width, ids]
 
 
-# the (b, C, R, m) flat sample indices that a run's minibatch steps pick,
-# every step of the first three blocks, for each minibatch GRID_SHAPES and
-# GRID_IDS case at b = 1 and, where n > 1, at one b > 1. Recorded as
-# _pick_index of the words _Draws.at gave, when _Draws held the words and
-# each step picked from them. (width, ids, b) -> digest
+# the (b, C, R, m) flat sample indices that _Draws.at gives a run's
+# minibatch steps, every step of the first three blocks, for each minibatch
+# GRID_SHAPES and GRID_IDS case at b = 1 and, where n > 1, at one b > 1.
+# Recorded as _pick_index of the words _Draws.at gave, when _Draws held the
+# words and each step picked from them. (width, ids, b) -> digest
 PICK_GRID_B = {1: (1,), 3: (1, 2), 36: (1, 4)}
+PICK_GRID_CASES = [(width, ids, b) for width, bs in sorted(PICK_GRID_B.items())
+                   for ids in sorted(GRID_IDS) for b in bs]
 
 PICK_GRID_DIGESTS = {
     (1, "1x7", 1): "3fff02098b4fc9caf14153e64911fa6d276db0cd8e2057d94dfc51ba3aaa54a3",
@@ -759,26 +778,20 @@ PICK_GRID_DIGESTS = {
 }
 
 
-def _pick_grid(width, ids, b):
+def _pick_grid(width, ids, b, T=None):
     m, n, d = GRID_SHAPES["minibatch", width]
     obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
-    draws = _Draws(Minibatch(b), obj, 41, GRID_IDS[ids])
-    C, R = len(GRID_IDS[ids]), len(GRID_IDS[ids][0])
-    grid = np.stack([_pick_index(draws.at(t).reshape(C, R, m, n), b)
-                     for t in range(3 * 512)])
-    draws.close()
-    assert grid.shape == (3 * 512, b, C, R, m)
+    grid = _draws_grid(Minibatch(b), obj, GRID_IDS[ids], T)
+    assert grid.shape == (T or 3 * 512, b, len(GRID_IDS[ids]), len(GRID_IDS[ids][0]), m)
     return grid
 
 
-@pytest.mark.parametrize("case", [(width, ids, b) for width, bs in sorted(PICK_GRID_B.items())
-                                  for ids in sorted(GRID_IDS) for b in bs],
-                         ids=lambda case: "-".join(map(str, case)))
+@pytest.mark.parametrize("case", PICK_GRID_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_pick_grid_is_pinned(case):
     assert _digest(_pick_grid(*case)) == PICK_GRID_DIGESTS[case]
 
 
-# with two or more usable CPUs a run's minibatch words are filled half a
+# with two or more usable CPUs a run's minibatch picks are filled half a
 # block ahead on a worker thread; at one CPU, and on the Gaussian lane, a
 # whole block at a time on the calling thread. The pins above hold either
 # way, and a run's T, which stops the fill ahead, reads the same steps
@@ -786,16 +799,18 @@ def test_pick_grid_is_pinned(case):
 def test_draw_grid_pins_hold_with_and_without_the_fill_worker(monkeypatch, cpus):
     monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: cpus)
     for (lane, width), (m, n, d) in GRID_SHAPES.items():
+        if lane == "minibatch":
+            continue
         obj = generate_logistic_problem(m=m, n=n, d=d, seed=3)
-        model = AdditiveGaussian.isotropic(m, d, 1.0) if lane == "gaussian" else Minibatch(1)
+        model = AdditiveGaussian.isotropic(m, d, 1.0)
         for ids, streams in GRID_IDS.items():
-            grids = []
-            for T in (None, 3 * 512 - 100):
-                draws = _Draws(model, obj, 41, streams, T)
-                grids.append(np.stack([draws.at(t).copy() for t in range(T or 3 * 512)]))
-                draws.close()
+            grids = [_draws_grid(model, obj, streams, T) for T in (None, 3 * 512 - 100)]
             assert _digest(grids[0]) == GRID_DIGESTS[lane, width, ids]
             assert np.array_equal(grids[1], grids[0][:3 * 512 - 100])
+    for case in PICK_GRID_CASES:
+        grids = [_pick_grid(*case, T) for T in (None, 3 * 512 - 100)]
+        assert _digest(grids[0]) == PICK_GRID_DIGESTS[case]
+        assert np.array_equal(grids[1], grids[0][:3 * 512 - 100])
 
 
 # steps on both sides of 255/256, 511/512 and 767/768, then one jump back
@@ -816,6 +831,45 @@ def test_draw_grid_steps_are_the_same_with_and_without_the_fill_worker(monkeypat
         grids.append(_digest(*[draws.at(t).copy() for t in FILL_STEPS]))
         draws.close()
     assert grids[0] == grids[1]
+
+
+# _Draws picks a whole fill unit of one stream with one _pick_index call, so
+# a near-tie in one row sends that stream's unit, not one step, to argsort.
+# A near-tie is planted at step 700 of stream 3, client 1: its two smallest
+# words, at samples 4 and 2, agree above the index bits and are ordered
+# against their indices, so the value sort of the packed words alone would
+# pick sample 2 first. Every step of every unit read, the planted unit
+# included, must pick what that step's own _pick_index of its words picks
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_near_tie_sends_one_streams_fill_unit_to_argsort(monkeypatch, cpus):
+    monkeypatch.setattr("dsgd_lab.noise._usable_cpus", lambda: cpus)
+    m, n, b, tied = 3, 6, 2, 700
+    obj = generate_logistic_problem(m=m, n=n, d=2, seed=3)
+    ids = [range(0, 6, 2), range(1, 6, 2)]
+    words = {}  # (replicate, step) -> the (m, n) words the fill picked from
+
+    def planting(streams, purpose, block, width, out=None, lo=0, hi=None):
+        got = _draw_blocks(streams, purpose, block, width, out, lo, hi)
+        for stream, rows in zip(streams, got):
+            for t, row in enumerate(rows.reshape(-1, m, n), block * 512 + lo):
+                if (stream.replicate, t) == (3, tied):
+                    row[1, 4], row[1, 2] = 0, 1
+                words[stream.replicate, t] = row.copy()
+        return got
+
+    monkeypatch.setattr("dsgd_lab.noise._draw_blocks", planting)
+    draws = _Draws(Minibatch(b), obj, 41, ids)
+    # every step up to the end of the block that holds the planted step
+    steps = range(1024)
+    grid = [draws.at(t).copy() for t in steps]
+    draws.close()
+    for t in steps:
+        assert grid[t].shape == (b, 2, 3, m)
+        for c, row in enumerate(ids):
+            for r, replicate in enumerate(row):
+                assert np.array_equal(grid[t][:, c, r], _pick_index(words[replicate, t], b))
+    # argsort's order at the planted row: sample 4, then sample 2
+    assert list(grid[tied][:, 1, 1, 1]) == [n + 4, n + 2]
 
 
 # the Gaussian noise S_k z_k that _Draws.at gives a run's steps, at full,

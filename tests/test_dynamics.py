@@ -657,7 +657,7 @@ class _FillFailed(Exception):
 
 
 class TestFillWorker:
-    """The worker that fills a run's next half-block of minibatch words: it
+    """The worker that fills a run's next half-block of minibatch picks: it
     runs at two or more CPUs on that lane alone, its errors reach the
     caller, and no thread outlives a run."""
 
@@ -676,13 +676,15 @@ class TestFillWorker:
 
     @staticmethod
     def _recording(monkeypatch, delay=0.0):
-        """Replace _draw_blocks by one that records (thread, block, lo, hi) of
-        each fill, and sleeps delay seconds in each fill off the main thread."""
+        """Replace _draw_blocks by one that records (thread, block, lo, hi,
+        replicates of the streams read) of each call, and sleeps delay
+        seconds in each call off the main thread."""
         calls = []
         draw_blocks = noise._draw_blocks
 
         def recording(streams, purpose, block, width, out=None, lo=0, hi=None):
-            calls.append((threading.current_thread(), block, lo, hi))
+            calls.append((threading.current_thread(), block, lo, hi,
+                          tuple(s.replicate for s in streams)))
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(delay)
             return draw_blocks(streams, purpose, block, width, out, lo, hi)
@@ -700,16 +702,20 @@ class TestFillWorker:
         monkeypatch.setattr(noise, "_usable_cpus", lambda: cpus)
         calls = self._recording(monkeypatch)
         # steps 0-599 read units 0-2 of halves (blocks 0 and 1 whole), and
-        # nothing past step 599 is filled
+        # nothing past step 599 is filled. A minibatch unit is drawn and
+        # picked one stream at a time, a Gaussian one for both streams at once
         self._rr(model, T=600)
-        filled = sorted((block, lo, hi) for _, block, lo, hi in calls)
+        filled = [call[1:] for call in calls]
         main = threading.main_thread()
-        if halves:
-            assert filled == [(0, 0, 256), (0, 256, 512), (1, 0, 256)]
-            assert [thread is main for thread, *_ in calls] == [True, False, False]
+        units = [(0, 0, 256), (0, 256, 512), (1, 0, 256)] if halves else [(0, 0, 512),
+                                                                          (1, 0, 512)]
+        if kind == "minibatch":
+            assert filled == [unit + ((r,),) for unit in units for r in (0, 1)]
         else:
-            assert filled == [(0, 0, 512), (1, 0, 512)]
-            assert all(thread is main for thread, *_ in calls)
+            assert filled == [unit + ((0, 1),) for unit in units]
+        # the first unit on the calling thread, every later one on the worker
+        assert [thread is main for thread, *_ in calls] == [
+            not halves or block * 512 + lo == 0 for _, block, lo, *_ in calls]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_no_thread_outlives_a_run(self, monkeypatch, cpus):
@@ -756,7 +762,7 @@ class TestFillWorker:
                 self._rr(Minibatch(2), gamma=1e3)
         assert threading.active_count() == threads
         assert raised.value.__traceback__ is not None
-        assert (1, 0, 256) in [call[1:] for call in calls]
+        assert (1, 0, 256) in [call[1:4] for call in calls]
 
     def test_closing_the_chain_early_joins_the_fill(self, monkeypatch):
         obj, W, start = self._problem()

@@ -76,12 +76,15 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
         for r, rep in enumerate(row):
             stream = NoiseStream(seed, rep)
             for t, grid in zip(steps, grids):
-                assert grid.shape == (len(ids), R, lane[1])
                 if lane[0] == "gaussian":
-                    expected = stream.normals_at(t, lane[1])
+                    assert grid.shape == (len(ids), R, lane[1])
+                    assert np.array_equal(grid[c, r], stream.normals_at(t, lane[1]))
                 else:
-                    expected = stream.raw_at(t, lane[1])
-                assert np.array_equal(grid[c, r], expected)
+                    # the picks of the stream's words at step t, pick axis first
+                    b = noise.batch_size
+                    assert grid.shape == (b, len(ids), R, obj.m)
+                    words = stream.raw_at(t, lane[1]).reshape(obj.m, obj.n)
+                    assert np.array_equal(grid[:, c, r], _pick_index(words, b))
 
 
 # keys that the generator serves before the key under test, each as a
@@ -396,18 +399,20 @@ def _dot_in_coordinate_order(Th, X):
 
 
 def _drift_case(C, shared, R, m, n, d, tied, scale, seed, b):
-    """_drift at a random stack and random words, with the objective, the
-    stack and the words, shaped (1 or C, R, m, n), that it read."""
+    """_drift at a random stack and the picks of random words, with the
+    objective, the stack and the words, shaped (1 or C, R, m, n), that the
+    picks came from."""
     obj = generate_logistic_problem(m=m, n=n, d=d, seed=seed)
     rng = np.random.default_rng(seed)
     Th = scale * rng.standard_normal((C, R, m, d))
-    # words as _Draws gives them: (1, R, m*n) shared by the chains or (C, R, m*n);
-    # a narrow range makes ties, which argsort must break the same way
+    # words shared by the chains or one set per chain, picked as _Draws
+    # picks them; a narrow range makes ties, which argsort must break the
+    # same way
     high = 3 if tied else 2**64
-    draw = rng.integers(0, high, size=(1 if shared else C, R, m * n), dtype=np.uint64)
-    got = _drift(obj, Minibatch(b), Th, draw)
+    keys = rng.integers(0, high, size=(1 if shared else C, R, m, n), dtype=np.uint64)
+    got = _drift(obj, Minibatch(b), Th, _pick_index(keys, b))
     assert got.shape == (C, R, m, d)
-    return got, obj, Th, draw.reshape(-1, R, m, n)
+    return got, obj, Th, keys
 
 
 DRIFT_CASE = dict(C=st.integers(1, 2), shared=st.booleans(), R=st.integers(1, 4),
@@ -448,10 +453,10 @@ def test_one_client_one_coordinate_sums_in_pick_order(n, b):
     rng = np.random.default_rng(b)
     for t in range(20):
         Th = 10.0 * rng.standard_normal((1, 1, 1, 1))
-        draw = rng.integers(0, 2**64, size=(1, 1, n), dtype=np.uint64)
+        keys = rng.integers(0, 2**64, size=(1, 1, 1, n), dtype=np.uint64)
         persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, obj.data))[..., None] * obj.data
-        want = _subset_mean(persample, draw.reshape(1, 1, 1, n), b) + obj.lambda_reg * Th
-        got = _drift(obj, Minibatch(b), Th, draw)
+        want = _subset_mean(persample, keys, b) + obj.lambda_reg * Th
+        got = _drift(obj, Minibatch(b), Th, _pick_index(keys, b))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # sample_noise reads its words from the stream at step t
         point = StackedPoint(1, 1, Th[0, 0])
@@ -475,12 +480,11 @@ def test_minibatch_drift_at_d1_is_within_rounding_of_numpy_mean_and_fsum(C, shar
     obj = generate_logistic_problem(m=m, n=n, d=1, seed=seed)
     rng = np.random.default_rng(seed)
     Th = scale * rng.standard_normal((C, R, m, 1))
-    draw = rng.integers(0, 2**64, size=(1 if shared else C, R, m * n), dtype=np.uint64)
-    got = _drift(obj, Minibatch(b), Th, draw)
+    keys = rng.integers(0, 2**64, size=(1 if shared else C, R, m, n), dtype=np.uint64)
+    got = _drift(obj, Minibatch(b), Th, _pick_index(keys, b))
     X = obj.data
     persample = _sigmoid(np.einsum("...kd,knd->...kn", Th, X))[..., None] * X
-    terms = np.broadcast_to(_picked_rows(persample, draw.reshape(-1, R, m, n), b),
-                            (C, R, m, b, 1))
+    terms = np.broadcast_to(_picked_rows(persample, keys, b), (C, R, m, b, 1))
     ridge = obj.lambda_reg * Th
     numpy_mean = terms.mean(axis=-2) + ridge
     exact = np.array([math.fsum(row) for row in terms.reshape(-1, b)]).reshape(C, R, m, 1)
