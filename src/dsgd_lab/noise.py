@@ -56,7 +56,6 @@ block it has moved away from.
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -409,6 +408,10 @@ def _mapped(shape, dtype) -> np.ndarray:
     heap, the allocator kept them after the run, and the benchmark's rr-sto
     process held 53 MB between operations instead of 38 MB.
     """
+    # imported here, on a minibatch run's first fill, and not with the
+    # module: every command pays for the module's imports at start-up
+    import mmap
+
     dtype = np.dtype(dtype)
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, max(count, 1) * dtype.itemsize), dtype,
