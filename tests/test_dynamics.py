@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import time
 
@@ -148,8 +149,14 @@ class TestSteps:
         stream = NoiseStream(seed=31)
         n = 100_000
         acc = np.zeros((2, 1))
+        stack = []
         for t in range(n):
-            acc += dsgd_step(W, obj, model, gamma, Theta, stream, t).data
+            stack.append(dsgd_step(W, obj, model, gamma, Theta, stream, t).data)
+            acc += stack[-1]
+        # SHA-256 of the bytes of the (n, m, d) outcomes, recorded from one
+        # dsgd_step call per step
+        digest = hashlib.sha256(np.stack(stack).tobytes()).hexdigest()
+        assert digest == "5e511ae0f72a86481638339013febc4006caa788f29f783b3f1614bd271c41ac"
         tau2 = np.sqrt(2 * 0.5)
         assert np.linalg.norm(acc / n - det.data) <= 4.0 * gamma * tau2 / np.sqrt(n)
 

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import warnings
 
@@ -27,6 +28,20 @@ from dsgd_lab.objectives import (
     generate_logistic_problem,
 )
 from dsgd_lab.stacked import StackedPoint
+
+
+# SHA-256 of the bytes of each Monte Carlo test's 100,000-step (n, m, d)
+# noise stack, recorded from one sample_noise call per step
+MONTE_CARLO_DIGESTS = {
+    "gauss_covariance": "f07ad773f72166ca25c8cbece189d3e419b3b666391b815a40a8c246de85884f",
+    "gauss_zero_mean": "a5bb6dea12d0698f1fa1fd871e3ef06ae939c2f774be97e8e65faa9971f1af83",
+    "minibatch_covariance": "af483918b98c824e28947eef7bab3d15a1db095da4f26b6169c08ae89452a0bc",
+    "minibatch_zero_mean": "b692843491959626697ce3f1bf3db2af18a311beec9a67f6fe25e64405d19d79",
+}
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +134,7 @@ class TestAdditiveGaussian:
         draws = np.empty((n, 2))
         for i in range(n):
             draws[i] = sample_noise(model, quad_obj, Theta, stream, i).data[:, 0]
+        assert _sha256(draws) == MONTE_CARLO_DIGESTS["gauss_covariance"]
         emp = draws.T @ draws / n
         assert abs(emp[0, 0] - sigma2) <= 0.03 * sigma2
         assert abs(emp[1, 1] - sigma2) <= 0.03 * sigma2
@@ -131,8 +147,11 @@ class TestAdditiveGaussian:
         Theta = StackedPoint.from_blocks([[0.3], [-0.2]])
         n = 100_000
         acc = np.zeros((2, 1))
+        stack = []
         for t in range(n):
-            acc += sample_noise(model, quad_obj, Theta, stream, t).data
+            stack.append(sample_noise(model, quad_obj, Theta, stream, t).data)
+            acc += stack[-1]
+        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["gauss_zero_mean"]
         tau2 = np.sqrt(2.0)
         assert np.linalg.norm(acc / n) <= 4.0 * tau2 / np.sqrt(n)
 
@@ -194,9 +213,12 @@ class TestMinibatch:
         stream = NoiseStream(seed=13)
         n = 100_000
         acc = np.zeros((logit_obj.d, logit_obj.d))
+        stack = []
         for t in range(n):
             eps = sample_noise(model, logit_obj, Theta, stream, t)
+            stack.append(eps.data)
             acc += sum(np.outer(eps.block(k), eps.block(k)) for k in range(logit_obj.m))
+        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["minibatch_covariance"]
         emp = acc / (n * logit_obj.m)
         rel = np.linalg.norm(emp - exact) / np.linalg.norm(exact)
         assert rel <= 0.03
@@ -210,10 +232,13 @@ class TestMinibatch:
         n = 100_000
         acc = np.zeros((logit_obj.m, logit_obj.d))
         sq = 0.0
+        stack = []
         for t in range(n):
             eps = sample_noise(model, logit_obj, Theta, stream, t)
+            stack.append(eps.data)
             acc += eps.data
             sq += float(np.sum(eps.data**2))
+        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["minibatch_zero_mean"]
         tau2_hat = np.sqrt(sq / n)
         assert np.linalg.norm(acc / n) <= 4.0 * tau2_hat / np.sqrt(n)
 
