@@ -29,9 +29,10 @@ instead of a new one built per stream and block, and the normals come from
 one Box-Muller pass per chunk of streams, so the temporaries stay small at
 any replicate count. `_draw_blocks` also reads a range of a block's rows
 alone, by starting Philox's counter at the range's first word, and gives
-bit for bit those rows of the whole block. Streams hold no generator
-state, so a stream read from several threads gives every block its own
-words. Two readers rely on this, with the same bits at any CPU count:
+bit for bit those rows of the whole block; `_stream_rows` reads any range
+of one stream's steps so, a block at a time. Streams hold no state, so a
+stream read from several threads gives every block its own words. Two
+readers rely on this, with the same bits at any CPU count:
 
 * the minibatch tau pass reads its draws in quarter-block units and
   splits them over one thread per usable CPU (at most two);
@@ -48,10 +49,6 @@ words. Two readers rely on this, with the same bits at any CPU count:
   the Gaussian fill slowed the benchmark's stationary-gauss operation from
   2.2-2.8 s to 3.2-3.9 s: Box-Muller's ufuncs release the GIL, but the
   step's ufuncs then hand it to the fill thread and wait to get it back.
-
-The CLI's --threads sets neither. Only the per-step readers (`raw_at`,
-`normals_at`) keep the last block they read, so random access regenerates a
-block it has moved away from.
 """
 
 from __future__ import annotations
@@ -122,16 +119,16 @@ class NoiseStream:
     block for (purpose, width, block_index) is the first words of a Philox
     generator keyed on (seed, replicate, purpose, width, block_index). The
     (seed, replicate) word of that key is mixed once, when the stream is
-    made, and the stream holds no generator, so any thread may read it.
-    _draw_blocks makes a block for many streams at once, and normals_block
-    and raw_block are its one-stream cases; raw_block's words come as the
-    generator gives them, without a copy into a grid. Both generate a block
-    on every call. The per-step readers keep the last block they read, so
-    sequential access by step costs one generator call per block, while
-    random access stays exact and pays one call per block switch. A run's
-    grid of streams is read through _Draws, which draws minibatch words and
-    turns them into picks a half-block ahead on a worker thread when two or
-    more CPUs are usable, and holds the picks alone.
+    made. A stream holds only its seed, replicate and that word, none of
+    them changed after, so any thread may read it and every read is a pure
+    function of its arguments. _draw_blocks makes a block for many streams
+    at once, and normals_block and raw_block are its one-stream cases;
+    raw_block's words come as the generator gives them, without a copy into
+    a grid. One stream's steps are read by range through _stream_rows,
+    which generates only the rows of the range. A run's grid of streams is
+    read through _Draws, which draws minibatch words and turns them into
+    picks a half-block ahead on a worker thread when two or more CPUs are
+    usable, and holds the picks alone.
     """
 
     PURPOSE_GAUSS = 1
@@ -146,7 +143,6 @@ class NoiseStream:
         for name, value in (("seed", self.seed), ("replicate", self.replicate)):
             if not 0 <= value <= _MASK:
                 raise InvalidParamError(f"{name} must be in [0, 2**64), got {value}")
-        self._read = (None, None)  # ((purpose, width, block), block) of the last _at
         # chain the coordinates through the finalizer instead of xor-folding
         # them: xor is commutative, and (seed, replicate) pairs must not
         # collide under transposition
@@ -159,23 +155,6 @@ class NoiseStream:
     def normals_block(self, block: int, width: int) -> np.ndarray:
         """(block_size, width) standard normals for the Gaussian lane."""
         return _draw_blocks([self], self.PURPOSE_GAUSS, block, width)[0]
-
-    def _at(self, purpose: int, width: int, t: int) -> np.ndarray:
-        """Row t of the purpose's blocks, keeping that one block for the
-        next step."""
-        if t < 0:
-            raise InvalidParamError(f"step t must be >= 0, got {t}")
-        block, row = divmod(t, self.block_size)
-        key = (purpose, width, block)
-        if key != self._read[0]:
-            self._read = (key, _draw_blocks([self], purpose, block, width)[0])
-        return self._read[1][row]
-
-    def normals_at(self, t: int, width: int) -> np.ndarray:
-        return self._at(self.PURPOSE_GAUSS, width, t)
-
-    def raw_at(self, t: int, width: int) -> np.ndarray:
-        return self._at(self.PURPOSE_SUBSET, width, t)
 
 
 def _philox() -> Philox:
@@ -218,7 +197,7 @@ def _words(philox: Philox, stream: NoiseStream, lane: int, n: int,
 
 def _gauss_chunk(rows: int, width: int) -> int:
     """Streams per Box-Muller chunk of rows Gaussian rows of width normals."""
-    return max(1, _CHUNK_PAIRS // (rows * ((width + 1) // 2)))
+    return max(1, _CHUNK_PAIRS // max(1, rows * ((width + 1) // 2)))
 
 
 def _draw_blocks(streams, purpose: int, block: int, width: int,
@@ -279,6 +258,26 @@ def _draw_blocks(streams, purpose: int, block: int, width: int,
         # a sine only for the width // 2 pairs whose second normal is returned
         z[..., 1::2] = r[..., : width // 2] * np.sin(angle[..., : width // 2])
     return out
+
+
+def _stream_rows(stream: NoiseStream, purpose: int, width: int, steps: range) -> np.ndarray:
+    """The (len(steps), width) rows of the stream's purpose lane at the steps
+    of a step-1 range, bit for bit the rows of its blocks.
+
+    Each block the range reaches is read through _draw_blocks, only the
+    range's rows of it; a range inside one block comes back as that read
+    gives it, without a copy, and a longer one as the blocks' rows joined.
+    """
+    if steps.step != 1:
+        raise InvalidParamError(f"steps must be a range of step 1, got {steps}")
+    if steps.start < 0:
+        raise InvalidParamError(f"step t must be >= 0, got {steps.start}")
+    size, start, stop = stream.block_size, steps.start, steps.start + len(steps)
+    # the range's first step, then the first step of each later block
+    firsts = [start, *range(start - start % size + size, stop, size)]
+    rows = [_draw_blocks([stream], purpose, t // size, width, lo=t % size,
+                         hi=min(size, t % size + stop - t))[0] for t in firsts]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 @dataclass(frozen=True)
@@ -583,7 +582,8 @@ def _pick_index(keys: np.ndarray, b: int, packed: np.ndarray | None = None) -> n
     words = words.reshape(keys.shape)
     words.sort(axis=-1)
     head = words[..., :b + 1]
-    if n > 1 and (head[..., 1:] ^ head[..., :-1]).min() <= low:
+    # a row of one sample, or no row at all, has no neighbours to tie
+    if (head[..., 1:] ^ head[..., :-1]).min(initial=_MASK) <= low:
         idx = np.argsort(keys, axis=-1)[..., :b] + n * np.arange(m)[:, None]
     else:
         idx = (head[..., :b] & low).view(np.intp)
@@ -640,10 +640,11 @@ def _step_draw(model, obj: ObjectiveSet, stream: NoiseStream, t: int) -> np.ndar
     replicate: the (b, 1, 1, m) picks of its subset words, by the
     _pick_index that _Draws picks a run's fills with, or the (1, 1, m*d)
     Gaussian noise, turned from the normals by the _noise that _Draws turns
-    a run's fills with. _Draws picks a stream's whole fill unit at once, so
-    a near-tie sends that unit to argsort, and this step's words alone
-    here; each row's picks are argsort's either way."""
-    draw = stream._at(*_lane(model, obj), t)
+    a run's fills with. The stream holds no state: the step is read as a
+    one-step range through _stream_rows. _Draws picks a stream's whole
+    fill unit at once, so a near-tie sends that unit to argsort, and this
+    step's words alone here; each row's picks are argsort's either way."""
+    draw = _stream_rows(stream, *_lane(model, obj), range(t, t + 1))
     if isinstance(model, AdditiveGaussian):
         return _noise(model, obj, None)(draw).reshape(1, 1, -1)
     return _pick_index(draw.reshape(1, 1, obj.m, obj.n), model.batch_size)
@@ -677,16 +678,20 @@ def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) ->
 
 
 def sample_noise(model, obj: ObjectiveSet, Theta: StackedPoint,
-                 stream: NoiseStream, t: int) -> StackedPoint:
-    """One draw of the stacked noise E(Theta) at step t of the stream.
+                 stream: NoiseStream, t: int | range) -> StackedPoint | np.ndarray:
+    """The stacked noise E(Theta) at step t of the stream: one draw as a
+    StackedPoint for an int t, and for a step-1 range t the (len(t), m, d)
+    array of the draws at its steps, bit for bit the int calls'.
 
-    The draw is a pure function of the stream and t, so passing the same t
+    The stream holds no state and its steps are read by range, so a draw is
+    a pure function of the stream and its step: passing the same t
     evaluates the same noise realization at two different points.
     """
     _check_model(model, obj)
     obj._check_point(Theta)
-    eps = _noise(model, obj, Theta.data)(stream._at(*_lane(model, obj), t))
-    return StackedPoint(obj.m, obj.d, eps)
+    steps = t if isinstance(t, range) else range(t, t + 1)
+    eps = _noise(model, obj, Theta.data)(_stream_rows(stream, *_lane(model, obj), steps))
+    return eps if isinstance(t, range) else StackedPoint(obj.m, obj.d, eps[0])
 
 
 def covariance_at(model, obj: ObjectiveSet, theta) -> np.ndarray:
@@ -746,10 +751,10 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     """||E(Theta*)||^2 for the first n_draws steps of stream (seed, 0).
 
     The draws are read in units of _TAU_UNIT steps, a quarter of a block,
-    through _draw_blocks. Each usable CPU, up to _MAX_TAU_WORKERS and the
-    number of units, takes one contiguous span of units: the calling
-    thread runs the first, and one thread each the others, all joined
-    before this returns. The noise is bound to Theta_star once, before the
+    each through _stream_rows as one _draw_blocks read. Each usable CPU, up
+    to _MAX_TAU_WORKERS and the number of units, takes one contiguous span
+    of units: the calling thread runs the first, and one thread each the
+    others, all joined before this returns. The noise is bound to Theta_star once, before the
     spans start, so the minibatch per-sample gradients at Theta_star and
     their full mean are formed once per pass and every thread reads them.
     A unit's draws and norms depend only on its steps, and each span writes
@@ -758,7 +763,6 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
     """
     stream = NoiseStream(seed=seed, replicate=0)
     purpose, width = _lane(model, obj)
-    size = stream.block_size
     sq_norms = np.empty(n_draws)
     noise_at = _noise(model, obj, Theta_star.data)
 
@@ -768,9 +772,7 @@ def _tau_sq_norms(model, obj: ObjectiveSet, Theta_star: StackedPoint,
         # fresh pages for each unit
         for start in starts:
             stop = min(start + _TAU_UNIT, n_draws)
-            block, row = divmod(start, size)
-            draws = _draw_blocks([stream], purpose, block, width,
-                                 lo=row, hi=row + stop - start)[0]
+            draws = _stream_rows(stream, purpose, width, range(start, stop))
             eps = noise_at(draws)
             sq_norms[start:stop] = np.sum(eps**2, axis=(1, 2))
 

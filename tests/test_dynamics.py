@@ -131,12 +131,12 @@ class TestSteps:
         W = build_fully_connected(1)
         model = AdditiveGaussian.isotropic(1, 1, sigma**2)
         stream = NoiseStream(seed=3)
-        ref_stream = NoiseStream(seed=3)
+        normals = NoiseStream(seed=3).normals_block(0, 1)
         theta = 0.9
         point = StackedPoint.from_blocks([[theta]])
         for t in range(20):
             point = dsgd_step(W, obj, model, gamma, point, stream, t)
-            eps = sigma * ref_stream.normals_at(t, 1)[0]
+            eps = sigma * normals[t, 0]
             theta = (1.0 - gamma * a) * theta - gamma * eps
             assert point.data[0, 0] == pytest.approx(theta, abs=1e-15)
 
@@ -148,15 +148,19 @@ class TestSteps:
         det = dgd_step(W, obj, gamma, Theta)
         stream = NoiseStream(seed=31)
         n = 100_000
-        acc = np.zeros((2, 1))
-        stack = []
-        for t in range(n):
-            stack.append(dsgd_step(W, obj, model, gamma, Theta, stream, t).data)
-            acc += stack[-1]
+        # the n one-step outcomes at once: the step kernel on n replicates of
+        # Theta, each with its step's noise
+        eps = noise.sample_noise(model, obj, Theta, stream, range(n))
+        Th = np.broadcast_to(Theta.data, (1, n, 2, 1))
+        steps = dynamics._step(W.entries, obj, model, gamma, Th, eps.reshape(1, n, 2))[0]
         # SHA-256 of the bytes of the (n, m, d) outcomes, recorded from one
         # dsgd_step call per step
-        digest = hashlib.sha256(np.stack(stack).tobytes()).hexdigest()
+        digest = hashlib.sha256(steps.tobytes()).hexdigest()
         assert digest == "5e511ae0f72a86481638339013febc4006caa788f29f783b3f1614bd271c41ac"
+        for t in (0, 1, 511, 512, 513, 77_777, 99_999):
+            one = dsgd_step(W, obj, model, gamma, Theta, stream, t).data
+            assert one.tobytes() == steps[t].tobytes()
+        acc = steps.sum(axis=0)
         tau2 = np.sqrt(2 * 0.5)
         assert np.linalg.norm(acc / n - det.data) <= 4.0 * gamma * tau2 / np.sqrt(n)
 

@@ -16,6 +16,7 @@ from dsgd_lab.noise import (
     AdditiveGaussian,
     Minibatch,
     NoiseStream,
+    _stream_rows,
     _tau_sq_norms,
     covariance_at,
     sample_noise,
@@ -31,7 +32,8 @@ from dsgd_lab.stacked import StackedPoint
 
 
 # SHA-256 of the bytes of each Monte Carlo test's 100,000-step (n, m, d)
-# noise stack, recorded from one sample_noise call per step
+# noise stack, recorded from one sample_noise call per step; the tests read
+# each stack as one range
 MONTE_CARLO_DIGESTS = {
     "gauss_covariance": "f07ad773f72166ca25c8cbece189d3e419b3b666391b815a40a8c246de85884f",
     "gauss_zero_mean": "a5bb6dea12d0698f1fa1fd871e3ef06ae939c2f774be97e8e65faa9971f1af83",
@@ -59,23 +61,24 @@ def logit_obj():
 class TestStream:
     def test_random_access_matches_sequential(self):
         s = NoiseStream(seed=9, replicate=4)
-        seq = [s.normals_at(t, 6).copy() for t in range(1000)]
+        seq = np.concatenate([s.normals_block(0, 6), s.normals_block(1, 6)])[:1000]
         s2 = NoiseStream(seed=9, replicate=4)
         # access out of order, across block boundaries
         for t in [999, 0, 513, 511, 512, 17]:
-            assert np.array_equal(s2.normals_at(t, 6), seq[t])
+            row = _stream_rows(s2, NoiseStream.PURPOSE_GAUSS, 6, range(t, t + 1))
+            assert np.array_equal(row, seq[t:t + 1])
 
     def test_distinct_replicates_differ(self):
-        a = NoiseStream(seed=9, replicate=0).normals_at(0, 4)
-        b = NoiseStream(seed=9, replicate=1).normals_at(0, 4)
+        a = NoiseStream(seed=9, replicate=0).normals_block(0, 4)[0]
+        b = NoiseStream(seed=9, replicate=1).normals_block(0, 4)[0]
         assert not np.array_equal(a, b)
 
     def test_seed_replicate_transposition_differs(self):
         # regression: (seed, replicate) must not collide with
         # (replicate, seed); a commutative key combination would
         for s, r in [(0, 1), (3, 7), (12, 345)]:
-            a = NoiseStream(seed=s, replicate=r).normals_at(0, 4)
-            b = NoiseStream(seed=r, replicate=s).normals_at(0, 4)
+            a = NoiseStream(seed=s, replicate=r).normals_block(0, 4)[0]
+            b = NoiseStream(seed=r, replicate=s).normals_block(0, 4)[0]
             assert not np.array_equal(a, b)
 
     def test_moments(self):
@@ -86,9 +89,9 @@ class TestStream:
 
     def test_raw_lane_independent_of_gauss_lane(self):
         s = NoiseStream(seed=5)
-        r1 = s.raw_at(0, 4).copy()
-        _ = s.normals_at(0, 4)
-        assert np.array_equal(s.raw_at(0, 4), r1)
+        r1 = s.raw_block(0, 4)[0].copy()
+        _ = s.normals_block(0, 4)
+        assert np.array_equal(s.raw_block(0, 4)[0], r1)
 
     @pytest.mark.parametrize("seed, replicate", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_rejects_seed_or_replicate_outside_64_bits(self, seed, replicate):
@@ -101,11 +104,26 @@ class TestStream:
         assert not np.array_equal(NoiseStream(top, top).normals_block(0, 2),
                                   NoiseStream(0, 0).normals_block(0, 2))
 
-    @pytest.mark.parametrize("reader", ["normals_at", "raw_at"])
-    def test_rejects_negative_step(self, reader):
+    @pytest.mark.parametrize("purpose", [NoiseStream.PURPOSE_GAUSS, NoiseStream.PURPOSE_SUBSET],
+                             ids=["gauss", "subset"])
+    def test_rejects_negative_step(self, purpose):
         # t = -1 would read the last row of block -1
-        with pytest.raises(InvalidParamError, match="t must be >= 0, got -1"):
-            getattr(NoiseStream(0, 0), reader)(-1, 2)
+        for steps in (range(-1, 0), range(-1, 5), range(-1, -1)):
+            with pytest.raises(InvalidParamError, match="t must be >= 0, got -1"):
+                _stream_rows(NoiseStream(0, 0), purpose, 2, steps)
+
+    @pytest.mark.parametrize("purpose", [NoiseStream.PURPOSE_GAUSS, NoiseStream.PURPOSE_SUBSET],
+                             ids=["gauss", "subset"])
+    @pytest.mark.parametrize("steps", [range(0, 10, 2), range(10, 0, -1), range(3, 4, 5)])
+    def test_rejects_a_range_whose_step_is_not_1(self, purpose, steps):
+        with pytest.raises(InvalidParamError, match="range of step 1"):
+            _stream_rows(NoiseStream(0, 0), purpose, 2, steps)
+
+    @pytest.mark.parametrize("purpose", [NoiseStream.PURPOSE_GAUSS, NoiseStream.PURPOSE_SUBSET],
+                             ids=["gauss", "subset"])
+    def test_an_empty_range_reads_no_rows(self, purpose):
+        for steps in (range(0), range(700, 700), range(5, 3)):
+            assert _stream_rows(NoiseStream(0, 0), purpose, 3, steps).shape == (0, 3)
 
 
 class TestAdditiveGaussian:
@@ -131,10 +149,10 @@ class TestAdditiveGaussian:
         stream = NoiseStream(seed=11)
         Theta = StackedPoint.zeros(2, 1)
         n = 100_000
-        draws = np.empty((n, 2))
-        for i in range(n):
-            draws[i] = sample_noise(model, quad_obj, Theta, stream, i).data[:, 0]
-        assert _sha256(draws) == MONTE_CARLO_DIGESTS["gauss_covariance"]
+        eps = sample_noise(model, quad_obj, Theta, stream, range(n))
+        assert eps.shape == (n, 2, 1)
+        assert _sha256(eps) == MONTE_CARLO_DIGESTS["gauss_covariance"]
+        draws = eps[:, :, 0]
         emp = draws.T @ draws / n
         assert abs(emp[0, 0] - sigma2) <= 0.03 * sigma2
         assert abs(emp[1, 1] - sigma2) <= 0.03 * sigma2
@@ -146,12 +164,10 @@ class TestAdditiveGaussian:
         stream = NoiseStream(seed=21)
         Theta = StackedPoint.from_blocks([[0.3], [-0.2]])
         n = 100_000
-        acc = np.zeros((2, 1))
-        stack = []
-        for t in range(n):
-            stack.append(sample_noise(model, quad_obj, Theta, stream, t).data)
-            acc += stack[-1]
-        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["gauss_zero_mean"]
+        eps = sample_noise(model, quad_obj, Theta, stream, range(n))
+        assert eps.shape == (n, 2, 1)
+        assert _sha256(eps) == MONTE_CARLO_DIGESTS["gauss_zero_mean"]
+        acc = eps.sum(axis=0)
         tau2 = np.sqrt(2.0)
         assert np.linalg.norm(acc / n) <= 4.0 * tau2 / np.sqrt(n)
 
@@ -212,13 +228,11 @@ class TestMinibatch:
         exact = covariance_at(model, logit_obj, theta)
         stream = NoiseStream(seed=13)
         n = 100_000
-        acc = np.zeros((logit_obj.d, logit_obj.d))
-        stack = []
-        for t in range(n):
-            eps = sample_noise(model, logit_obj, Theta, stream, t)
-            stack.append(eps.data)
-            acc += sum(np.outer(eps.block(k), eps.block(k)) for k in range(logit_obj.m))
-        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["minibatch_covariance"]
+        eps = sample_noise(model, logit_obj, Theta, stream, range(n))
+        assert eps.shape == (n, logit_obj.m, logit_obj.d)
+        assert _sha256(eps) == MONTE_CARLO_DIGESTS["minibatch_covariance"]
+        # the sum over steps and clients of each block's outer product
+        acc = np.einsum("tki,tkj->ij", eps, eps)
         emp = acc / (n * logit_obj.m)
         rel = np.linalg.norm(emp - exact) / np.linalg.norm(exact)
         assert rel <= 0.03
@@ -230,15 +244,11 @@ class TestMinibatch:
         Theta = StackedPoint(logit_obj.m, logit_obj.d,
                              rng.standard_normal((logit_obj.m, logit_obj.d)))
         n = 100_000
-        acc = np.zeros((logit_obj.m, logit_obj.d))
-        sq = 0.0
-        stack = []
-        for t in range(n):
-            eps = sample_noise(model, logit_obj, Theta, stream, t)
-            stack.append(eps.data)
-            acc += eps.data
-            sq += float(np.sum(eps.data**2))
-        assert _sha256(np.stack(stack)) == MONTE_CARLO_DIGESTS["minibatch_zero_mean"]
+        eps = sample_noise(model, logit_obj, Theta, stream, range(n))
+        assert eps.shape == (n, logit_obj.m, logit_obj.d)
+        assert _sha256(eps) == MONTE_CARLO_DIGESTS["minibatch_zero_mean"]
+        acc = eps.sum(axis=0)
+        sq = float(np.sum(eps**2))
         tau2_hat = np.sqrt(sq / n)
         assert np.linalg.norm(acc / n) <= 4.0 * tau2_hat / np.sqrt(n)
 
@@ -257,6 +267,30 @@ class TestMinibatch:
             diff_g = (gA - gB).ravel()
             diff_x = (A.data - B.data).ravel()
             assert diff_g @ diff_g <= L * (diff_g @ diff_x) + 1e-9
+
+
+
+def _lanes(quad_obj, logit_obj):
+    """A noise model of each lane with its objective."""
+    return [(AdditiveGaussian.isotropic(2, 1, 1.0), quad_obj), (Minibatch(batch_size=2), logit_obj)]
+
+
+class TestSampleNoiseRange:
+    def test_an_empty_range_gives_no_draws(self, quad_obj, logit_obj):
+        for model, obj in _lanes(quad_obj, logit_obj):
+            Theta = StackedPoint.zeros(obj.m, obj.d)
+            for steps in (range(0), range(512, 512)):
+                eps = sample_noise(model, obj, Theta, NoiseStream(0), steps)
+                assert eps.shape == (0, obj.m, obj.d)
+
+    def test_rejects_negative_start_and_steps_other_than_1(self, quad_obj, logit_obj):
+        for model, obj in _lanes(quad_obj, logit_obj):
+            Theta = StackedPoint.zeros(obj.m, obj.d)
+            for t in (-1, range(-1, 3)):
+                with pytest.raises(InvalidParamError, match="t must be >= 0, got -1"):
+                    sample_noise(model, obj, Theta, NoiseStream(0), t)
+            with pytest.raises(InvalidParamError, match="range of step 1"):
+                sample_noise(model, obj, Theta, NoiseStream(0), range(0, 6, 2))
 
 
 class TestTau:

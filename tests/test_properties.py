@@ -1,8 +1,9 @@
 """Property tests: the block-wise draw reader against single streams, a
 re-keyed Philox against a new one, a row range of a block against the whole
-block, the Newton solve for Theta_det against the Picard oracle, the shared
-Newton loop on theta*, the sigmoid against the masked formula and an exact
-decimal reference, the batched logistic gradient against its einsum and
+block, a range of steps' noise against the noise of each step, the Newton
+solve for Theta_det against the Picard oracle, the shared Newton loop on
+theta*, the sigmoid against the masked formula and an exact decimal
+reference, the batched logistic gradient against its einsum and
 sigmoid formula, the packed-word selection against argsort, the minibatch
 drift against the full per-sample gradient formula, the batched Hessians
 against the per-client ones, every topology builder's W against the block
@@ -72,18 +73,20 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
     noise, obj = GRID_PROBLEMS[lane]
     draws = _Draws(noise, obj, seed, ids)
     grids = [draws.at(t).copy() for t in steps]
+    size = NoiseStream.block_size
     for c, row in enumerate(ids):
         for r, rep in enumerate(row):
             stream = NoiseStream(seed, rep)
             for t, grid in zip(steps, grids):
                 if lane[0] == "gaussian":
                     assert grid.shape == (len(ids), R, lane[1])
-                    assert np.array_equal(grid[c, r], stream.normals_at(t, lane[1]))
+                    normals = stream.normals_block(t // size, lane[1])[t % size]
+                    assert np.array_equal(grid[c, r], normals)
                 else:
                     # the picks of the stream's words at step t, pick axis first
                     b = noise.batch_size
                     assert grid.shape == (b, len(ids), R, obj.m)
-                    words = stream.raw_at(t, lane[1]).reshape(obj.m, obj.n)
+                    words = stream.raw_block(t // size, lane[1])[t % size].reshape(obj.m, obj.n)
                     assert np.array_equal(grid[:, c, r], _pick_index(words, b))
 
 
@@ -145,6 +148,35 @@ def test_a_row_range_read_alone_is_those_rows_of_the_block(seeds, gauss, width, 
     assert np.array_equal(rows, whole[:, r0:hi])
     for stream, own in zip(streams, whole):
         assert np.array_equal(own, _draw_blocks([stream], purpose, block, width)[0])
+
+
+
+# a noise model of each lane on a problem of its own, and a point away from
+# theta* at which the noise is taken
+RANGE_LANES = {
+    "gaussian": (AdditiveGaussian.isotropic(2, 3, 1.0), generate_logistic_problem(m=2, n=4, d=3,
+                                                                                 seed=2)),
+    "minibatch": (Minibatch(2), generate_logistic_problem(m=2, n=5, d=2, seed=2)),
+}
+
+
+# starts on both sides of the first block boundaries; up to 1,100 steps
+# reach two boundaries past the start
+@settings(max_examples=60, deadline=None)
+@given(lane=st.sampled_from(sorted(RANGE_LANES)), seed=st.integers(0, 2**32 - 1),
+       start=st.sampled_from([0, 1, 511, 512, 513, 1023, 1024]), length=st.integers(0, 1_100))
+@example(lane="gaussian", seed=0, start=1, length=1_100)
+@example(lane="minibatch", seed=0, start=511, length=1_100)
+@example(lane="minibatch", seed=0, start=512, length=0)
+def test_a_range_of_steps_is_the_stack_of_its_steps(lane, seed, start, length):
+    model, obj = RANGE_LANES[lane]
+    point = StackedPoint(obj.m, obj.d, obj.theta_star_stacked.data + 0.5)
+    stream = NoiseStream(seed, 3)
+    steps = range(start, start + length)
+    got = sample_noise(model, obj, point, stream, steps)
+    assert got.shape == (length, obj.m, obj.d)
+    want = [sample_noise(model, obj, point, stream, t).data for t in steps]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def _problem(kind, m, d, seed):
@@ -461,7 +493,7 @@ def test_one_client_one_coordinate_sums_in_pick_order(n, b):
         # sample_noise reads its words from the stream at step t
         point = StackedPoint(1, 1, Th[0, 0])
         stream = NoiseStream(seed=b, replicate=n)
-        keys = stream.raw_at(t, n).reshape(1, n)
+        keys = stream.raw_block(0, n)[t].reshape(1, n)
         persample = _sigmoid(obj.data @ Th[0, 0, 0])[..., None] * obj.data
         want = _subset_mean(persample, keys, b) - persample.mean(axis=1)
         got = sample_noise(Minibatch(b), obj, point, stream, t).data
