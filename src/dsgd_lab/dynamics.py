@@ -242,7 +242,7 @@ def dsgd_step(W: CommMatrix, obj: ObjectiveSet, noise, gamma: float,
               Theta: StackedPoint, stream: NoiseStream, t: int) -> StackedPoint:
     """One stochastic update at step t: local noisy gradient step, then mixing.
 
-    Consumes the stream's draws of step t.
+    Reads the stream's draws of step t; the stream keeps no state.
     """
     _check_step(gamma, obj.L)
     _check_model(noise, obj)

@@ -77,16 +77,18 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
     for c, row in enumerate(ids):
         for r, rep in enumerate(row):
             stream = NoiseStream(seed, rep)
+            read = stream.normals_block if lane[0] == "gaussian" else stream.raw_block
+            blocks = {t // size: read(t // size, lane[1]) for t in steps}
             for t, grid in zip(steps, grids):
+                draw = blocks[t // size][t % size]
                 if lane[0] == "gaussian":
                     assert grid.shape == (len(ids), R, lane[1])
-                    normals = stream.normals_block(t // size, lane[1])[t % size]
-                    assert np.array_equal(grid[c, r], normals)
+                    assert np.array_equal(grid[c, r], draw)
                 else:
                     # the picks of the stream's words at step t, pick axis first
                     b = noise.batch_size
                     assert grid.shape == (b, len(ids), R, obj.m)
-                    words = stream.raw_block(t // size, lane[1])[t % size].reshape(obj.m, obj.n)
+                    words = draw.reshape(obj.m, obj.n)
                     assert np.array_equal(grid[:, c, r], _pick_index(words, b))
 
 
@@ -148,7 +150,6 @@ def test_a_row_range_read_alone_is_those_rows_of_the_block(seeds, gauss, width, 
     assert np.array_equal(rows, whole[:, r0:hi])
     for stream, own in zip(streams, whole):
         assert np.array_equal(own, _draw_blocks([stream], purpose, block, width)[0])
-
 
 
 # a noise model of each lane on a problem of its own, and a point away from
