@@ -255,7 +255,6 @@ class TestMinibatch:
             assert diff_g @ diff_g <= L * (diff_g @ diff_x) + 1e-9
 
 
-
 def _lanes(quad_obj, logit_obj):
     """A noise model of each lane with its objective."""
     return [(AdditiveGaussian.isotropic(2, 1, 1.0), quad_obj), (Minibatch(batch_size=2), logit_obj)]
