@@ -1,10 +1,17 @@
 """Golden CLI outputs: every cell of every file must regenerate.
 
-The files under tests/golden/<case>/ were written by the commands in CASES
+The files under tests/golden/<case>/ are written by the commands in CASES
 (each with ``--out tests/golden/<case>``; the compare case reads DEMO_CONFIG,
 the README's demo config, from a file). Text cells must match exactly and
 numeric cells within GOLDEN_RTOL relative, so a change that only moves the
 last bits of the floating-point work passes, and any other change fails.
+
+Run this file as a script to rewrite tests/golden/ from CASES:
+
+    PYTHONPATH=src python tests/test_golden.py
+    git diff --exit-code tests/golden
+
+A change that claims to move no bit leaves that diff empty.
 """
 
 import contextlib
@@ -12,6 +19,8 @@ import csv
 import io
 import math
 import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -63,6 +72,25 @@ CASES = {
 }
 
 
+def _run(case, demo, out) -> None:
+    """Run CASES[case] with its output under out, the demo config at demo."""
+    argv = [arg.format(demo=demo) for arg in CASES[case]] + ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def regenerate() -> None:
+    """Rewrite every case's directory under GOLDEN_DIR from CASES."""
+    with tempfile.TemporaryDirectory() as tmp:
+        demo = os.path.join(tmp, "demo.cfg")
+        with open(demo, "w", encoding="utf-8") as fh:
+            fh.write(DEMO_CONFIG)
+        for case in sorted(CASES):
+            out = os.path.join(GOLDEN_DIR, case)
+            shutil.rmtree(out, ignore_errors=True)
+            _run(case, demo, out)
+
+
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -83,9 +111,7 @@ def test_cli_output_matches_golden(case, tmp_path):
     demo = tmp_path / "demo.cfg"
     demo.write_text(DEMO_CONFIG, encoding="utf-8")
     out = tmp_path / "out"
-    argv = [arg.format(demo=demo) for arg in CASES[case]] + ["--out", str(out)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
+    _run(case, demo, out)
     want_dir = os.path.join(GOLDEN_DIR, case)
     assert sorted(os.listdir(out)) == sorted(os.listdir(want_dir))
     for name in sorted(os.listdir(want_dir)):
@@ -95,3 +121,7 @@ def test_cli_output_matches_golden(case, tmp_path):
             assert len(g_row) == len(w_row), (name, i)
             bad = [(g, w) for g, w in zip(g_row, w_row) if not _cells_match(g, w)]
             assert not bad, (name, i, bad)
+
+
+if __name__ == "__main__":
+    regenerate()
