@@ -191,32 +191,47 @@ def _check_shapes(W: CommMatrix, obj: ObjectiveSet, *points: StackedPoint) -> No
         raise ShapeMismatchError(f"W has m={W.m}, objective has m={obj.m}")
 
 
-def _step(W: np.ndarray, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
+def _step(W: np.ndarray | None, obj: ObjectiveSet, noise, gammas: np.ndarray | float,
           Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
     """One Adapt-then-Combine step of a (C, R, m, d) stack of chains.
 
-    gammas holds the chains' step sizes, shaped (C, 1, 1, 1) so that they
-    broadcast over the stack, or one float. draw is None for noiseless
-    chains; otherwise it holds the step's draws for each replicate, with a
-    chain axis of 1 when all C chains share them and of C when each chain
-    has its own: (1 or C, R, m*d) Gaussian noise, or (b, 1 or C, R, m)
-    subset picks. Shared noise is added, and the rows of shared picks
-    gathered once, and broadcast over the chains. Th - gammas * drift is
-    formed in the drift's memory.
+    W is the mixing matrix, or None for a lone client whose 1x1 W is
+    [[1.0]]. gammas holds the chains' step sizes, shaped (C, 1, 1, 1) so
+    that they broadcast over the stack, or one float. draw is None for
+    noiseless chains; otherwise it holds the step's draws for each
+    replicate, with a chain axis of 1 when all C chains share them and of C
+    when each chain has its own: (1 or C, R, m, d) Gaussian noise, or (b,
+    1 or C, R, m) subset picks. Shared noise is added, and the rows of
+    shared picks gathered once, and broadcast over the chains. Th - gammas
+    * drift is formed in the drift's memory.
     """
     drift = _drift(obj, noise, Th, draw)
     drift *= gammas
-    return np.matmul(W, np.subtract(Th, drift, out=drift))
+    mixed = np.subtract(Th, drift, out=drift)
+    if W is None:
+        # the 1x1 matmul computes 0.0 + 1.0 * y, which turns -0.0 into +0.0,
+        # into a C-ordered result; adding 0.0 in C order gives its bits
+        mixed = np.ascontiguousarray(mixed)
+        mixed += 0.0
+        return mixed
+    return np.matmul(W, mixed)
 
 
 def _iterate(Ws, obj: ObjectiveSet, noise, gammas, starts, R: int,
              draws: _Draws | None, T: int):
     """Yield the (C, R, m, d) stack at t = 0, 1, ..., T, chain c stepping
-    with gammas[c] from starts[c]; equal Ws mix as one (m, m) matrix."""
+    with gammas[c] from starts[c]; equal Ws mix as one (m, m) matrix, and a
+    lone client under W = [[1.0]] takes no matmul. One chain steps with its
+    gamma as a float."""
     W = np.stack([W.entries for W in Ws])[:, None]
     if (W == W[0]).all():
         W = W[0, 0]
-    gammas = np.reshape(np.asarray(gammas, dtype=float), (-1, 1, 1, 1))
+        if W.shape == (1, 1) and W[0, 0] == 1.0:
+            W = None
+    if len(gammas) == 1:
+        gammas = float(gammas[0])
+    else:
+        gammas = np.reshape(np.asarray(gammas, dtype=float), (-1, 1, 1, 1))
     Th = np.repeat(np.stack([P.data for P in starts])[:, None], R, axis=1)
     try:
         yield Th

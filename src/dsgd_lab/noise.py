@@ -43,12 +43,12 @@ readers rely on this, with the same bits at any CPU count:
   times smaller than the words at rr-sto's shape, and a near-tie sends
   one stream's unit to the argsort fallback. Philox releases the GIL
   while it makes words, and the sort while it picks, so the worker runs
-  beside the step. A Gaussian block is filled whole on
-  the calling thread, and each fill turns its normals into the noise S_k
-  z_k in place, so the buffer holds the noise the steps add. A worker for
-  the Gaussian fill slowed the benchmark's stationary-gauss operation from
-  2.2-2.8 s to 3.2-3.9 s: Box-Muller's ufuncs release the GIL, but the
-  step's ufuncs then hand it to the fill thread and wait to get it back.
+  beside the step. A Gaussian block is filled whole on the calling
+  thread, never on a worker: Box-Muller's ufuncs release the GIL, and the
+  step's ufuncs would then hand it to the fill thread and wait to get it
+  back. Each fill turns its normals into the noise S_k z_k in place, so
+  the buffer holds the noise the steps add, in the (m, d) shape they add
+  it.
 """
 
 from __future__ import annotations
@@ -83,18 +83,18 @@ __all__ = [
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
-# a generator's counter and buffer when it is (re-)keyed
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-_ZERO4.setflags(write=False)
-# Box-Muller pairs per pass of _draw_blocks: one pass over a whole R = 128
-# grid of AC10-shape blocks raised a run's peak RSS by about 4 MB
-_CHUNK_PAIRS = 2048
+# Box-Muller pairs per pass of _draw_blocks and per noise turn of a
+# _Draws fill, so that neither makes a temporary of a whole grid: 8 streams
+# of an AC10-shape block (512 rows of width 1) per pass. Peak RSS with
+# this budget, and the fill's time, are in BENCH_28.json
+_CHUNK_PAIRS = 4096
 # subset words per piece that _draw_blocks copies into a grid: with the
 # fill worker, whole-stream reads raised the benchmark's rr-sto peak RSS by
 # 3.2 to 3.6 MB, pieces by 0.2 to 0.7 MB
 _PIECE_WORDS = 16_384
-# each thread's generator, re-keyed for every read: building one for each
-# _draw_blocks call took 11 to 24 us
+# each thread's generator, re-keyed for every read (building one for each
+# _draw_blocks call took 11 to 24 us), and the state dict it is re-keyed
+# through
 _local = threading.local()
 
 
@@ -166,6 +166,24 @@ def _philox() -> Philox:
         return _local.philox
 
 
+def _rekey_state() -> dict:
+    """The calling thread's state dict for _seek, made at its first re-key.
+
+    Its counter and key are lists, which Philox's state setter reads
+    element by element: a dict built with numpy arrays for each re-key took
+    2.2 us, this one, rewritten in place, 0.5 us.
+    """
+    try:
+        return _local.state
+    except AttributeError:
+        _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return _local.state
+
+
 def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
     """Key philox on (the stream's key word, lane) at word start.
 
@@ -173,17 +191,19 @@ def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
     key with counter start // 4 and nothing buffered, which gives the words
     that Philox(key=...) would from word 4 * (start // 4) on, without the
     OS entropy that constructor draws for a seed the key then overrides.
+    The state goes in through the calling thread's one dict, whose counter
+    and key are overwritten and whose buffer flags are reset on every call.
     The start % 4 words before start in that counter's output are drawn
     and dropped, so random_raw continues from word start. Philox is
     counter-based, so any range of words comes out the same alone as inside
     a longer read.
     """
-    philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([start // 4, 0, 0, 0], dtype=np.uint64),
-                  "key": np.array([stream._key0, lane], dtype=np.uint64)},
-        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    state = _rekey_state()
+    state["state"]["counter"][0] = start // 4
+    key = state["state"]["key"]
+    key[0], key[1] = stream._key0, lane
+    state["buffer_pos"], state["has_uint32"] = 4, 0
+    philox.state = state
     if start % 4:
         philox.random_raw(start % 4)
 
@@ -432,9 +452,10 @@ class _Draws:
     Gaussian noise reads the noise S_k z_k itself: each fill unit's
     standard normals are turned into it in place, by the _noise that
     sample_noise uses, one Box-Muller chunk of streams at a time, so that
-    no block-sized temporary appears; that buffer is m*d wide. T, when
-    given, is the number of steps the run reads: nothing past step T - 1
-    is filled ahead.
+    no block-sized temporary appears; at(t) gives it in the (C, R, m, d)
+    shape that _drift adds, so no step reshapes it. T, when given, is the
+    number of steps the run reads: nothing past step T - 1 is filled
+    ahead.
 
     The buffer holds one block of every stream and is filled in units. On
     the subset lane with two or more usable CPUs a unit is half a block,
@@ -444,11 +465,10 @@ class _Draws:
     sort picks from them, without the GIL, so the worker runs beside the
     step. Otherwise (the Gaussian lane, or one CPU) a unit is the whole
     block, filled on the calling thread when it is first read, and no
-    worker starts: a worker for the Gaussian fill slowed the benchmark's
-    stationary-gauss operation from 2.2-2.8 s to 3.2-3.9 s, because the
-    step's GIL-releasing ufuncs hand the GIL to the fill thread and then
-    wait to get it back, and halves cost more than a whole block. The CLI's
-    --threads does not set the worker. Every draw is the same to the bit
+    worker starts: the Gaussian fill's ufuncs release the GIL, so the
+    step's ufuncs would hand it to a fill thread and then wait to get it
+    back, and halves cost more than a whole block. The CLI's --threads
+    does not set the worker. Every draw is the same to the bit
     either way; close() joins the fill in flight.
     """
 
@@ -458,6 +478,8 @@ class _Draws:
         self.purpose, self.width = _lane(model, obj)
         gauss = self.purpose == NoiseStream.PURPOSE_GAUSS
         self.noise = _noise(model, obj, None) if gauss else None
+        # the (m, d) noise of a step, the shape _drift adds
+        self.blocks = (obj.m, obj.d) if gauss else None
         # the (m, n) words of a subset row and the b picks it makes
         self.picks = None if gauss else (obj.m, obj.n, model.batch_size)
         self.block_size = self.streams[0].block_size
@@ -474,7 +496,7 @@ class _Draws:
         S, size, (C, R) = len(self.streams), self.block_size, self.shape
         if self.noise is not None:
             self.buf = np.empty((S, size, self.width))
-            self.grid = self.buf.reshape(C, R, size, self.width).transpose(2, 0, 1, 3)
+            self.grid = self.buf.reshape(C, R, size, *self.blocks).transpose(2, 0, 1, 3, 4)
             return
         m, _, b = self.picks
         # step-major, so that a step's picks are one contiguous (b, C, R, m)
@@ -510,7 +532,7 @@ class _Draws:
 
     def at(self, t: int) -> np.ndarray:
         """The draws of step t: (b, C, R, m) picks on the subset lane,
-        (C, R, m*d) noise on the Gaussian one.
+        (C, R, m, d) noise on the Gaussian one.
 
         The result is a view of a buffer that a later fill overwrites, so it
         is valid only until a step in another unit is read.
@@ -638,7 +660,7 @@ def _noise(model, obj: ObjectiveSet, Theta: np.ndarray):
 def _step_draw(model, obj: ObjectiveSet, stream: NoiseStream, t: int) -> np.ndarray:
     """The stream's draws of step t as _drift reads them for one chain and
     replicate: the (b, 1, 1, m) picks of its subset words, by the
-    _pick_index that _Draws picks a run's fills with, or the (1, 1, m*d)
+    _pick_index that _Draws picks a run's fills with, or the (1, 1, m, d)
     Gaussian noise, turned from the normals by the _noise that _Draws turns
     a run's fills with. The stream holds no state: the step is read as a
     one-step range through _stream_rows. _Draws picks a stream's whole
@@ -646,13 +668,13 @@ def _step_draw(model, obj: ObjectiveSet, stream: NoiseStream, t: int) -> np.ndar
     step's words alone here; each row's picks are argsort's either way."""
     draw = _stream_rows(stream, *_lane(model, obj), range(t, t + 1))
     if isinstance(model, AdditiveGaussian):
-        return _noise(model, obj, None)(draw).reshape(1, 1, -1)
+        return _noise(model, obj, None)(draw)[None]
     return _pick_index(draw.reshape(1, 1, obj.m, obj.n), model.batch_size)
 
 
 def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) -> np.ndarray:
     """The (C, R, m, d) stochastic gradients of a stack of chains at a
-    step's draws: the (1 or C, R, m*d) Gaussian noise _Draws forms, or the
+    step's draws: the (1 or C, R, m, d) Gaussian noise _Draws forms, or the
     (b, 1 or C, R, m) flat sample indices that _pick_index picks from the
     subset words, which is what a run's _Draws buffer holds in place of the
     words, 5 times fewer at rr-sto's n = 50, b = 10. Model None gives the
@@ -660,8 +682,8 @@ def _drift(obj: ObjectiveSet, model, Th: np.ndarray, draw: np.ndarray | None) ->
     if not isinstance(model, Minibatch):
         drift = obj._grad_batch(Th)
         if model is not None:
-            # Gaussian draws are the noise already
-            drift += draw.reshape(draw.shape[:-1] + (obj.m, obj.d))
+            # Gaussian draws are the noise already, in the stack's shape
+            drift += draw
         return drift
     # the subsample mean is the gradient plus the noise, so the full data
     # gradient is never needed, and only the b picked samples' sigmoids

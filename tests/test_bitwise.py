@@ -589,8 +589,8 @@ def test_one_stream_read_from_threads_gives_the_sequential_blocks():
     assert _digest(shared.normals_block(3, 5)) == DRAW_DIGESTS["normals_block", 5, (12345, 7, 3)]
 
 
-# Gaussian rr_run, (coupling, m, d): shared draws are (1, R, m*d) and
-# broadcast over the gamma and gamma/2 chains, independent ones (2, R, m*d)
+# Gaussian rr_run, (coupling, m, d): shared draws are (1, R, m, d) and
+# broadcast over the gamma and gamma/2 chains, independent ones (2, R, m, d)
 GAUSS_RR_CASES = [("shared", 3, 2), ("independent", 3, 2), ("shared", 1, 1),
                   ("independent", 2, 3)]
 
@@ -729,11 +729,14 @@ GRID_DIGESTS = {
 
 
 def _draws_grid(model, obj, ids, T=None):
-    """_Draws.at of every step of the first three blocks, or of the first T."""
+    """_Draws.at of every step of the first three blocks, or of the first T;
+    Gaussian steps as the (C, R, width) rows of their streams' lanes."""
     draws = _Draws(model, obj, 41, ids, T)
     # at returns a view of a buffer that the next block overwrites
     grid = np.stack([draws.at(t).copy() for t in range(T or 3 * 512)])
     draws.close()
+    if isinstance(model, AdditiveGaussian):
+        grid = grid.reshape(grid.shape[:3] + (-1,))
     return grid
 
 
@@ -896,8 +899,8 @@ def test_gaussian_noise_grid_is_pinned(shape):
     draws = _Draws(model, obj, 41, ids)
     # at returns a view of a buffer that the next block overwrites
     grid = np.stack([draws.at(t).copy() for t in [*range(3 * 512), *FILL_STEPS]])
-    assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m * d)
-    assert _digest(grid.reshape(grid.shape[:3] + (m, d))) == GAUSS_NOISE_GRID_DIGESTS[shape]
+    assert grid.shape == (3 * 512 + len(FILL_STEPS), len(ids), len(ids[0]), m, d)
+    assert _digest(grid) == GAUSS_NOISE_GRID_DIGESTS[shape]
     # each row is the noise sample_noise gives that stream at that step
     star = obj.theta_star_stacked
     for t in FILL_STEPS:

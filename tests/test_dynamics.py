@@ -152,7 +152,7 @@ class TestSteps:
         # Theta, each with its step's noise
         eps = noise.sample_noise(model, obj, Theta, stream, range(n))
         Th = np.broadcast_to(Theta.data, (1, n, 2, 1))
-        steps = dynamics._step(W.entries, obj, model, gamma, Th, eps.reshape(1, n, 2))[0]
+        steps = dynamics._step(W.entries, obj, model, gamma, Th, eps[None])[0]
         # SHA-256 of the bytes of the (n, m, d) outcomes, recorded from one
         # dsgd_step call per step
         digest = hashlib.sha256(steps.tobytes()).hexdigest()
@@ -163,6 +163,28 @@ class TestSteps:
         acc = steps.sum(axis=0)
         tau2 = np.sqrt(2 * 0.5)
         assert np.linalg.norm(acc / n - det.data) <= 4.0 * gamma * tau2 / np.sqrt(n)
+
+    # a lone client steps without the matmul of its 1x1 W = [[1.0]], which
+    # computes 0.0 + 1.0 * y: -0.0 becomes +0.0, and the result is C-ordered.
+    # The drift is patched to zeros, in C order or transposed as the
+    # minibatch drift is, so the pre-mixing stack is the start itself
+    @pytest.mark.parametrize("order", ["C", "transposed"])
+    def test_a_lone_client_step_is_the_matmuls_bit_for_bit(self, monkeypatch, order):
+        obj = QuadraticObjectives(A=np.eye(3)[None], theta_loc_star=np.zeros((1, 3)))
+        W = build_fully_connected(1)
+        starts = [StackedPoint(1, 3, np.array([[-0.0, np.inf, 1.5]])),
+                  StackedPoint(1, 3, np.array([[np.nan, -np.inf, -0.0]]))]
+
+        def zero_drift(obj, model, Th, draw):
+            return np.zeros(Th.shape) if order == "C" else np.zeros(Th.shape[::-1]).T
+
+        monkeypatch.setattr(dynamics, "_drift", zero_drift)
+        Th0, Th1 = dynamics._iterate([W, W], obj, None, [0.5, 0.25], starts, 2, None, 1)
+        want = np.matmul(W.entries, Th0 - zero_drift(obj, None, Th0, None))
+        assert ((Th0 == 0.0) & np.signbit(Th0)).any()
+        assert not ((want == 0.0) & np.signbit(want)).any()
+        assert Th1.tobytes() == want.tobytes()
+        assert Th1.strides == want.strides
 
 
 class TestFixedPoint:

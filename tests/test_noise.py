@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from dsgd_lab import noise
 from dsgd_lab.errors import (
@@ -425,6 +426,96 @@ class TestTauWorkers:
         # 1,300 draws are 11 units
         tau_squares(Minibatch(batch_size=2), logit_obj, Theta, n_draws=1_300)
         assert calls == [threading.main_thread()]
+
+
+# the Box-Muller pass of _draw_blocks and the noise turn of a _Draws fill
+# take as many whole streams as _CHUNK_PAIRS pairs of words hold. Budgets:
+# one pair (a stream per pass), an odd count, the module's own, and a whole
+# grid (all 10 streams of a block in one pass at every width below)
+CHUNK_BUDGETS = [1, 1537, noise._CHUNK_PAIRS, 10 * NoiseStream.block_size * 18]
+# width -> the (m, d) of a Gaussian lane that wide
+CHUNK_WIDTHS = {1: (1, 1), 3: (1, 3), 36: (6, 6)}
+CHUNK_IDS = [range(0, 10, 2), range(1, 10, 2)]
+
+
+class TestChunkBudget:
+    """Every stream's normals and noise are its own at any chunk budget."""
+
+    @pytest.mark.parametrize("lo, hi", [(0, 512), (3, 200), (257, 511)])
+    @pytest.mark.parametrize("width", sorted(CHUNK_WIDTHS))
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    def test_draw_blocks_normals_are_each_streams_own(self, monkeypatch, budget, width,
+                                                      lo, hi):
+        streams = [NoiseStream(41, r) for r in range(10)]
+        gauss = NoiseStream.PURPOSE_GAUSS
+        alone = np.concatenate([noise._draw_blocks([s], gauss, 2, width, lo=lo, hi=hi)
+                                for s in streams])
+        monkeypatch.setattr(noise, "_CHUNK_PAIRS", budget)
+        got = noise._draw_blocks(streams, gauss, 2, width, lo=lo, hi=hi)
+        assert got.shape == (10, hi - lo, width)
+        assert got.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("width", sorted(CHUNK_WIDTHS))
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    def test_fill_noise_is_each_streams_sample_noise(self, monkeypatch, budget, width):
+        m, d = CHUNK_WIDTHS[width]
+        obj = generate_logistic_problem(m=m, n=3, d=d, seed=3)
+        A = np.random.default_rng(5).standard_normal((m, d, d))
+        model = AdditiveGaussian(C=A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d))
+        monkeypatch.setattr(noise, "_CHUNK_PAIRS", budget)
+        draws = noise._Draws(model, obj, 41, CHUNK_IDS)
+        size = NoiseStream.block_size
+        # at returns a view of a buffer that the next block overwrites
+        grid = np.stack([draws.at(t).copy() for t in range(size, 2 * size)])
+        assert grid.shape == (size, 2, 5, m, d)
+        star = obj.theta_star_stacked
+        for c, row in enumerate(CHUNK_IDS):
+            for r, replicate in enumerate(row):
+                want = sample_noise(model, obj, star, NoiseStream(41, replicate),
+                                    range(size, 2 * size))
+                assert np.ascontiguousarray(grid[:, c, r]).tobytes() == want.tobytes()
+
+
+# (seed, replicate, lane, start, n) of the reads that two threads take in
+# turn: counts that are not multiples of Philox's four-word output leave a
+# generator's buffer part-read, and the next read starts at start % 4 != 0
+REKEY_READS = [
+    [(7, 0, 1, 0, 5), (7, 1, 2**64 - 1, 3, 10), (7, 2, 5, 6, 1), (7, 3, 5, 0, 4), (9, 4, 3, 1, 7)],
+    [(8, 0, 1, 2, 3), (2**64 - 1, 5, 9, 0, 6), (8, 2, 5, 5, 2), (8, 3, 6, 4, 9), (8, 4, 3, 7, 1)],
+]
+
+
+class TestRekeying:
+    """_seek re-keys through one state dict per thread, rewritten each call."""
+
+    def test_threads_reading_in_turn_get_fresh_generators_words(self):
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        got, states = {}, {}
+
+        def reader(i):
+            philox = noise._philox()
+            for k, (seed, replicate, lane, start, n) in enumerate(REKEY_READS[i]):
+                turns[i].acquire()
+                try:
+                    stream = NoiseStream(seed, replicate)
+                    got[i, k] = noise._words(philox, stream, lane, n, start)
+                    states.setdefault(i, set()).add(id(noise._rekey_state()))
+                finally:
+                    turns[1 - i].release()
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for i, reads in enumerate(REKEY_READS):
+            for k, (seed, replicate, lane, start, n) in enumerate(reads):
+                key = np.array([NoiseStream(seed, replicate)._key0, lane], dtype=np.uint64)
+                want = Philox(key=key).random_raw(start + n)[start:]
+                assert np.array_equal(got[i, k], want), (i, k)
+        # each thread re-keyed through one dict of its own
+        assert len(states[0]) == len(states[1]) == 1
+        assert states[0] != states[1]
 
 
 class TestSmoothness:

@@ -43,8 +43,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # (lane, width) -> the noise model and a problem of that draw width: m*d
-# for Gaussian normals, m*n for minibatch words. At width 1 four whole
-# streams make one Box-Muller chunk and at width 3 two; at width 36 one
+# for Gaussian normals, m*n for minibatch words. At width 1 eight whole
+# streams make one Box-Muller chunk and at width 3 four; at width 36 one
 # stream's block alone is more than a chunk
 GRID_LANES = {
     ("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3), ("gaussian", 6): (2, 5, 3),
@@ -82,8 +82,8 @@ def test_draw_grid_matches_single_streams(seed, R, independent, lane, steps):
             for t, grid in zip(steps, grids):
                 draw = blocks[t // size][t % size]
                 if lane[0] == "gaussian":
-                    assert grid.shape == (len(ids), R, lane[1])
-                    assert np.array_equal(grid[c, r], draw)
+                    assert grid.shape == (len(ids), R, obj.m, obj.d)
+                    assert np.array_equal(grid[c, r].ravel(), draw)
                 else:
                     # the picks of the stream's words at step t, pick axis first
                     b = noise.batch_size
