@@ -166,24 +166,6 @@ def _philox() -> Philox:
         return _local.philox
 
 
-def _rekey_state() -> dict:
-    """The calling thread's state dict for _seek, made at its first re-key.
-
-    Its counter and key are lists, which Philox's state setter reads
-    element by element: a dict built with numpy arrays for each re-key took
-    2.2 us, this one, rewritten in place, 0.5 us.
-    """
-    try:
-        return _local.state
-    except AttributeError:
-        _local.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return _local.state
-
-
 def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
     """Key philox on (the stream's key word, lane) at word start.
 
@@ -198,7 +180,17 @@ def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
     counter-based, so any range of words comes out the same alone as inside
     a longer read.
     """
-    state = _rekey_state()
+    try:
+        state = _local.state
+    except AttributeError:
+        # lists, which Philox's state setter reads element by element: a
+        # dict of new numpy arrays for each re-key took 2.2 us, this one,
+        # rewritten in place, 0.5 us (BENCH_28.json per_call)
+        state = _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
     state["state"]["counter"][0] = start // 4
     key = state["state"]["key"]
     key[0], key[1] = stream._key0, lane
@@ -479,7 +471,7 @@ class _Draws:
         gauss = self.purpose == NoiseStream.PURPOSE_GAUSS
         self.noise = _noise(model, obj, None) if gauss else None
         # the (m, d) noise of a step, the shape _drift adds
-        self.blocks = (obj.m, obj.d) if gauss else None
+        self.noise_shape = (obj.m, obj.d) if gauss else None
         # the (m, n) words of a subset row and the b picks it makes
         self.picks = None if gauss else (obj.m, obj.n, model.batch_size)
         self.block_size = self.streams[0].block_size
@@ -496,7 +488,7 @@ class _Draws:
         S, size, (C, R) = len(self.streams), self.block_size, self.shape
         if self.noise is not None:
             self.buf = np.empty((S, size, self.width))
-            self.grid = self.buf.reshape(C, R, size, *self.blocks).transpose(2, 0, 1, 3, 4)
+            self.grid = self.buf.reshape(C, R, size, *self.noise_shape).transpose(2, 0, 1, 3, 4)
             return
         m, _, b = self.picks
         # step-major, so that a step's picks are one contiguous (b, C, R, m)

@@ -495,11 +495,11 @@ class TestRekeying:
         def reader(i):
             philox = noise._philox()
             for k, (seed, replicate, lane, start, n) in enumerate(REKEY_READS[i]):
-                turns[i].acquire()
+                assert turns[i].acquire(timeout=30)
                 try:
                     stream = NoiseStream(seed, replicate)
                     got[i, k] = noise._words(philox, stream, lane, n, start)
-                    states.setdefault(i, set()).add(id(noise._rekey_state()))
+                    states.setdefault(i, set()).add(id(noise._local.state))
                 finally:
                     turns[1 - i].release()
 
@@ -507,7 +507,8 @@ class TestRekeying:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         for i, reads in enumerate(REKEY_READS):
             for k, (seed, replicate, lane, start, n) in enumerate(reads):
                 key = np.array([NoiseStream(seed, replicate)._key0, lane], dtype=np.uint64)
