@@ -84,10 +84,11 @@ _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * np.pi
 # Box-Muller pairs per pass of _draw_blocks and per noise turn of a
-# _Draws fill, so that neither makes a temporary of a whole grid: 8 streams
-# of an AC10-shape block (512 rows of width 1) per pass. Peak RSS with
-# this budget, and the fill's time, are in BENCH_28.json
-_CHUNK_PAIRS = 4096
+# _Draws fill, so that neither makes a temporary of a whole grid: 6 streams
+# of an AC10-shape block (512 rows of width 1) per pass. Each pass's
+# temporaries count in a run's peak RSS; the peak and the fill's time at
+# this budget and at wider ones are in BENCH_28.json
+_CHUNK_PAIRS = 3072
 # subset words per piece that _draw_blocks copies into a grid: with the
 # fill worker, whole-stream reads raised the benchmark's rr-sto peak RSS by
 # 3.2 to 3.6 MB, pieces by 0.2 to 0.7 MB
@@ -183,9 +184,10 @@ def _seek(philox: Philox, stream: NoiseStream, lane: int, start: int) -> None:
     try:
         state = _local.state
     except AttributeError:
-        # lists, which Philox's state setter reads element by element: a
-        # dict of new numpy arrays for each re-key took 2.2 us, this one,
-        # rewritten in place, 0.5 us (BENCH_28.json per_call)
+        # the counter and key are lists, which Philox's state setter reads
+        # element by element: a dict of new numpy arrays for each re-key
+        # took 2.2 us, and this one, rewritten in place, 0.5 us
+        # (BENCH_28.json per_call)
         state = _local.state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},

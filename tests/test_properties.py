@@ -43,8 +43,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # (lane, width) -> the noise model and a problem of that draw width: m*d
-# for Gaussian normals, m*n for minibatch words. At width 1 eight whole
-# streams make one Box-Muller chunk and at width 3 four; at width 36 one
+# for Gaussian normals, m*n for minibatch words. At width 1 six whole
+# streams make one Box-Muller chunk and at width 3 three; at width 36 one
 # stream's block alone is more than a chunk
 GRID_LANES = {
     ("gaussian", 1): (1, 2, 1), ("gaussian", 3): (1, 2, 3), ("gaussian", 6): (2, 5, 3),
